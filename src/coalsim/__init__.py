@@ -37,7 +37,6 @@ from .exact_chain import (
     collision_probability_bound,
     expected_coalescence_times,
     phase_decomposition,
-    tails,
     transition_row,
     uniform_row_exact,
     write_kernel_csv,
@@ -53,6 +52,7 @@ from .simulate import (
     first_passages,
     replicate_rng,
     run,
+    runs,
     step,
 )
 from .tail_bounds import (
@@ -82,7 +82,6 @@ from .asymptotics import (
     LimitLawResult,
     ThresholdRow,
     early_phase_experiment,
-    kingman_limit_sample,
     kingman_limit_samples,
     ks_two_sample,
     limit_law_experiment,

@@ -15,11 +15,10 @@ import numpy as np
 
 from .distributions import ProbabilityVector, topheavy, uniform
 from .dynamics import early_threshold, late_threshold
-from .simulate import SimConfig, first_passages, replicate_rng, run
+from .simulate import SimConfig, first_passages, replicate_rng, runs
 
 __all__ = [
     "ks_two_sample",
-    "kingman_limit_sample",
     "kingman_limit_samples",
     "LimitLawResult",
     "limit_law_experiment",
@@ -61,11 +60,6 @@ def kingman_limit_samples(rng, truncation: int, size: int) -> np.ndarray:
     return total
 
 
-def kingman_limit_sample(rng, truncation: int) -> float:
-    """One draw of the truncated limit sum."""
-    return float(kingman_limit_samples(rng, truncation, 1)[0])
-
-
 def _child_seed(seed: int, *key: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return int(ss.generate_state(2, dtype=np.uint64)[0])
@@ -73,7 +67,7 @@ def _child_seed(seed: int, *key: int) -> int:
 
 def _coalescence_samples(p: ProbabilityVector, replicates: int, master_seed: int) -> np.ndarray:
     config = SimConfig(p=p, replicates=replicates, master_seed=master_seed)
-    return np.array([run(config, i).T for i in range(replicates)], dtype=float)
+    return np.array([r.T for r in runs(config)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -222,8 +216,6 @@ class ExperimentConfig:
     seed: int
     c2_rule: str | float = "ln"    # lambda name, or a fixed collision rate
     truncation: int = 1000
-    eps: float = 0.2
-    out: str | None = None
 
     def __post_init__(self):
         if self.truncation < 2:
@@ -236,7 +228,7 @@ class ExperimentConfig:
             raise ValueError("need at least one n")
 
     @classmethod
-    def from_dict(cls, kind: str, payload: dict, seed: int, out: str | None):
+    def from_dict(cls, kind: str, payload: dict, seed: int):
         ns = payload.get("n_values") or [payload["n"]]
         return cls(
             kind=kind,
@@ -245,6 +237,4 @@ class ExperimentConfig:
             seed=seed,
             c2_rule=payload.get("lambda", payload.get("c2", "ln")),
             truncation=int(payload.get("K", 1000)),
-            eps=float(payload.get("eps", 0.2)),
-            out=out,
         )

@@ -5,9 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +24,6 @@ from .dynamics import (
 from .tail_bounds import TiltSolveError
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = (
-    "moments",
-    "exact",
-    "simulate",
-    "dynamics",
-    "variational",
-    "bounds",
-    "limit",
-    "threshold",
-)
 
 
 class _CliError(Exception):
@@ -156,12 +144,8 @@ def _cmd_simulate(args) -> str:
         record_trajectory=bool(config.get("record", False)),
         passage_thresholds=thresholds,
     )
-    threads = _resolve_threads(args)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: simulate.run(sim, i), range(replicates)))
-    else:
-        results = [simulate.run(sim, i) for i in range(replicates)]
+    results = simulate.runs(sim)
+    summary = simulate.BatchSummary.from_runs(results, thresholds)
     base = _out_base(args)
     header = ["replicate", "T"] + [f"tau_at_{_fmt(t)}" for t in thresholds]
     _write_csv(
@@ -172,19 +156,14 @@ def _cmd_simulate(args) -> str:
             for i, r in enumerate(results)
         ),
     )
-    stats = simulate.RunningStats.from_samples(r.T for r in results)
+    stats = summary.t
     payload = {
         "replicates": replicates,
         "seed": args.seed,
         "mean_T": stats.mean,
         "stderr_T": stats.stderr,
         "variance_T": stats.variance,
-        "passages": {
-            _fmt(t): simulate.RunningStats.from_samples(
-                r.passages[t] for r in results
-            ).mean
-            for t in thresholds
-        },
+        "passages": {_fmt(t): s.mean for t, s in summary.passages.items()},
     }
     _write_json(_out_file(base, ".json"), payload)
     se = stats.stderr
@@ -279,18 +258,9 @@ def _cmd_bounds(args) -> str:
 
 def _cmd_limit(args) -> str:
     config = _load_config(args.config)
-    cfg = asymptotics.ExperimentConfig.from_dict("limit", config, args.seed, args.out)
+    cfg = asymptotics.ExperimentConfig.from_dict("limit", config, args.seed)
     if args.replicates:
-        cfg = asymptotics.ExperimentConfig(
-            kind=cfg.kind,
-            n_values=cfg.n_values,
-            replicates=args.replicates,
-            seed=cfg.seed,
-            c2_rule=cfg.c2_rule,
-            truncation=cfg.truncation,
-            eps=cfg.eps,
-            out=cfg.out,
-        )
+        cfg = replace(cfg, replicates=args.replicates)
     rows = [
         asymptotics.limit_law_experiment(n, cfg.replicates, cfg.seed, cfg.truncation)
         for n in cfg.n_values
@@ -313,9 +283,7 @@ def _cmd_limit(args) -> str:
 
 def _cmd_threshold(args) -> str:
     config = _load_config(args.config)
-    cfg = asymptotics.ExperimentConfig.from_dict(
-        "threshold", config, args.seed, args.out
-    )
+    cfg = asymptotics.ExperimentConfig.from_dict("threshold", config, args.seed)
     replicates = args.replicates or cfg.replicates
     rule = cfg.c2_rule
     if isinstance(rule, float):
@@ -359,38 +327,19 @@ _HANDLERS = {
 }
 
 
-def _resolve_threads(args) -> int:
-    # flag wins, then the THREADS variable, then every core; the choice never
-    # changes any output, only scheduling
-    if args.threads is not None:
-        return max(args.threads, 1)
-    env = os.environ.get("THREADS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise _CliError(f"THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="coalsim",
         description="Coalescing balls-into-boxes: exact kernels, simulation, bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON experiment config")
         cmd.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         cmd.add_argument("--out", default=None, help="output base path")
         cmd.add_argument("--replicates", type=int, default=None)
         cmd.add_argument("--quiet", action="store_true")
-        cmd.add_argument(
-            "--threads", type=int, default=None,
-            help="worker threads (default: THREADS variable, then all cores); "
-            "output is identical for any value",
-        )
     return parser
 
 

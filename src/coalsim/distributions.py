@@ -14,7 +14,6 @@ __all__ = [
     "SolverError",
     "Moments",
     "ProbabilityVector",
-    "moments",
     "uniform",
     "topheavy",
     "three_level",
@@ -111,10 +110,6 @@ class ProbabilityVector:
         else:
             body = f"{w[0]:.6g}, {w[1]:.6g}, ..., {w[-1]:.6g}"
         return f"ProbabilityVector(n={self.n}, [{body}])"
-
-
-def moments(p: ProbabilityVector) -> Moments:
-    return p.moments()
 
 
 def uniform(n: int) -> ProbabilityVector:

@@ -16,7 +16,6 @@ __all__ = [
     "TriangularKernel",
     "transition_row",
     "uniform_row_exact",
-    "tails",
     "collision_probability_bound",
     "expected_coalescence_times",
     "coalescence_time_cdf",
@@ -42,10 +41,6 @@ class TransitionRow:
         if not 1 <= b <= self.k:
             raise ValueError(f"b={b} outside [1, k={self.k}]")
         return float(self.probs[1:b].sum()), float(self.probs[b + 1 :].sum())
-
-
-def tails(row: TransitionRow, b: int) -> tuple[float, float]:
-    return row.tail_split(b)
 
 
 _NEG_INF = float("-inf")

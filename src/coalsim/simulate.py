@@ -5,7 +5,6 @@ mergeable batch statistics."""
 from __future__ import annotations
 
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ __all__ = [
     "BatchSummary",
     "step",
     "run",
+    "runs",
     "batch",
     "first_passages",
     "delta_audit",
@@ -75,12 +75,17 @@ def alias_table(p: ProbabilityVector) -> AliasTable:
     return table
 
 
+def _distinct(boxes: np.ndarray) -> int:
+    """Number of distinct box indices in boxes."""
+    # counting beats np.unique's sort: indices are below n and rounds are short
+    return int(np.count_nonzero(np.bincount(boxes)))
+
+
 def step(p: ProbabilityVector, k: int, rng: np.random.Generator) -> int:
     """Throw k balls once and return the number of distinct boxes hit."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    boxes = alias_table(p).draw(rng, k)
-    return int(np.unique(boxes).size)
+    return _distinct(alias_table(p).draw(rng, k))
 
 
 class _Engine:
@@ -107,8 +112,7 @@ class _Engine:
 
     def step(self, k: int) -> int:
         if k >= _VECTOR_MIN:
-            boxes = self._table.draw(self._rng, k)
-            return int(np.unique(boxes).size)
+            return _distinct(self._table.draw(self._rng, k))
         if self._pos + k > len(self._ibuf):
             self._ibuf = self._rng.integers(0, self._n, size=self._cap).tolist()
             self._ubuf = self._rng.random(self._cap).tolist()
@@ -134,7 +138,7 @@ def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator
     """Independent, reproducible stream for one replicate.
 
     Streams depend only on (master_seed, replicate_index), so results are
-    identical no matter how replicates are scheduled across threads.
+    identical whatever the order in which replicates are run.
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate_index,))
     return np.random.default_rng(ss)
@@ -291,6 +295,19 @@ class BatchSummary:
     t: RunningStats
     passages: dict[float, RunningStats] = field(default_factory=dict)
 
+    @classmethod
+    def from_runs(
+        cls, results: list[RunResult], thresholds: tuple[float, ...]
+    ) -> "BatchSummary":
+        """Statistics of the given replicates, in any order."""
+        return cls(
+            RunningStats.from_samples(r.T for r in results),
+            {
+                th: RunningStats.from_samples(r.passages[th] for r in results)
+                for th in thresholds
+            },
+        )
+
     def merge(self, other: "BatchSummary") -> "BatchSummary":
         keys = set(self.passages) | set(other.passages)
         empty = RunningStats()
@@ -301,26 +318,19 @@ class BatchSummary:
         return BatchSummary(self.t.merge(other.t), merged)
 
 
-def batch(config: SimConfig, threads: int = 1) -> BatchSummary:
+def runs(config: SimConfig) -> list[RunResult]:
+    """Every replicate of the batch, in index order."""
+    return [run(config, i) for i in range(config.replicates)]
+
+
+def batch(config: SimConfig) -> BatchSummary:
     """Run all replicates and merge their statistics.
 
     The result depends only on (config, master_seed): replicate streams are
-    index-derived and the integer accumulators merge exactly, so any thread
-    count gives identical output.
+    index-derived and the integer accumulators merge exactly, so neither
+    scheduling nor replicate order changes it.
     """
-    alias_table(config.p)  # build once, shared read-only by workers
-    indices = range(config.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: run(config, i), indices))
-    else:
-        results = [run(config, i) for i in indices]
-    t_stats = RunningStats.from_samples(r.T for r in results)
-    passage_stats = {
-        th: RunningStats.from_samples(r.passages[th] for r in results)
-        for th in config.passage_thresholds
-    }
-    return BatchSummary(t_stats, passage_stats)
+    return BatchSummary.from_runs(runs(config), config.passage_thresholds)
 
 
 def delta_audit(result: RunResult, p: ProbabilityVector, k_star: float) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ProbabilityVector
-from .dynamics import occupancy_proxy
+from .dynamics import _weights, occupancy_proxy
 
 __all__ = [
     "TiltPoint",
@@ -50,11 +50,6 @@ class TiltPoint:
     r: float
     residual_z: float
     residual_r: float
-
-
-def _weights(p: ProbabilityVector | np.ndarray) -> np.ndarray:
-    w = getattr(p, "weights", None)
-    return w if w is not None else np.asarray(p, dtype=float)
 
 
 def tilt_exponent(

@@ -1,6 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a PASS line with its
 headline numbers (run with -s to see them).  Seeds are pinned; every criterion
-is deterministic given its seed and independent of worker thread counts."""
+is deterministic given its seed and independent of replicate order."""
 
 import json
 import math
@@ -260,14 +260,17 @@ def test_c10_envelope_event_and_early_phase():
 
 def test_c11_determinism(tmp_path):
     start = time.time()
-    # batch statistics are identical for any worker thread count
+    # batch statistics do not depend on the order replicates are run in
     config = cs.SimConfig(
         p=cs.topheavy(40, 0.1),
         replicates=600,
         master_seed=5,
         passage_thresholds=(20.0, 5.0),
     )
-    assert cs.batch(config, threads=1) == cs.batch(config, threads=4)
+    reversed_runs = [cs.run(config, i) for i in reversed(range(config.replicates))]
+    assert cs.batch(config) == cs.BatchSummary.from_runs(
+        reversed_runs, config.passage_thresholds
+    )
     # per-replicate results are reproducible one by one
     runs_a = [cs.run(config, i).T for i in range(50)]
     runs_b = [cs.run(config, i).T for i in range(50)]
@@ -303,6 +306,6 @@ def test_c11_determinism(tmp_path):
         )
     assert blobs[0] == blobs[1]
     elapsed = time.time() - start
-    crit(11, f"thread-count-free batches, reproducible replicates, identical "
+    crit(11, f"replicate-order-free batches, reproducible replicates, identical "
              f"experiment reruns, byte-identical command line outputs, "
              f"{elapsed:.1f}s")

@@ -6,7 +6,6 @@ import pytest
 from coalsim.asymptotics import (
     ExperimentConfig,
     early_phase_experiment,
-    kingman_limit_sample,
     kingman_limit_samples,
     ks_two_sample,
     limit_law_experiment,
@@ -39,7 +38,7 @@ class TestKsTwoSample:
 
 class TestKingmanSampler:
     def test_zero_noise_leaves_tail_constant(self):
-        assert kingman_limit_sample(_ZeroRng(), 2) == pytest.approx(1.0)
+        assert kingman_limit_samples(_ZeroRng(), 2, 1)[0] == pytest.approx(1.0)
 
     def test_mean_is_two(self):
         rng = np.random.default_rng(8)
@@ -57,7 +56,7 @@ class TestKingmanSampler:
 
     def test_truncation_floor(self):
         with pytest.raises(ValueError):
-            kingman_limit_sample(np.random.default_rng(0), 1)
+            kingman_limit_samples(np.random.default_rng(0), 1, 1)
 
 
 class TestLimitLawExperiment:
@@ -129,7 +128,7 @@ class TestExperimentConfig:
 
     def test_from_dict(self):
         cfg = ExperimentConfig.from_dict(
-            "limit", {"n_values": [100, 1000], "replicates": 500, "K": 64}, 7, None
+            "limit", {"n_values": [100, 1000], "replicates": 500, "K": 64}, 7
         )
         assert cfg.n_values == (100, 1000)
         assert cfg.truncation == 64

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from coalsim.cli import main
+from coalsim.distributions import topheavy
+from coalsim.simulate import SimConfig, batch, run
 
 
 def write_config(tmp_path, name, payload):
@@ -203,35 +205,45 @@ class TestErrorPaths:
         assert main(["moments", "--config", str(cfg)]) == 2
 
 
-class TestThreads:
-    def test_threads_env_and_flag_do_not_change_output(self, tmp_path, monkeypatch):
+class TestThroughLibrary:
+    def test_simulate_outputs_are_the_library_batch(self, tmp_path):
         cfg = write_config(
             tmp_path,
             "sim.json",
-            {"distribution": {"family": "uniform", "n": 15}, "replicates": 300},
+            {
+                "distribution": {"family": "topheavy", "n": 15, "c2": 0.2},
+                "replicates": 300,
+                "thresholds": [8.0, 3.0],
+            },
         )
-        blobs = []
-        for tag, extra, env in (
-            ("one", ["--threads", "1"], None),
-            ("four", ["--threads", "4"], None),
-            ("env", [], "3"),
-        ):
-            if env is None:
-                monkeypatch.delenv("THREADS", raising=False)
-            else:
-                monkeypatch.setenv("THREADS", env)
-            out = tmp_path / f"run_{tag}"
-            args = ["simulate", "--config", str(cfg), "--seed", "2", "--out", str(out), "--quiet"]
-            assert main(args + extra) == 0
-            blobs.append((tmp_path / f"run_{tag}.replicates.csv").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        out = tmp_path / "run"
+        args = ["simulate", "--config", str(cfg), "--seed", "2", "--out", str(out), "--quiet"]
+        assert main(args) == 0
+        sim = SimConfig(
+            p=topheavy(15, 0.2),
+            replicates=300,
+            master_seed=2,
+            passage_thresholds=(8.0, 3.0),
+        )
+        lines = (tmp_path / "run.replicates.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[1]) for line in lines] == [
+            run(sim, i).T for i in range(300)
+        ]
+        payload = json.loads((tmp_path / "run.json").read_text())
+        summary = batch(sim)
+        assert payload["mean_T"] == summary.t.mean
+        assert payload["stderr_T"] == summary.t.stderr
+        assert payload["passages"] == {
+            "8": summary.passages[8.0].mean,
+            "3": summary.passages[3.0].mean,
+        }
 
-    def test_malformed_threads_env(self, tmp_path, monkeypatch):
+    def test_threads_flag_is_unknown(self, tmp_path):
         cfg = write_config(
             tmp_path, "m.json", {"distribution": {"family": "uniform", "n": 4}}
         )
-        monkeypatch.setenv("THREADS", "lots")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        args = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+        assert main(args + ["--threads", "2"]) == 1
 
 
 class TestDefaultOutputBase:

@@ -12,7 +12,6 @@ from coalsim.exact_chain import (
     collision_probability_bound,
     expected_coalescence_times,
     phase_decomposition,
-    tails,
     transition_row,
     uniform_row_exact,
     write_kernel_csv,
@@ -136,14 +135,14 @@ class TestUniformRowExact:
 class TestTails:
     def test_edges(self):
         row = transition_row(uniform(6), 4)
-        lo, hi = tails(row, 1)
+        lo, hi = row.tail_split(1)
         assert lo == 0.0
-        lo, hi = tails(row, 4)
+        lo, hi = row.tail_split(4)
         assert hi == 0.0
 
     def test_three_boxes_split(self):
         row = transition_row(uniform(3), 3)
-        lo, hi = tails(row, 2)
+        lo, hi = row.tail_split(2)
         assert lo == pytest.approx(1 / 9, abs=1e-12)
         assert hi == pytest.approx(2 / 9, abs=1e-12)
 
@@ -155,7 +154,7 @@ class TestTails:
             k = int(rng.integers(1, n + 1))
             row = transition_row(p, k)
             for b in range(1, k + 1):
-                lo, hi = tails(row, b)
+                lo, hi = row.tail_split(b)
                 assert lo + row.probs[b] + hi == pytest.approx(1.0, abs=1e-10)
 
 

@@ -1,0 +1,59 @@
+"""Package-level checks: every exported name resolves, and the README's
+distribution descriptors build."""
+
+import ast
+import importlib
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+import coalsim
+from coalsim.distributions import from_descriptor
+
+MODULES = (
+    "distributions",
+    "dynamics",
+    "exact_chain",
+    "simulate",
+    "tail_bounds",
+    "variational",
+    "asymptotics",
+    "cli",
+)
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"coalsim.{name}")
+    # a stale name here breaks `from coalsim.<module> import *`
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_package_reexports_are_public_names():
+    tree = ast.parse(Path(coalsim.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert name in importlib.import_module(f"coalsim.{module}").__all__, name
+
+
+def test_readme_descriptors_build():
+    text = README.read_text()
+    block = re.search(r"Distribution descriptors:\s*```json\n(.*?)```", text, re.S)
+    lines = [line for line in block.group(1).splitlines() if line.strip()]
+    assert len(lines) == 4
+    for line in lines:
+        descriptor = json.loads(line)
+        p = from_descriptor(descriptor)
+        if "c2" in descriptor:
+            assert p.moments().c2 == pytest.approx(descriptor["c2"], abs=1e-12)
+        if "c3" in descriptor:
+            assert p.moments().c3 == pytest.approx(descriptor["c3"], abs=1e-12)

@@ -8,6 +8,7 @@ from coalsim.dynamics import early_threshold, one_step_envelope
 from coalsim.exact_chain import TriangularKernel, expected_coalescence_times, transition_row
 from coalsim.simulate import (
     AliasTable,
+    BatchSummary,
     RunningStats,
     SimConfig,
     batch,
@@ -129,14 +130,16 @@ class TestBatch:
         cfg = SimConfig(p=uniform(9), replicates=500, master_seed=77)
         assert batch(cfg) == batch(cfg)
 
-    def test_thread_count_invisible(self):
+    def test_replicate_order_invisible(self):
         cfg = SimConfig(
             p=topheavy(12, 0.2),
             replicates=400,
             master_seed=5,
             passage_thresholds=(6.0,),
         )
-        assert batch(cfg, threads=1) == batch(cfg, threads=4)
+        order = np.random.default_rng(0).permutation(cfg.replicates)
+        shuffled = [run(cfg, int(i)) for i in order]
+        assert batch(cfg) == BatchSummary.from_runs(shuffled, cfg.passage_thresholds)
 
     def test_single_replicate_variance_flagged(self):
         cfg = SimConfig(p=uniform(5), replicates=1, master_seed=0)
