@@ -226,10 +226,17 @@ class ExperimentConfig:
             raise ValueError("replicates must be at least 1")
         if not self.n_values:
             raise ValueError("need at least one n")
+        if isinstance(self.c2_rule, str) and self.c2_rule not in LAMBDA_RULES:
+            raise ValueError(
+                f"unknown 'lambda' rule {self.c2_rule!r}; "
+                f"choose from {', '.join(LAMBDA_RULES)}"
+            )
 
     @classmethod
     def from_dict(cls, kind: str, payload: dict, seed: int):
-        ns = payload.get("n_values") or [payload["n"]]
+        ns = payload.get("n_values") or [payload.get("n")]
+        if ns == [None]:
+            raise ValueError(f"{kind} config needs 'n_values' or 'n'")
         return cls(
             kind=kind,
             n_values=tuple(int(v) for v in ns),

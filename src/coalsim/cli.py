@@ -228,6 +228,8 @@ def _cmd_bounds(args) -> str:
     config = _load_config(args.config)
     p = _distribution(config)
     k = int(config["k"])
+    if not 1 <= k <= p.n:
+        raise _CliError(f"'k'={k} outside [1, n={p.n}]")
     center = tail_bounds.tilt_center(p, k)
     b_values = config.get("b_values")
     if b_values is None:

@@ -4,6 +4,7 @@ and the extremal two- and three-level families."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -393,6 +394,17 @@ def sample_fixed_c2(n: int, c2: float, rng: np.random.Generator) -> ProbabilityV
     return ProbabilityVector(sample_fixed_c2_batch(n, c2, rng, 1)[0], normalize=True)
 
 
+def _whole(desc: dict, key: str) -> int:
+    """desc[key] as an int; a non-integral value is an error, not truncated."""
+    value = desc[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DistributionError(f"{key!r} must be a whole number, got {value!r}")
+
+
 def from_descriptor(desc: dict) -> ProbabilityVector:
     """Build a vector from a JSON-style descriptor.
 
@@ -404,12 +416,12 @@ def from_descriptor(desc: dict) -> ProbabilityVector:
     except (TypeError, KeyError):
         raise DistributionError("descriptor must be a mapping with a 'family' key")
     if family == "uniform":
-        return uniform(int(desc["n"]))
+        return uniform(_whole(desc, "n"))
     if family == "topheavy":
-        return topheavy(int(desc["n"]), float(desc["c2"]))
+        return topheavy(_whole(desc, "n"), float(desc["c2"]))
     if family == "three_level":
         return three_level(
-            int(desc["n"]), float(desc["c2"]), float(desc["c3"]), int(desc["nu"])
+            _whole(desc, "n"), float(desc["c2"]), float(desc["c3"]), _whole(desc, "nu")
         )
     if family == "explicit":
         return ProbabilityVector(

@@ -111,8 +111,8 @@ def _merge_groups(
     return out
 
 
-def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
-    """Exact distribution of the occupied-box count after throwing k balls.
+def _gf_row(p: ProbabilityVector, k: int) -> TransitionRow:
+    """Row k by generating-function expansion, for 2 <= k <= n.
 
     Expands the product over boxes of the per-box occupancy series (weight
     w^e/e! for e >= 1 balls, or 1 for none) in two formal degrees: balls
@@ -123,13 +123,8 @@ def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
     mass on the entry that is read out) and each layer carries a separate log
     scale, so no intermediate under- or overflows occur for n and k up to the
     low thousands; entries that still underflow are below the double range as
-    probabilities too.
+    probabilities too.  Costs about O(k^3) per row.
     """
-    n = p.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, n={n}]")
-    if k == 1:
-        return TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
     log_tilt = math.log(k)
     acc = [(_unit(k), 0.0)]
     for value, mult in p.grouped():
@@ -145,6 +140,80 @@ def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
         if c > 0.0:
             probs[b] = math.exp(math.log(c) + ls + log_back)
     return TransitionRow(k, probs)
+
+
+# The recurrence tracks S = prod(m_g + 1) joint states over the positive
+# weight groups and builds all n rows in O(n * S), where generating-function
+# rows cost about O(k^3) each.  S <= n^2 keeps it the cheaper route; the cap
+# bounds its arrays to a few megabytes.
+_MAX_STATES = 1 << 20
+
+
+def _occupancy_groups(p: ProbabilityVector) -> list[tuple[float, int]] | None:
+    """Positive (weight, multiplicity) groups of p when the occupancy
+    recurrence is its cheaper route, else None."""
+    groups = [(w, m) for w, m in p.grouped() if w > 0.0]
+    states = math.prod(m + 1 for _, m in groups)
+    return groups if states <= min(p.n * p.n, _MAX_STATES) else None
+
+
+def _occupancy_rows(groups: list[tuple[float, int]], k_max: int):
+    """Yield rows 1..k_max, throwing one ball at a time.
+
+    The state is the joint law of the occupied-box counts (l_g) of the weight
+    groups (w_g, m_g), one array axis per group.  A ball lands in an occupied
+    box of group g with chance l_g*w_g and opens a new one with chance
+    (m_g - l_g)*w_g.  Row k is the law after k balls, summed over the states
+    with sum(l_g) = b.  Every term is a sum of nonnegative products, so there
+    is no cancellation and no scaling.
+    """
+    caps = [min(m, k_max) for _, m in groups]
+    dims = len(caps)
+    axes = np.ix_(*(np.arange(c + 1) for c in caps))
+    stay = sum(l * w for l, (w, _) in zip(axes, groups))
+    opens = [
+        ((m - np.arange(c)) * w).reshape([c if a == g else 1 for a in range(dims)])
+        for g, ((w, m), c) in enumerate(zip(groups, caps))
+    ]
+    lower = [(slice(None),) * g + (slice(None, -1),) for g in range(dims)]
+    upper = [(slice(None),) * g + (slice(1, None),) for g in range(dims)]
+    occupied = sum(axes).ravel()
+    state = np.zeros(stay.shape)
+    state[(0,) * dims] = 1.0
+    for k in range(1, k_max + 1):
+        nxt = state * stay
+        for g, rate in enumerate(opens):
+            nxt[upper[g]] += state[lower[g]] * rate
+        state = nxt
+        if k == 1:
+            yield TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
+        else:
+            probs = np.bincount(occupied, weights=state.ravel(), minlength=k + 1)
+            yield TransitionRow(k, probs[: k + 1])
+
+
+def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
+    """Exact distribution of the occupied-box count after throwing k balls.
+
+    This is the classical occupancy law of k balls landing independently by
+    p.  Vectors with few distinct weights (uniform, topheavy, three_level and
+    small explicit vectors) run the ball-by-ball occupancy recurrence up to k,
+    in O(k * S) for S joint occupied-count states.  Vectors whose S is too
+    large, such as explicit vectors with all-distinct weights, take the
+    generating-function expansion, about O(k^3).  The route follows from
+    p.grouped() alone.
+    """
+    n = p.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, n={n}]")
+    if k == 1:
+        return TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
+    groups = _occupancy_groups(p)
+    if groups is None:
+        return _gf_row(p, k)
+    for row in _occupancy_rows(groups, k):
+        pass
+    return row
 
 
 def uniform_row_exact(n: int, k: int) -> TransitionRow:
@@ -192,15 +261,21 @@ def collision_probability_bound(p: ProbabilityVector, k: int) -> float:
 
 
 class TriangularKernel:
-    """Lower-triangular transition kernel with lazily cached rows.
+    """Lower-triangular transition kernel of one vector; rows are cached.
 
-    Rows are deterministic functions of the source vector, so concurrent
-    recomputation is harmless; the cache behaves as write-once per row.
+    For a vector that transition_row sends to the occupancy recurrence, the
+    kernel carries that recurrence itself: a request for row k advances it
+    from the last row built and caches every row it passes, so all n rows cost
+    one O(n * S) pass in any request order.  Other vectors build each
+    requested row once through transition_row.  Building rows mutates the
+    kernel, so threads must not share one while it is still building.
     """
 
     def __init__(self, p: ProbabilityVector):
         self.source = p
         self._rows: dict[int, TransitionRow] = {}
+        groups = _occupancy_groups(p)
+        self._pass = None if groups is None else _occupancy_rows(groups, p.n)
 
     @property
     def n(self) -> int:
@@ -208,8 +283,16 @@ class TriangularKernel:
 
     def row(self, k: int) -> TransitionRow:
         row = self._rows.get(k)
-        if row is None:
-            row = self._rows.setdefault(k, transition_row(self.source, k))
+        if row is not None:
+            return row
+        if self._pass is None:
+            row = self._rows[k] = transition_row(self.source, k)
+            return row
+        if not 1 <= k <= self.n:
+            raise ValueError(f"k={k} outside [1, n={self.n}]")
+        while len(self._rows) < k:  # rows 1..len(self._rows) are built
+            row = next(self._pass)
+            self._rows[row.k] = row
         return row
 
 

@@ -56,6 +56,18 @@ class TestExact:
         assert total == pytest.approx(summary["expected_T_from_n"], abs=1e-8)
 
 
+    def test_uniform_pair_expected_time_is_exact(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "pair.json", {"distribution": {"family": "uniform", "n": 2}}
+        )
+        out = tmp_path / "pair"
+        assert main(["exact", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((tmp_path / "pair.json").read_text())
+        assert summary["expected_T_from_n"] == 2.0
+        lines = (tmp_path / "pair.expected.csv").read_text().splitlines()
+        assert lines[1:] == ["1,0", "2,2"]
+
+
 class TestSimulate:
     def test_summary_matches_exact_pair(self, tmp_path):
         cfg = write_config(
@@ -203,6 +215,46 @@ class TestErrorPaths:
             },
         )
         assert main(["moments", "--config", str(cfg)]) == 2
+
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"family": "uniform", "n": 2.5},
+            {"family": "topheavy", "n": 4.5, "c2": 0.3},
+            {"family": "three_level", "n": 8, "c2": 0.2, "c3": 0.05, "nu": 1.5},
+        ],
+    )
+    def test_non_integral_size_rejected(self, tmp_path, capsys, descriptor):
+        cfg = write_config(tmp_path, "frac.json", {"distribution": descriptor})
+        for command in ("moments", "exact"):
+            assert main([command, "--config", str(cfg), "--quiet"]) == 1
+            assert "must be a whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [0, 6, 50])
+    def test_bounds_k_outside_range(self, tmp_path, capsys, k):
+        cfg = write_config(
+            tmp_path, "b.json", {"distribution": {"family": "uniform", "n": 5}, "k": k}
+        )
+        out = tmp_path / "report"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"'k'={k} outside [1, n=5]" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("limit", {"replicates": 200}, "'n_values' or 'n'"),
+            ("threshold", {"n_values": [], "replicates": 10}, "'n_values' or 'n'"),
+            ("threshold", {"n_values": [50], "lambda": "zz"}, "'lambda' rule 'zz'"),
+            ("limit", {"n": 50, "lambda": "zz"}, "'lambda' rule 'zz'"),
+        ],
+    )
+    def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):
+        cfg = write_config(tmp_path, "exp.json", payload)
+        out = tmp_path / "exp"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
 
 
 class TestThroughLibrary:

@@ -221,6 +221,18 @@ class TestDescriptors:
         ex = from_descriptor({"family": "explicit", "weights": [0.5, 0.5]})
         assert ex.n == 2
 
+    def test_sizes_must_be_whole_numbers(self):
+        assert from_descriptor({"family": "uniform", "n": 5.0}).n == 5
+        assert from_descriptor({"family": "uniform", "n": np.int64(5)}).n == 5
+        for desc in (
+            {"family": "uniform", "n": 2.5},
+            {"family": "uniform", "n": "5"},
+            {"family": "uniform", "n": float("inf")},
+            {"family": "three_level", "n": 8, "c2": 0.2, "c3": 0.05, "nu": 2.5},
+        ):
+            with pytest.raises(DistributionError, match="whole number"):
+                from_descriptor(desc)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(DistributionError):
             from_descriptor({"family": "zipf", "n": 3})

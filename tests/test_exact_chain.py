@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coalsim.distributions import ProbabilityVector, topheavy, uniform
+from coalsim.distributions import ProbabilityVector, from_descriptor, topheavy, uniform
 from coalsim.dynamics import early_threshold, expected_next_count, late_threshold
 from coalsim.exact_chain import (
     TriangularKernel,
@@ -16,6 +18,7 @@ from coalsim.exact_chain import (
     uniform_row_exact,
     write_kernel_csv,
 )
+from coalsim.exact_chain import _gf_row, _occupancy_groups
 
 # 99.9% quantiles of the chi-square distribution by degrees of freedom
 CHI2_999 = {2: 13.815510557964274, 3: 16.266236196238129}
@@ -29,8 +32,7 @@ class TestTransitionRow:
     def test_two_boxes_uniform(self):
         # 4 equally likely outcomes, 2 of them collide
         row = transition_row(uniform(2), 2)
-        assert row.probs[1] == pytest.approx(0.5, abs=1e-14)
-        assert row.probs[2] == pytest.approx(0.5, abs=1e-14)
+        assert row.probs.tolist() == [0.0, 0.5, 0.5]
 
     def test_three_boxes_uniform(self):
         # surjection counts over 27 outcomes: 3, 18, 6
@@ -42,8 +44,7 @@ class TestTransitionRow:
     def test_skewed_pair(self):
         # same-box mass (9 + 1)/16
         row = transition_row(ProbabilityVector([0.75, 0.25]), 2)
-        assert row.probs[1] == pytest.approx(5 / 8, abs=1e-14)
-        assert row.probs[2] == pytest.approx(3 / 8, abs=1e-14)
+        assert row.probs.tolist() == [0.0, 5 / 8, 3 / 8]
 
     def test_absorbing_row(self):
         row = transition_row(uniform(5), 1)
@@ -77,6 +78,116 @@ class TestTransitionRow:
         row = transition_row(p, 900)
         assert row.probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert row.mean == pytest.approx(expected_next_count(p, 900), rel=1e-9)
+
+
+def three_level_shape(n, heavy, middle, nu):
+    """Explicit vector with values heavy x nu, middle x 1 and the rest equal."""
+    rest = (1.0 - nu * heavy - middle) / (n - nu - 1)
+    return ProbabilityVector([heavy] * nu + [middle] + [rest] * (n - nu - 1), normalize=True)
+
+
+def assert_recurrence_matches_gf(p, tol=1e-12):
+    """Every kernel row of p, built by the one-pass recurrence, against the
+    generating-function row; also the row sums, to 1e-12 * k."""
+    assert _occupancy_groups(p) is not None
+    kernel = TriangularKernel(p)
+    for k in range(1, p.n + 1):
+        probs = kernel.row(k).probs
+        assert probs.shape == (k + 1,)
+        assert abs(probs.sum() - 1.0) <= 1e-12 * k
+        if k >= 2:
+            assert np.abs(probs - _gf_row(p, k).probs).max() <= tol, k
+
+
+class TestOccupancyRecurrence:
+    """The one-pass occupancy recurrence against the generating-function rows
+    and the big-integer oracle, each an independent algorithm."""
+
+    def test_grouped_families_match_gf_rows(self):
+        for p in (
+            uniform(2),
+            uniform(45),
+            topheavy(2, 0.7),
+            topheavy(60, 0.05),
+            three_level_shape(50, 0.1, 0.03, 3),
+            ProbabilityVector([0.5, 0.25, 0.25]),
+        ):
+            assert_recurrence_matches_gf(p)
+
+    def test_matches_surjection_oracle(self):
+        for n in (2, 3, 30, 300):
+            kernel = TriangularKernel(uniform(n))
+            for k in sorted({*range(1, n + 1, max(1, n // 12)), n}):
+                got = kernel.row(k).probs
+                assert np.abs(got - uniform_row_exact(n, k).probs).max() <= 1e-12
+
+    def test_zero_weight_boxes(self):
+        p = ProbabilityVector([0.5, 0.5, 0.0, 0.0])
+        assert_recurrence_matches_gf(p)
+        kernel = TriangularKernel(p)
+        for k in (3, 4):
+            assert kernel.row(k).probs[3:].tolist() == [0.0] * (k - 2)
+        assert kernel.row(4).probs[1:3].tolist() == [0.125, 0.875]
+
+    def test_topheavy_c2_near_one(self):
+        for c2 in (0.99, 1.0 - 1e-9):
+            assert_recurrence_matches_gf(topheavy(40, c2))
+
+    def test_transition_row_equals_kernel_row(self):
+        # one algorithm on both routes: a lone row is the kernel's row, bit for bit
+        p = topheavy(70, 0.03)
+        kernel = TriangularKernel(p)
+        for k in (1, 2, 9, 70):
+            assert np.array_equal(transition_row(p, k).probs, kernel.row(k).probs)
+
+    def test_request_order_does_not_matter(self):
+        p = three_level_shape(30, 0.15, 0.05, 2)
+        forward, backward = TriangularKernel(p), TriangularKernel(p)
+        last = backward.row(30)
+        assert np.array_equal(last.probs, forward.row(30).probs)
+        for k in range(29, 0, -1):
+            assert np.array_equal(backward.row(k).probs, forward.row(k).probs)
+        with pytest.raises(ValueError):
+            backward.row(31)
+        with pytest.raises(ValueError):
+            backward.row(0)
+
+    def test_route_follows_grouping(self):
+        rng = np.random.default_rng(30)
+        assert [m for _, m in _occupancy_groups(uniform(2000))] == [2000]
+        assert [m for _, m in _occupancy_groups(topheavy(500, 0.1))] == [1, 499]
+        assert _occupancy_groups(random_vector(rng, 40)) is None
+        assert _occupancy_groups(random_vector(rng, 4)) is not None  # 16 states
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["uniform", "topheavy", "three_level"]),
+        n=st.integers(min_value=4, max_value=40),
+        spread=st.floats(min_value=0.0, max_value=0.95),
+        nu=st.integers(min_value=1, max_value=3),
+    )
+    def test_random_descriptors(self, family, n, spread, nu):
+        if family == "uniform":
+            p = from_descriptor({"family": "uniform", "n": n})
+        elif family == "topheavy":
+            c2 = 1.0 / n + spread * (1.0 - 1.0 / n)
+            p = from_descriptor({"family": "topheavy", "n": n, "c2": c2})
+        else:
+            # heavy entries take up to 95% of the mass in total
+            nu = min(nu, n - 2)
+            heavy = (1.0 + spread * (n - 1)) / n / (nu + 1)
+            p = three_level_shape(n, heavy, 0.5 * heavy, nu)
+        assert_recurrence_matches_gf(p)
+
+    @pytest.mark.slow
+    def test_large_n_sweep(self):
+        for p in (uniform(2000), topheavy(2000, 0.05), topheavy(2000, 0.999)):
+            kernel = TriangularKernel(p)
+            for k in range(1, p.n + 1):
+                probs = kernel.row(k).probs
+                assert not np.isnan(probs).any()
+                assert probs.min() >= 0.0
+                assert abs(probs.sum() - 1.0) <= 1e-12 * k
 
 
 class TestBruteForceOracle:
@@ -187,7 +298,7 @@ class TestExpectedTimes:
     def test_two_boxes_uniform(self):
         et = expected_coalescence_times(TriangularKernel(uniform(2)))
         assert et[1] == 0.0
-        assert et[2] == pytest.approx(2.0, abs=1e-12)
+        assert et[2] == 2.0  # the generating-function rows gave 1.9999999999999991
 
     def test_skewed_pair(self):
         et = expected_coalescence_times(
