@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import ProbabilityVector, topheavy, uniform
+from .distributions import ProbabilityVector, _whole, topheavy, uniform
 from .dynamics import early_threshold, late_threshold
 from .simulate import SimConfig, first_passages, replicate_rng, runs
 
@@ -218,6 +218,13 @@ class ExperimentConfig:
     truncation: int = 1000
 
     def __post_init__(self):
+        rule = self.c2_rule
+        if isinstance(rule, bool) or not isinstance(rule, (str, int, float)):
+            raise ValueError(
+                f"'lambda' must be a rule name or a collision rate, got {rule!r}"
+            )
+        if isinstance(rule, int):
+            object.__setattr__(self, "c2_rule", float(rule))
         if self.truncation < 2:
             raise ValueError("truncation must be at least 2")
         if self.kind in ("limit",) and self.replicates < 100:
@@ -234,14 +241,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, kind: str, payload: dict, seed: int):
+        field = "n_values" if payload.get("n_values") else "n"
         ns = payload.get("n_values") or [payload.get("n")]
         if ns == [None]:
             raise ValueError(f"{kind} config needs 'n_values' or 'n'")
         return cls(
             kind=kind,
-            n_values=tuple(int(v) for v in ns),
-            replicates=int(payload.get("replicates", 1000)),
+            n_values=tuple(_whole(v, field) for v in ns),
+            replicates=_whole(payload.get("replicates", 1000), "replicates"),
             seed=seed,
             c2_rule=payload.get("lambda", payload.get("c2", "ln")),
-            truncation=int(payload.get("K", 1000)),
+            truncation=_whole(payload.get("K", 1000), "K"),
         )

@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, exact_chain, simulate, tail_bounds, variational
-from .distributions import DistributionError, SolverError, from_descriptor, topheavy
+from .distributions import (
+    DistributionError,
+    SolverError,
+    _whole,
+    from_descriptor,
+    topheavy,
+)
 from .dynamics import (
     early_threshold,
     empty_boxes_proxy,
@@ -64,6 +70,13 @@ def _load_config(path: str | None) -> dict:
         raise _CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"malformed config {path}: {exc}")
+
+
+def _field(config: dict, key: str, command: str):
+    try:
+        return config[key]
+    except KeyError:
+        raise _CliError(f"{command} config needs {key!r}")
 
 
 def _distribution(config: dict):
@@ -202,10 +215,10 @@ def _cmd_dynamics(args) -> str:
 
 def _cmd_variational(args) -> str:
     config = _load_config(args.config)
-    n = int(config["n"])
-    c2 = float(config["c2"])
-    k = float(config["k"])
-    budget = int(config.get("budget", 100_000))
+    n = _whole(_field(config, "n", "variational"), "n")
+    c2 = float(_field(config, "c2", "variational"))
+    k = float(_field(config, "k", "variational"))
+    budget = _whole(config.get("budget", 100_000), "budget")
     rng = np.random.default_rng(args.seed)
     q_best, f_best = variational.minimize_proxy_fixed_c2(n, c2, k, budget, rng)
     f_top = empty_boxes_proxy(topheavy(n, c2), k)
@@ -227,7 +240,7 @@ def _cmd_variational(args) -> str:
 def _cmd_bounds(args) -> str:
     config = _load_config(args.config)
     p = _distribution(config)
-    k = int(config["k"])
+    k = _whole(_field(config, "k", "bounds"), "k")
     if not 1 <= k <= p.n:
         raise _CliError(f"'k'={k} outside [1, n={p.n}]")
     center = tail_bounds.tilt_center(p, k)

@@ -55,9 +55,9 @@ class ProbabilityVector:
     """Immutable nonnegative weights of length n >= 2 summing to one.
 
     Stored order is preserved; use :meth:`sorted_desc` for a nonincreasing copy
-    and :meth:`grouped` for a run-length compression over equal values (the
-    fast path for kernels on two- and three-valued families).  Instances are
-    immutable after construction and safe to share across threads.
+    and :meth:`grouped` for a run-length compression over equal values (it
+    picks the kernel's row algorithm).  Instances are immutable after
+    construction and safe to share across threads.
     """
 
     __slots__ = ("_w", "__weakref__")
@@ -394,15 +394,17 @@ def sample_fixed_c2(n: int, c2: float, rng: np.random.Generator) -> ProbabilityV
     return ProbabilityVector(sample_fixed_c2_batch(n, c2, rng, 1)[0], normalize=True)
 
 
-def _whole(desc: dict, key: str) -> int:
-    """desc[key] as an int; a non-integral value is an error, not truncated."""
-    value = desc[key]
+def _whole(value, key: str) -> int:
+    """value of field key as an int; a non-integral value or a bool is an
+    error, not truncated."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DistributionError(f"{key!r} must be a whole number, got {value!r}")
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DistributionError(f"{key!r} must be a whole number, got {value!r}")
 
 
 def from_descriptor(desc: dict) -> ProbabilityVector:
@@ -416,12 +418,13 @@ def from_descriptor(desc: dict) -> ProbabilityVector:
     except (TypeError, KeyError):
         raise DistributionError("descriptor must be a mapping with a 'family' key")
     if family == "uniform":
-        return uniform(_whole(desc, "n"))
+        return uniform(_whole(desc["n"], "n"))
     if family == "topheavy":
-        return topheavy(_whole(desc, "n"), float(desc["c2"]))
+        return topheavy(_whole(desc["n"], "n"), float(desc["c2"]))
     if family == "three_level":
         return three_level(
-            _whole(desc, "n"), float(desc["c2"]), float(desc["c3"]), _whole(desc, "nu")
+            _whole(desc["n"], "n"), float(desc["c2"]), float(desc["c3"]),
+            _whole(desc["nu"], "nu"),
         )
     if family == "explicit":
         return ProbabilityVector(

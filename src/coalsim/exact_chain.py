@@ -43,109 +43,10 @@ class TransitionRow:
         return float(self.probs[1:b].sum()), float(self.probs[b + 1 :].sum())
 
 
-_NEG_INF = float("-inf")
-
-
-def _one_box_powers(
-    value: float, mult: int, k: int, log_tilt: float
-) -> list[tuple[np.ndarray, float]]:
-    """Scaled coefficient arrays of the b-fold products of one box's series.
-
-    A box of weight w holding e >= 1 balls contributes w^e/e!; entry b of the
-    result is (coeffs, log_scale) for the choose(mult, b)-weighted b-th power
-    of that series, truncated to degree k.  Coefficients carry the caller's
-    exponential tilt in the ball degree (entry e scaled by exp(e*log_tilt)),
-    which keeps the degree-k entry of every relevant layer representable, and
-    each layer is max-normalized with a separate log scale, so nothing leaves
-    the double range even at k in the thousands.
-    """
-    log_fact = [math.lgamma(e + 1.0) for e in range(k + 1)]
-    logs = np.full(k + 1, _NEG_INF)
-    lw = math.log(value) + log_tilt
-    for e in range(1, k + 1):
-        logs[e] = e * lw - log_fact[e]
-    scale = float(logs[1:].max())
-    base = np.exp(logs - scale)
-    base[0] = 0.0
-
-    out: list[tuple[np.ndarray, float]] = [(_unit(k), 0.0)]
-    vec, ls = base, scale
-    top = min(mult, k)
-    lg_mult = math.lgamma(mult + 1.0)
-    for b in range(1, top + 1):
-        log_choose = lg_mult - math.lgamma(b + 1.0) - math.lgamma(mult - b + 1.0)
-        out.append((vec, ls + log_choose))
-        if b < top:
-            vec = np.convolve(vec, base)[: k + 1]
-            mx = float(vec.max())
-            vec = vec / mx
-            ls = ls + scale + math.log(mx)
-    return out
-
-
-def _unit(k: int) -> np.ndarray:
-    u = np.zeros(k + 1)
-    u[0] = 1.0
-    return u
-
-
-def _merge_groups(
-    acc: list[tuple[np.ndarray, float]],
-    grp: list[tuple[np.ndarray, float]],
-    k: int,
-) -> list[tuple[np.ndarray, float]]:
-    top = min(k, len(acc) + len(grp) - 2)
-    out: list[tuple[np.ndarray, float]] = []
-    for b in range(top + 1):
-        terms = []
-        for i in range(max(0, b - len(grp) + 1), min(b, len(acc) - 1) + 1):
-            va, la = acc[i]
-            vg, lg = grp[b - i]
-            terms.append((np.convolve(va, vg)[: k + 1], la + lg))
-        ref = max(ls for _, ls in terms)
-        vec = np.zeros(k + 1)
-        for v, ls in terms:
-            vec += v * math.exp(ls - ref)
-        mx = float(vec.max())
-        out.append((vec / mx, ref + math.log(mx)))
-    return out
-
-
-def _gf_row(p: ProbabilityVector, k: int) -> TransitionRow:
-    """Row k by generating-function expansion, for 2 <= k <= n.
-
-    Expands the product over boxes of the per-box occupancy series (weight
-    w^e/e! for e >= 1 balls, or 1 for none) in two formal degrees: balls
-    placed and boxes occupied; a final k! factor converts to probabilities.
-    Boxes sharing a weight are collapsed through binomial coefficients against
-    incremental powers of their common one-box series.  Ball degrees are
-    tilted by k (total tilted mean degree is then k, centering every layer's
-    mass on the entry that is read out) and each layer carries a separate log
-    scale, so no intermediate under- or overflows occur for n and k up to the
-    low thousands; entries that still underflow are below the double range as
-    probabilities too.  Costs about O(k^3) per row.
-    """
-    log_tilt = math.log(k)
-    acc = [(_unit(k), 0.0)]
-    for value, mult in p.grouped():
-        if value <= 0.0:
-            continue
-        acc = _merge_groups(acc, _one_box_powers(value, mult, k, log_tilt), k)
-    # undo the tilt at degree k and restore the k! factor, all in log space
-    log_back = math.lgamma(k + 1.0) - k * log_tilt
-    probs = np.zeros(k + 1)
-    for b in range(1, min(k, len(acc) - 1) + 1):
-        vec, ls = acc[b]
-        c = float(vec[k])
-        if c > 0.0:
-            probs[b] = math.exp(math.log(c) + ls + log_back)
-    return TransitionRow(k, probs)
-
-
 # The recurrence tracks S = prod(m_g + 1) joint states over the positive
-# weight groups and builds all n rows in O(n * S), where generating-function
-# rows cost about O(k^3) each.  S <= n^2 keeps it the cheaper route; the cap
-# bounds its arrays to a few megabytes.
+# weight groups and builds all n rows in O(n * S), where the box pass costs
+# O(n * k^3) for all rows up to k.  S <= n^2 keeps the recurrence the cheaper
+# route; the cap bounds its arrays to a few megabytes.
 _MAX_STATES = 1 << 20
 
 
@@ -192,6 +93,47 @@ def _occupancy_rows(groups: list[tuple[float, int]], k_max: int):
             yield TransitionRow(k, probs[: k + 1])
 
 
+def _box_rows(weights, k_max: int):
+    """Yield rows 1..k_max, adding one box at a time.
+
+    law[j, b] is the chance that j balls, thrown by the normalized weights of
+    the boxes added so far, occupy b of them.  A box of weight w joining boxes
+    of total weight W keeps j - i of the j balls with chance
+    Binomial(j, W/(W+w)) at i, so law'[j, b] = keep[j, j] law[j, b] +
+    sum_{i<j} keep[j, i] law[i, b-1]: one (k+1)x(k+1) matmul per box.  The
+    binomial table comes from the Pascal recurrence.  Every term is a
+    nonnegative product, so there is no cancellation and no scaling.
+    """
+    size = k_max + 1
+    law = np.zeros((size, size))
+    law[0, 0] = 1.0
+    total = 0.0
+    for w in weights:
+        if w <= 0.0:
+            continue
+        old, new = total / (total + w), w / (total + w)
+        total += w
+        keep = np.zeros((size, size))  # keep[j, i]: i of j balls in old boxes
+        keep[0, 0] = 1.0
+        for j in range(1, size):
+            keep[j, : j + 1] = new * keep[j - 1, : j + 1]
+            keep[j, 1 : j + 1] += old * keep[j - 1, :j]
+        nxt = law * np.diag(keep)[:, None]
+        nxt[:, 1:] += np.tril(keep, -1) @ law[:, :-1]
+        law = nxt
+    yield TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
+    for k in range(2, size):
+        yield TransitionRow(k, law[k, : k + 1].copy())
+
+
+def _rows(p: ProbabilityVector, k_max: int):
+    """Rows 1..k_max of p by its one route, which follows from p.grouped()."""
+    groups = _occupancy_groups(p)
+    if groups is None:
+        return _box_rows(p.weights, k_max)
+    return _occupancy_rows(groups, k_max)
+
+
 def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
     """Exact distribution of the occupied-box count after throwing k balls.
 
@@ -200,18 +142,12 @@ def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
     small explicit vectors) run the ball-by-ball occupancy recurrence up to k,
     in O(k * S) for S joint occupied-count states.  Vectors whose S is too
     large, such as explicit vectors with all-distinct weights, take the
-    generating-function expansion, about O(k^3).  The route follows from
-    p.grouped() alone.
+    box-by-box pass, O(n * k^3).
     """
     n = p.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, n={n}]")
-    if k == 1:
-        return TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
-    groups = _occupancy_groups(p)
-    if groups is None:
-        return _gf_row(p, k)
-    for row in _occupancy_rows(groups, k):
+    for row in _rows(p, k):
         pass
     return row
 
@@ -263,19 +199,17 @@ def collision_probability_bound(p: ProbabilityVector, k: int) -> float:
 class TriangularKernel:
     """Lower-triangular transition kernel of one vector; rows are cached.
 
-    For a vector that transition_row sends to the occupancy recurrence, the
-    kernel carries that recurrence itself: a request for row k advances it
-    from the last row built and caches every row it passes, so all n rows cost
-    one O(n * S) pass in any request order.  Other vectors build each
-    requested row once through transition_row.  Building rows mutates the
-    kernel, so threads must not share one while it is still building.
+    The kernel carries the row pass of transition_row's route up to n: a
+    request for row k advances it from the last row built and caches every
+    row it passes, so all n rows cost one pass in any request order.
+    Building rows mutates the kernel, so threads must not share one while it
+    is still building.
     """
 
     def __init__(self, p: ProbabilityVector):
         self.source = p
         self._rows: dict[int, TransitionRow] = {}
-        groups = _occupancy_groups(p)
-        self._pass = None if groups is None else _occupancy_rows(groups, p.n)
+        self._pass = _rows(p, p.n)
 
     @property
     def n(self) -> int:
@@ -284,9 +218,6 @@ class TriangularKernel:
     def row(self, k: int) -> TransitionRow:
         row = self._rows.get(k)
         if row is not None:
-            return row
-        if self._pass is None:
-            row = self._rows[k] = transition_row(self.source, k)
             return row
         if not 1 <= k <= self.n:
             raise ValueError(f"k={k} outside [1, n={self.n}]")

@@ -133,3 +133,24 @@ class TestExperimentConfig:
         assert cfg.n_values == (100, 1000)
         assert cfg.truncation == 64
         assert cfg.seed == 7
+
+    def test_sizes_must_be_whole_numbers(self):
+        for payload, field in (
+            ({"n_values": [50.7]}, "'n_values'"),
+            ({"n": 30.5}, "'n'"),
+            ({"n": 50, "replicates": 150.9}, "'replicates'"),
+            ({"n": 50, "K": 1000.5}, "'K'"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig.from_dict("threshold", payload, 0)
+        cfg = ExperimentConfig.from_dict(
+            "threshold", {"n_values": [50.0], "replicates": 150.0, "K": 64.0}, 0
+        )
+        assert (cfg.n_values, cfg.replicates, cfg.truncation) == ((50,), 150, 64)
+
+    def test_numeric_lambda_is_a_collision_rate(self):
+        cfg = ExperimentConfig.from_dict("threshold", {"n": 50, "lambda": 1}, 0)
+        assert cfg.c2_rule == 1.0 and isinstance(cfg.c2_rule, float)
+        for rule in (True, None, [1]):
+            with pytest.raises(ValueError, match="'lambda'"):
+                ExperimentConfig.from_dict("threshold", {"n": 50, "lambda": rule}, 0)

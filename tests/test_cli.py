@@ -248,6 +248,23 @@ class TestErrorPaths:
             ("threshold", {"n_values": [], "replicates": 10}, "'n_values' or 'n'"),
             ("threshold", {"n_values": [50], "lambda": "zz"}, "'lambda' rule 'zz'"),
             ("limit", {"n": 50, "lambda": "zz"}, "'lambda' rule 'zz'"),
+            ("threshold", {"n_values": [20], "lambda": True}, "'lambda' must be a rule"),
+            ("threshold", {"n_values": [20], "lambda": [1]}, "'lambda' must be a rule"),
+            ("threshold", {"n_values": [50.7]}, "'n_values' must be a whole number"),
+            ("limit", {"n": 30.5}, "'n' must be a whole number"),
+            ("limit", {"n": 50, "replicates": 150.9}, "'replicates' must be a whole"),
+            ("threshold", {"n": 20, "replicates": True}, "'replicates' must be a whole"),
+            ("limit", {"n": 50, "replicates": 200, "K": 1000.5}, "'K' must be a whole"),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 7.5},
+             "'k' must be a whole number"),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}},
+             "bounds config needs 'k'"),
+            ("variational", {"n": 30.5, "c2": 0.1, "k": 30}, "'n' must be a whole"),
+            ("variational", {"n": 30, "c2": 0.1, "k": 30, "budget": 100.5},
+             "'budget' must be a whole"),
+            ("variational", {"c2": 0.1, "k": 30}, "variational config needs 'n'"),
+            ("variational", {"n": 30, "k": 30}, "variational config needs 'c2'"),
+            ("variational", {"n": 30, "c2": 0.1}, "variational config needs 'k'"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):
@@ -255,6 +272,21 @@ class TestErrorPaths:
         out = tmp_path / "exp"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
+
+    def test_integer_lambda_is_a_collision_rate(self, tmp_path, capsys):
+        outs = []
+        for tag, rule in (("int", 1), ("float", 1.0)):
+            cfg = write_config(
+                tmp_path, f"{tag}.json", {"n_values": [20], "lambda": rule, "replicates": 5}
+            )
+            out = tmp_path / f"th_{tag}"
+            assert main(["threshold", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            outs.append((tmp_path / f"th_{tag}.csv").read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].decode().splitlines()[1].startswith("20,1,1,")  # T = 1 always
+        cfg = write_config(tmp_path, "two.json", {"n_values": [20], "lambda": 2})
+        assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "two")]) == 1
+        assert "collision rate 2.0 out of range" in capsys.readouterr().err
 
 
 class TestThroughLibrary:

@@ -228,6 +228,7 @@ class TestDescriptors:
             {"family": "uniform", "n": 2.5},
             {"family": "uniform", "n": "5"},
             {"family": "uniform", "n": float("inf")},
+            {"family": "uniform", "n": True},
             {"family": "three_level", "n": 8, "c2": 0.2, "c3": 0.05, "nu": 2.5},
         ):
             with pytest.raises(DistributionError, match="whole number"):

@@ -18,7 +18,7 @@ from coalsim.exact_chain import (
     uniform_row_exact,
     write_kernel_csv,
 )
-from coalsim.exact_chain import _gf_row, _occupancy_groups
+from coalsim.exact_chain import _box_rows, _occupancy_groups
 
 # 99.9% quantiles of the chi-square distribution by degrees of freedom
 CHI2_999 = {2: 13.815510557964274, 3: 16.266236196238129}
@@ -86,24 +86,24 @@ def three_level_shape(n, heavy, middle, nu):
     return ProbabilityVector([heavy] * nu + [middle] + [rest] * (n - nu - 1), normalize=True)
 
 
-def assert_recurrence_matches_gf(p, tol=1e-12):
+def assert_recurrence_matches_box_pass(p, tol=1e-12):
     """Every kernel row of p, built by the one-pass recurrence, against the
-    generating-function row; also the row sums, to 1e-12 * k."""
+    box-by-box row; also the row sums, to 1e-12 * k."""
     assert _occupancy_groups(p) is not None
     kernel = TriangularKernel(p)
-    for k in range(1, p.n + 1):
+    for box in _box_rows(p.weights, p.n):
+        k = box.k
         probs = kernel.row(k).probs
         assert probs.shape == (k + 1,)
         assert abs(probs.sum() - 1.0) <= 1e-12 * k
-        if k >= 2:
-            assert np.abs(probs - _gf_row(p, k).probs).max() <= tol, k
+        assert np.abs(probs - box.probs).max() <= tol, k
 
 
 class TestOccupancyRecurrence:
-    """The one-pass occupancy recurrence against the generating-function rows
-    and the big-integer oracle, each an independent algorithm."""
+    """The one-pass occupancy recurrence against the box-by-box rows and the
+    big-integer oracle, each an independent algorithm."""
 
-    def test_grouped_families_match_gf_rows(self):
+    def test_grouped_families_match_box_rows(self):
         for p in (
             uniform(2),
             uniform(45),
@@ -112,7 +112,7 @@ class TestOccupancyRecurrence:
             three_level_shape(50, 0.1, 0.03, 3),
             ProbabilityVector([0.5, 0.25, 0.25]),
         ):
-            assert_recurrence_matches_gf(p)
+            assert_recurrence_matches_box_pass(p)
 
     def test_matches_surjection_oracle(self):
         for n in (2, 3, 30, 300):
@@ -123,7 +123,7 @@ class TestOccupancyRecurrence:
 
     def test_zero_weight_boxes(self):
         p = ProbabilityVector([0.5, 0.5, 0.0, 0.0])
-        assert_recurrence_matches_gf(p)
+        assert_recurrence_matches_box_pass(p)
         kernel = TriangularKernel(p)
         for k in (3, 4):
             assert kernel.row(k).probs[3:].tolist() == [0.0] * (k - 2)
@@ -131,7 +131,7 @@ class TestOccupancyRecurrence:
 
     def test_topheavy_c2_near_one(self):
         for c2 in (0.99, 1.0 - 1e-9):
-            assert_recurrence_matches_gf(topheavy(40, c2))
+            assert_recurrence_matches_box_pass(topheavy(40, c2))
 
     def test_transition_row_equals_kernel_row(self):
         # one algorithm on both routes: a lone row is the kernel's row, bit for bit
@@ -177,7 +177,7 @@ class TestOccupancyRecurrence:
             nu = min(nu, n - 2)
             heavy = (1.0 + spread * (n - 1)) / n / (nu + 1)
             p = three_level_shape(n, heavy, 0.5 * heavy, nu)
-        assert_recurrence_matches_gf(p)
+        assert_recurrence_matches_box_pass(p)
 
     @pytest.mark.slow
     def test_large_n_sweep(self):
@@ -188,6 +188,37 @@ class TestOccupancyRecurrence:
                 assert not np.isnan(probs).any()
                 assert probs.min() >= 0.0
                 assert abs(probs.sum() - 1.0) <= 1e-12 * k
+
+
+class TestBoxPass:
+    """The box-by-box pass, the route of vectors with many distinct weights."""
+
+    def test_ungrouped_transition_row_equals_kernel_row(self):
+        # the box pass run to k against the kernel's pass run to n
+        p = random_vector(np.random.default_rng(31), 12)
+        assert _occupancy_groups(p) is None
+        kernel = TriangularKernel(p)
+        for k in range(1, 13):
+            got = transition_row(p, k).probs
+            assert np.abs(got - kernel.row(k).probs).max() <= 1e-15, k
+
+    def test_matches_surjection_oracle(self):
+        n = 300
+        rows = list(_box_rows(uniform(n).weights, n))
+        for k in (*range(1, n, 25), n):
+            want = uniform_row_exact(n, k).probs
+            assert np.abs(rows[k - 1].probs - want).max() <= 1e-12, k
+
+    @pytest.mark.slow
+    def test_large_n_sweep(self):
+        p = random_vector(np.random.default_rng(32), 200)
+        assert _occupancy_groups(p) is None
+        kernel = TriangularKernel(p)
+        for k in range(1, p.n + 1):
+            probs = kernel.row(k).probs
+            assert not np.isnan(probs).any()
+            assert probs.min() >= 0.0
+            assert abs(probs.sum() - 1.0) <= 1e-12 * k
 
 
 class TestBruteForceOracle:
@@ -204,22 +235,28 @@ class TestBruteForceOracle:
             probs[len(set(assign))] += pr
         return probs
 
+    def assert_matches_enumeration(self, p, tol):
+        # both routes: transition_row (the recurrence for n <= 4) and the box
+        # pass run directly on every vector
+        box = list(_box_rows(p.weights, p.n))
+        for k in range(1, p.n + 1):
+            want = self.brute_row(p.weights.tolist(), k)
+            assert np.abs(transition_row(p, k).probs - want).max() <= tol
+            assert np.abs(box[k - 1].probs - want).max() <= tol
+
     def test_matches_enumeration_for_skewed_weights(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             n = int(rng.integers(2, 6))
             p = ProbabilityVector(rng.dirichlet(np.ones(n)), normalize=True)
-            for k in range(1, n + 1):
-                got = transition_row(p, k).probs
-                want = self.brute_row(p.weights.tolist(), k)
-                assert np.abs(got - want).max() <= 1e-12
+            self.assert_matches_enumeration(p, 1e-12)
 
     def test_matches_enumeration_with_zero_weight(self):
-        p = ProbabilityVector([0.6, 0.4, 0.0])
-        for k in (1, 2, 3):
-            got = transition_row(p, k).probs
-            want = self.brute_row(p.weights.tolist(), k)
-            assert np.abs(got - want).max() <= 1e-14
+        self.assert_matches_enumeration(ProbabilityVector([0.6, 0.4, 0.0]), 1e-14)
+
+    def test_matches_enumeration_with_tiny_weight(self):
+        p = ProbabilityVector([0.5, 0.3, 0.2, 1e-300], normalize=True)
+        self.assert_matches_enumeration(p, 1e-14)
 
 
 class TestUniformRowExact:
@@ -235,7 +272,7 @@ class TestUniformRowExact:
             row = uniform_row_exact(n, k)
             assert row.probs[1] == pytest.approx(n ** (1 - k), abs=1e-15)
 
-    def test_matches_generating_function_route(self):
+    def test_matches_occupancy_recurrence_route(self):
         for n in range(2, 11):
             for k in range(1, n + 1):
                 dp = transition_row(uniform(n), k).probs
@@ -298,7 +335,7 @@ class TestExpectedTimes:
     def test_two_boxes_uniform(self):
         et = expected_coalescence_times(TriangularKernel(uniform(2)))
         assert et[1] == 0.0
-        assert et[2] == 2.0  # the generating-function rows gave 1.9999999999999991
+        assert et[2] == 2.0  # exactly: row 2 is [0, 0.5, 0.5]
 
     def test_skewed_pair(self):
         et = expected_coalescence_times(
