@@ -245,6 +245,8 @@ class ExperimentConfig:
         ns = payload.get("n_values") or [payload.get("n")]
         if ns == [None]:
             raise ValueError(f"{kind} config needs 'n_values' or 'n'")
+        if not isinstance(ns, (list, tuple)):
+            raise ValueError(f"'n_values' must be a list of whole numbers, got {ns!r}")
         return cls(
             kind=kind,
             n_values=tuple(_whole(v, field) for v in ns),

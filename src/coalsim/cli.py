@@ -86,18 +86,16 @@ def _distribution(config: dict):
         raise _CliError("config needs a 'distribution' descriptor")
 
 
-def _out_base(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    if args.config:
-        # never collide with the config file itself
-        return Path(str(Path(args.config).with_suffix("")) + ".out")
-    return Path("coalsim_out")
-
-
-def _out_file(base: Path, ext: str) -> Path:
+def _outputs(args, *exts: str) -> list[Path]:
+    """The paths <base><ext> a subcommand writes, checked against its config."""
+    config = Path(args.config)
+    # the default base never collides with the config file itself
+    base = Path(args.out) if args.out else Path(str(config.with_suffix("")) + ".out")
     # plain concatenation: suffix-replacing semantics would eat dotted bases
-    return base.parent / (base.name + ext)
+    paths = [base.parent / (base.name + ext) for ext in exts]
+    if config.resolve() in [p.resolve() for p in paths]:
+        raise _CliError(f"--out {args.out} would overwrite the config {args.config}")
+    return paths
 
 
 def _cmd_moments(args) -> str:
@@ -105,7 +103,7 @@ def _cmd_moments(args) -> str:
     p = _distribution(config)
     m = p.moments()
     payload = {"n": p.n, "c2": m.c2, "c3": m.c3}
-    _write_json(_out_file(_out_base(args), ".json"), payload)
+    _write_json(_outputs(args, ".json")[0], payload)
     return f"moments: n={p.n} c2={m.c2:.12g} c3={m.c3:.12g}"
 
 
@@ -113,11 +111,11 @@ def _cmd_exact(args) -> str:
     config = _load_config(args.config)
     p = _distribution(config)
     kernel = exact_chain.TriangularKernel(p)
-    base = _out_base(args)
-    exact_chain.write_kernel_csv(kernel, _out_file(base, ".kernel.csv"))
+    out_kernel, out_csv, out_json = _outputs(args, ".kernel.csv", ".expected.csv", ".json")
+    exact_chain.write_kernel_csv(kernel, out_kernel)
     et = exact_chain.expected_coalescence_times(kernel)
     _write_csv(
-        _out_file(base, ".expected.csv"),
+        out_csv,
         ["m", "expected_T"],
         ((m, et[m]) for m in range(1, p.n + 1)),
     )
@@ -140,7 +138,7 @@ def _cmd_exact(args) -> str:
             "middle": phases.middle,
             "late": phases.late,
         }
-    _write_json(_out_file(base, ".json"), payload)
+    _write_json(out_json, payload)
     return f"exact: n={p.n} expected_T={et[p.n]:.12g}"
 
 
@@ -159,10 +157,10 @@ def _cmd_simulate(args) -> str:
     )
     results = simulate.runs(sim)
     summary = simulate.BatchSummary.from_runs(results, thresholds)
-    base = _out_base(args)
+    out_csv, out_json = _outputs(args, ".replicates.csv", ".json")
     header = ["replicate", "T"] + [f"tau_at_{_fmt(t)}" for t in thresholds]
     _write_csv(
-        _out_file(base, ".replicates.csv"),
+        out_csv,
         header,
         (
             [i, r.T] + [r.passages[t] for t in thresholds]
@@ -178,7 +176,7 @@ def _cmd_simulate(args) -> str:
         "variance_T": stats.variance,
         "passages": {_fmt(t): s.mean for t, s in summary.passages.items()},
     }
-    _write_json(_out_file(base, ".json"), payload)
+    _write_json(out_json, payload)
     se = stats.stderr
     return (
         f"simulate: mean T={stats.mean:.12g}"
@@ -204,9 +202,8 @@ def _cmd_dynamics(args) -> str:
                 envelope_margin(p, k) if k > 0 else 0.0,
             )
         )
-    base = _out_base(args)
     _write_csv(
-        _out_file(base, ".csv"),
+        _outputs(args, ".csv")[0],
         ["k", "empty_proxy", "occupancy_proxy", "envelope", "margin"],
         rows,
     )
@@ -233,7 +230,7 @@ def _cmd_variational(args) -> str:
         "gap": f_best - f_top,
         "distinct_levels_at_1e-6": variational.level_count(q_best.weights),
     }
-    _write_json(_out_file(_out_base(args), ".json"), payload)
+    _write_json(_outputs(args, ".json")[0], payload)
     return f"variational: f_best={f_best:.12g} gap={f_best - f_top:.3e}"
 
 
@@ -254,9 +251,9 @@ def _cmd_bounds(args) -> str:
         (pt.b, pt.z, pt.r, pt.h, pt.curvature_fd, pt.hessian_det)
         for pt in report.points
     ]
-    base = _out_base(args)
+    out_csv, out_json = _outputs(args, ".csv", ".json")
     _write_csv(
-        _out_file(base, ".csv"),
+        out_csv,
         ["b", "z", "r", "h", "h_second_fd", "hessian_det"],
         rows,
     )
@@ -267,7 +264,7 @@ def _cmd_bounds(args) -> str:
         "solved_points": len(report.points),
         "skipped": [{"b": b, "reason": reason} for b, reason in report.skipped],
     }
-    _write_json(_out_file(base, ".json"), payload)
+    _write_json(out_json, payload)
     return f"bounds: solved {len(report.points)} points, all_ok={report.all_ok}"
 
 
@@ -280,9 +277,9 @@ def _cmd_limit(args) -> str:
         asymptotics.limit_law_experiment(n, cfg.replicates, cfg.seed, cfg.truncation)
         for n in cfg.n_values
     ]
-    base = _out_base(args)
+    out_csv, out_json = _outputs(args, ".csv", ".json")
     _write_csv(
-        _out_file(base, ".csv"),
+        out_csv,
         ["n", "replicates", "mean_T", "mean_ratio", "ks_distance"],
         ((r.n, r.replicates, r.mean_T, r.mean_ratio, r.ks_distance) for r in rows),
     )
@@ -292,7 +289,7 @@ def _cmd_limit(args) -> str:
         "ks_nonincreasing_in_n": all(a >= b for a, b in zip(ks, ks[1:])),
         "note": "finite-n proxy bands; the underlying statements are limits",
     }
-    _write_json(_out_file(base, ".json"), payload)
+    _write_json(out_json, payload)
     return "limit: " + " ".join(f"n={r.n} ks={r.ks_distance:.4f}" for r in rows)
 
 
@@ -309,9 +306,9 @@ def _cmd_threshold(args) -> str:
         rows = asymptotics.threshold_experiment(
             cfg.n_values, rule, replicates, cfg.seed
         )
-    base = _out_base(args)
+    out_csv, out_json = _outputs(args, ".csv", ".json")
     _write_csv(
-        _out_file(base, ".csv"),
+        out_csv,
         ["n", "c2", "scaled_mean_top", "slow_fraction", "scaled_mean_uniform"],
         (
             (r.n, r.c2, r.scaled_mean_top, r.slow_fraction, r.scaled_mean_uniform)
@@ -326,7 +323,7 @@ def _cmd_threshold(args) -> str:
         ),
         "note": "finite-n proxy bands; the underlying statements are limits",
     }
-    _write_json(_out_file(base, ".json"), payload)
+    _write_json(out_json, payload)
     return "threshold: " + " ".join(f"n={r.n} scaled={r.scaled_mean_top:.3f}" for r in rows)
 
 

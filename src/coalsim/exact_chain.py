@@ -101,26 +101,28 @@ def _box_rows(weights, k_max: int):
     of total weight W keeps j - i of the j balls with chance
     Binomial(j, W/(W+w)) at i, so law'[j, b] = keep[j, j] law[j, b] +
     sum_{i<j} keep[j, i] law[i, b-1]: one (k+1)x(k+1) matmul per box.  The
-    binomial table comes from the Pascal recurrence.  Every term is a
-    nonnegative product, so there is no cancellation and no scaling.
+    binomial tables come from the Pascal recurrence, run for a block of boxes
+    at once; blocks of about 2^16 floats keep it off the peak memory.  Every
+    term is a nonnegative product, so there is no cancellation and no scaling.
     """
     size = k_max + 1
+    w = weights[weights > 0.0]
+    total = np.cumsum(w)
+    old, new = np.concatenate(([0.0], total[:-1])) / total, w / total
     law = np.zeros((size, size))
     law[0, 0] = 1.0
-    total = 0.0
-    for w in weights:
-        if w <= 0.0:
-            continue
-        old, new = total / (total + w), w / (total + w)
-        total += w
-        keep = np.zeros((size, size))  # keep[j, i]: i of j balls in old boxes
-        keep[0, 0] = 1.0
+    block = max(1, (1 << 16) // (size * size))
+    for first in range(0, w.size, block):
+        olds, news = old[first : first + block, None], new[first : first + block, None]
+        keep = np.zeros((olds.size, size, size))  # keep[box, j, i]: i of j balls old
+        keep[:, 0, 0] = 1.0
         for j in range(1, size):
-            keep[j, : j + 1] = new * keep[j - 1, : j + 1]
-            keep[j, 1 : j + 1] += old * keep[j - 1, :j]
-        nxt = law * np.diag(keep)[:, None]
-        nxt[:, 1:] += np.tril(keep, -1) @ law[:, :-1]
-        law = nxt
+            keep[:, j, : j + 1] = news * keep[:, j - 1, : j + 1]
+            keep[:, j, 1 : j + 1] += olds * keep[:, j - 1, :j]
+        for box in keep:
+            nxt = law * np.diag(box)[:, None]
+            nxt[:, 1:] += np.tril(box, -1) @ law[:, :-1]
+            law = nxt
     yield TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
     for k in range(2, size):
         yield TransitionRow(k, law[k, : k + 1].copy())

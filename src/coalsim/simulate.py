@@ -4,11 +4,14 @@ mergeable batch statistics."""
 
 from __future__ import annotations
 
+import bisect
+import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import exact_chain
 from .distributions import ProbabilityVector
 from .dynamics import one_step_envelope
 
@@ -27,10 +30,10 @@ __all__ = [
     "replicate_rng",
 ]
 
-# below this many balls the buffered scalar path beats vectorized sampling
+# Below this many balls the chain runs as the jump chain of the exact kernel
+# rows 2..63, which the box pass builds in O(n * 63^3) at worst; from it up,
+# alias rounds throw every ball.
 _VECTOR_MIN = 64
-_BUFFER_START = 256   # grows by doubling; short runs stay cheap to set up
-_BUFFER_MAX = 8192
 
 
 class AliasTable:
@@ -75,6 +78,27 @@ def alias_table(p: ProbabilityVector) -> AliasTable:
     return table
 
 
+_jump_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _jump_rows(p: ProbabilityVector) -> list:
+    """Entry k of 2..min(n, 63): (log(1 - leave), cumulative jump law) at k.
+
+    leave is summed off row k below k; 1 - P(stay) would lose it to rounding.
+    """
+    rows = _jump_cache.get(p)
+    if rows is None:
+        rows = [None, None]
+        for row in list(exact_chain._rows(p, min(p.n, _VECTOR_MIN - 1)))[1:]:
+            down = row.probs[1 : row.k]
+            leave = float(down.sum())
+            rate = math.log1p(-leave) if leave < 1.0 else -math.inf
+            cum = np.cumsum(down)
+            rows.append((rate, (cum / cum[-1]).tolist()))
+        _jump_cache[p] = rows
+    return rows
+
+
 def _distinct(boxes: np.ndarray) -> int:
     """Number of distinct box indices in boxes."""
     # counting beats np.unique's sort: indices are below n and rounds are short
@@ -88,50 +112,29 @@ def step(p: ProbabilityVector, k: int, rng: np.random.Generator) -> int:
     return _distinct(alias_table(p).draw(rng, k))
 
 
-class _Engine:
-    """Per-replicate sampler: buffered scalar draws with a generation-stamped
-    scratch array for small rounds, vectorized draws above _VECTOR_MIN."""
+def _jumps(p: ProbabilityVector, b: int, rng: np.random.Generator):
+    """Yield (0, b), then (t, b) at each round t that lowers the count, to 1.
 
-    __slots__ = (
-        "_table", "_rng", "_n", "_plist", "_alist",
-        "_scratch", "_stamp", "_ibuf", "_ubuf", "_pos", "_cap",
-    )
-
-    def __init__(self, table: AliasTable, rng: np.random.Generator):
-        self._table = table
-        self._rng = rng
-        self._n = table.n
-        self._plist = table.prob.tolist()
-        self._alist = table.alias.tolist()
-        self._scratch = [0] * table.n
-        self._stamp = 0
-        self._ibuf: list[int] = []
-        self._ubuf: list[float] = []
-        self._pos = 0
-        self._cap = _BUFFER_START
-
-    def step(self, k: int) -> int:
-        if k >= _VECTOR_MIN:
-            return _distinct(self._table.draw(self._rng, k))
-        if self._pos + k > len(self._ibuf):
-            self._ibuf = self._rng.integers(0, self._n, size=self._cap).tolist()
-            self._ubuf = self._rng.random(self._cap).tolist()
-            self._pos = 0
-            self._cap = min(self._cap * 2, _BUFFER_MAX)
-        stamp = self._stamp = self._stamp + 1
-        scratch, plist, alist = self._scratch, self._plist, self._alist
-        ibuf, ubuf, pos = self._ibuf, self._ubuf, self._pos
-        hit = 0
-        for _ in range(k):
-            j = ibuf[pos]
-            if ubuf[pos] >= plist[j]:
-                j = alist[j]
-            pos += 1
-            if scratch[j] != stamp:
-                scratch[j] = stamp
-                hit += 1
-        self._pos = pos
-        return hit
+    From _VECTOR_MIN balls up every round is an alias round, as in step().
+    Below, the count runs as the jump chain of the exact kernel: at k balls
+    the holding time is Geometric(leave) and the jump follows row k without
+    its self-loop, both read off one block of uniforms per replicate.
+    """
+    t, table = 0, alias_table(p)
+    yield t, b
+    while b >= _VECTOR_MIN:
+        t += 1
+        nxt = _distinct(table.draw(rng, b))
+        if nxt < b:
+            b = nxt
+            yield t, b
+    rows = _jump_rows(p)
+    uniforms = iter(rng.random(2 * (b - 1)).tolist())  # two per jump at most
+    while b > 1:
+        rate, cum = rows[b]
+        t += 1 + int(math.log1p(-next(uniforms)) / rate)
+        b = bisect.bisect_right(cum, next(uniforms)) + 1
+        yield t, b
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
@@ -179,26 +182,20 @@ class RunResult:
 
 
 def run(config: SimConfig, replicate_index: int) -> RunResult:
-    """Simulate one replicate to absorption at a single ball."""
+    """Simulate one replicate to absorption at a single ball; a recorded
+    trajectory repeats the count through each holding segment."""
     rng = replicate_rng(config.master_seed, replicate_index)
-    engine = _Engine(alias_table(config.p), rng)
-    b = config.start_count
     pending = sorted(set(config.passage_thresholds), reverse=True)
     passages: dict[float, int] = {}
-    while pending and b <= pending[0]:
-        passages[pending.pop(0)] = 0
-    traj = [b] if config.record_trajectory else None
-    t = 0
-    while b > 1:
-        b = engine.step(b)
-        t += 1
-        if traj is not None:
-            traj.append(b)
+    traj: list[int] = []
+    for t, b in _jumps(config.p, config.start_count, rng):
+        if config.record_trajectory:
+            traj += traj[-1:] * (t - len(traj)) + [b]
         while pending and b <= pending[0]:
             passages[pending.pop(0)] = t
     return RunResult(
         T=t,
-        trajectory=None if traj is None else np.array(traj, dtype=np.int64),
+        trajectory=np.array(traj, dtype=np.int64) if config.record_trajectory else None,
         passages=passages,
     )
 
@@ -211,22 +208,21 @@ def first_passages(
 ) -> dict[float, int]:
     """First times the count falls to each threshold, stopping at the lowest.
 
-    Cheaper than a full run when only early passages matter.
+    Cheaper than a full run when only early passages matter; on the same
+    stream they equal the passages of run().
     """
     if not thresholds or any(th < 1.0 for th in thresholds):
         raise ValueError("need thresholds, all at least 1")
-    engine = _Engine(alias_table(p), rng)
     b = p.n if b0 is None else b0
-    pending = sorted(set(thresholds), reverse=True)
+    if not 1 <= b <= p.n:
+        raise ValueError(f"b0={b} outside [1, n={p.n}]")
+    jumps = _jumps(p, b, rng)
+    t, b = next(jumps)  # the start, at t = 0
     passages: dict[float, int] = {}
-    t = 0
-    while pending and b <= pending[0]:
-        passages[pending.pop(0)] = 0
-    while pending:
-        b = engine.step(b)
-        t += 1
-        while pending and b <= pending[0]:
-            passages[pending.pop(0)] = t
+    for th in sorted(set(thresholds), reverse=True):
+        while b > th:
+            t, b = next(jumps)
+        passages[th] = t
     return passages
 
 

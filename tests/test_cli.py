@@ -58,7 +58,7 @@ class TestExact:
 
     def test_uniform_pair_expected_time_is_exact(self, tmp_path):
         cfg = write_config(
-            tmp_path, "pair.json", {"distribution": {"family": "uniform", "n": 2}}
+            tmp_path, "pair_in.json", {"distribution": {"family": "uniform", "n": 2}}
         )
         out = tmp_path / "pair"
         assert main(["exact", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -125,7 +125,7 @@ class TestDynamics:
 class TestVariationalCommand:
     def test_report(self, tmp_path):
         cfg = write_config(
-            tmp_path, "var.json", {"n": 4, "c2": 0.3, "k": 5, "budget": 20_000}
+            tmp_path, "var_in.json", {"n": 4, "c2": 0.3, "k": 5, "budget": 20_000}
         )
         out = tmp_path / "var"
         assert main(["variational", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -138,7 +138,7 @@ class TestBoundsCommand:
     def test_report(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            "bounds.json",
+            "bounds_in.json",
             {"distribution": {"family": "uniform", "n": 20}, "k": 10},
         )
         out = tmp_path / "bounds"
@@ -152,7 +152,7 @@ class TestBoundsCommand:
 class TestExperimentsCommands:
     def test_limit_small(self, tmp_path):
         cfg = write_config(
-            tmp_path, "lim.json", {"n_values": [50], "replicates": 200, "K": 200}
+            tmp_path, "lim_in.json", {"n_values": [50], "replicates": 200, "K": 200}
         )
         out = tmp_path / "lim"
         assert main(["limit", "--config", str(cfg), "--seed", "3", "--out", str(out), "--quiet"]) == 0
@@ -265,6 +265,7 @@ class TestErrorPaths:
             ("variational", {"c2": 0.1, "k": 30}, "variational config needs 'n'"),
             ("variational", {"n": 30, "k": 30}, "variational config needs 'c2'"),
             ("variational", {"n": 30, "c2": 0.1}, "variational config needs 'k'"),
+            ("threshold", {"n_values": 50}, "'n_values' must be a list"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):
@@ -328,6 +329,30 @@ class TestThroughLibrary:
         )
         args = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
         assert main(args + ["--threads", "2"]) == 1
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "command, payload, written",
+        [
+            ("threshold", {"n_values": [20], "replicates": 5}, ".csv"),
+            ("exact", {"distribution": {"family": "uniform", "n": 4}}, ".kernel.csv"),
+        ],
+    )
+    def test_out_never_overwrites_config(self, tmp_path, capsys, command, payload, written):
+        cfg = write_config(tmp_path, "b1.json", payload)
+        before = cfg.read_text()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "b1")]) == 1
+        assert "would overwrite the config" in capsys.readouterr().err
+        assert cfg.read_text() == before
+        assert not (tmp_path / f"b1{written}").exists()
+
+    def test_other_outputs_may_share_the_config_stem(self, tmp_path):
+        cfg = write_config(tmp_path, "b1.json", {"distribution": {"family": "uniform", "n": 4}})
+        before = cfg.read_text()
+        assert main(["dynamics", "--config", str(cfg), "--out", str(tmp_path / "b1")]) == 0
+        assert cfg.read_text() == before
+        assert (tmp_path / "b1.csv").exists()
 
 
 class TestDefaultOutputBase:

@@ -5,7 +5,12 @@ import pytest
 
 from coalsim.distributions import ProbabilityVector, topheavy, uniform
 from coalsim.dynamics import early_threshold, one_step_envelope
-from coalsim.exact_chain import TriangularKernel, expected_coalescence_times, transition_row
+from coalsim.exact_chain import (
+    TriangularKernel,
+    coalescence_time_cdf,
+    expected_coalescence_times,
+    transition_row,
+)
 from coalsim.simulate import (
     AliasTable,
     BatchSummary,
@@ -162,6 +167,75 @@ class TestBatch:
             cfg = SimConfig(p=p, replicates=20_000, master_seed=100 + trial)
             summary = batch(cfg)
             assert abs(summary.t.mean - exact) <= 3 * summary.t.stderr
+
+
+class TestJumpChain:
+    """Below 64 balls runs sample the exact kernel's jump chain; from 64 up
+    every round is an alias round."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [uniform(12), ProbabilityVector(np.random.default_rng(5).dirichlet(np.ones(9)))],
+        ids=["uniform12", "dirichlet9"],
+    )
+    def test_time_law_matches_exact_cdf(self, p):
+        cfg = SimConfig(p=p, replicates=20_000, master_seed=3)
+        ts = np.sort([run(cfg, i).T for i in range(cfg.replicates)])
+        grid = np.arange(ts[-1] + 1)
+        exact = coalescence_time_cdf(TriangularKernel(p), p.n, int(ts[-1]))
+        empirical = np.searchsorted(ts, grid, side="right") / ts.size
+        assert np.abs(empirical - exact).max() <= 1.63 / math.sqrt(ts.size)
+
+    def test_row_without_self_loop(self):
+        # four balls on two live boxes always collide: row 4 has no self-loop
+        p = ProbabilityVector([0.5, 0.5, 0.0, 0.0])
+        cfg = SimConfig(p=p, b0=4, replicates=4000, master_seed=6, record_trajectory=True)
+        results = [run(cfg, i) for i in range(cfg.replicates)]
+        assert all(r.trajectory[1] < 4 for r in results)
+        stats = RunningStats.from_samples(r.T for r in results)
+        exact = expected_coalescence_times(TriangularKernel(p))[4]
+        assert exact == pytest.approx(2.75)
+        assert abs(stats.mean - exact) <= 3 * stats.stderr
+
+    def test_trajectory_expands_holding_segments(self):
+        cfg = SimConfig(
+            p=uniform(100),
+            master_seed=8,
+            record_trajectory=True,
+            passage_thresholds=(80.0, 64.0, 30.0, 1.0),
+        )
+        for i in range(5):
+            res = run(cfg, i)
+            traj = res.trajectory
+            assert (traj[0], traj[-1], traj.size) == (100, 1, res.T + 1)
+            assert np.all(np.diff(traj) <= 0)
+            assert np.any(np.diff(traj) == 0)  # a holding segment, expanded
+            for th, tau in res.passages.items():
+                assert traj[tau] <= th
+                assert np.all(traj[:tau] > th)
+
+    @pytest.mark.parametrize(
+        "p",
+        [uniform(200), ProbabilityVector(np.random.default_rng(8).dirichlet(np.ones(200)))],
+        ids=["uniform200", "dirichlet200"],
+    )
+    def test_first_passages_equal_run_passages(self, p):
+        thresholds = (150.0, 64.0, 63.5, 40.0, 2.0)
+        cfg = SimConfig(p=p, master_seed=11, passage_thresholds=thresholds)
+        for i in range(20):
+            got = first_passages(p, thresholds, replicate_rng(11, i))
+            assert got == run(cfg, i).passages
+
+    def test_step_loop_matches_first_passage_above_cutoff(self):
+        p = topheavy(300, 0.02)
+        for th in (64.0, 100.0):
+            for i in range(5):
+                rng = replicate_rng(13, i)
+                b, t = p.n, 0
+                while b > th:
+                    b = step(p, b, rng)
+                    t += 1
+                assert first_passages(p, (th,), replicate_rng(13, i))[th] == t
 
 
 class TestRunningStats:
