@@ -229,42 +229,57 @@ class TriangularKernel:
         return row
 
 
-def expected_coalescence_times(kernel: TriangularKernel) -> np.ndarray:
+def _back_substitute(source: TriangularKernel | ProbabilityVector, reward: np.ndarray):
+    """First-step analysis down the chain, reading rows in increasing count.
+
+    e[m] = (reward[m] + sum_{j<m} P(m->j) e[j]) / leave(m), e[1] = 0, per reward
+    column.  leave(m) = sum_{j<m} P(m->j) is summed off the row, since 1 - P(stay)
+    loses it to rounding.  A kernel serves its cached rows; a vector streams
+    _rows(p, n) and holds none, in O(n) memory; the rows are the same, bit for bit.
+    """
+    if isinstance(source, TriangularKernel):
+        rows = map(source.row, range(1, source.n + 1))
+    else:
+        rows = _rows(source, source.n)
+    next(rows)  # row 1 is absorbing: e[1] = 0
+    e = np.zeros(reward.shape)
+    for row in rows:
+        m = row.k
+        down = row.probs[1:m]
+        leave = float(down.sum())
+        if not leave > 0.0:
+            raise ArithmeticError(f"no way down from state {m}; kernel corrupted")
+        e[m] = (reward[m] + down @ e[1:m]) / leave
+    return e
+
+
+def expected_coalescence_times(source: TriangularKernel | ProbabilityVector) -> np.ndarray:
     """Expected rounds to reach one ball from every start count.
 
     Returns an array e with e[m] = expected time from m balls (e[0] unused,
-    e[1] = 0), by back-substitution through the triangular kernel.
+    e[1] = 0), by back-substitution through the rows of a kernel, or of a
+    vector, whose rows are then streamed and not kept.
     """
-    n = kernel.n
-    et = np.zeros(n + 1)
-    for m in range(2, n + 1):
-        row = kernel.row(m).probs
-        stay = float(row[m])
-        if stay >= 1.0:
-            raise ArithmeticError(
-                f"self-loop probability is 1 at state {m}; kernel corrupted"
-            )
-        et[m] = (1.0 + float(row[1:m] @ et[1:m])) / (1.0 - stay)
-    return et
+    return _back_substitute(source, np.ones(source.n + 1))
 
 
 def coalescence_time_cdf(kernel: TriangularKernel, m: int, t_max: int) -> np.ndarray:
-    """P(coalescence time <= t) for t = 0..t_max, starting from m balls."""
-    n = kernel.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} outside [1, n={n}]")
-    dist = np.zeros(n + 1)
+    """P(coalescence time <= t) for t = 0..t_max, starting from m balls.
+
+    A dense forward pass: the law of the count after t rounds is the law
+    after t - 1 rounds times the (m+1)x(m+1) matrix of rows 1..m.
+    """
+    if not 1 <= m <= kernel.n:
+        raise ValueError(f"m={m} outside [1, n={kernel.n}]")
+    matrix = np.zeros((m + 1, m + 1))
+    for k in range(1, m + 1):
+        matrix[k, : k + 1] = kernel.row(k).probs
+    dist = np.zeros(m + 1)
     dist[m] = 1.0
     cdf = np.zeros(t_max + 1)
     cdf[0] = dist[1]
     for t in range(1, t_max + 1):
-        nxt = np.zeros(n + 1)
-        nxt[1] = dist[1]
-        for k in range(2, m + 1):
-            mass = dist[k]
-            if mass > 0.0:
-                nxt[1 : k + 1] += mass * kernel.row(k).probs[1:]
-        dist = nxt
+        dist = dist @ matrix
         cdf[t] = dist[1]
     return cdf
 
@@ -283,38 +298,22 @@ class PhaseTimes:
 
 
 def phase_decomposition(
-    kernel: TriangularKernel, k_star: float, k_1: float
+    source: TriangularKernel | ProbabilityVector, k_star: float, k_1: float
 ) -> PhaseTimes:
     """Split the expected coalescence time from n balls across state bands.
 
-    Expected time at state k is the visit probability (forward pass through
-    the self-loop-free jump chain from state n) divided by the exit rate
-    1 - P(stay).  States above k_star are early, those in (k_1, k_star] are
-    middle, and those in (1, k_1] are late; the three parts add up to the
-    expected coalescence time from n.
+    The time spent in a band is a back-substitution with the band's indicator
+    as the reward per round, so the three parts add up to the expected
+    coalescence time from n.  States above k_star are early, those in
+    (k_1, k_star] are middle, and those in (1, k_1] are late.  A vector's rows
+    are streamed, as in expected_coalescence_times.
     """
-    n = kernel.n
+    n = source.n
     if not 1.0 <= k_1 <= k_star <= n:
         raise ValueError(f"need 1 <= k_1 <= k_star <= n, got ({k_1}, {k_star}, {n})")
-    visit = np.zeros(n + 1)
-    visit[n] = 1.0
-    early = middle = late = 0.0
-    for k in range(n, 1, -1):
-        v = visit[k]
-        if v <= 0.0:
-            continue
-        row = kernel.row(k).probs
-        stay = float(row[k])
-        hold = v / (1.0 - stay)
-        if k > k_star:
-            early += hold
-        elif k > k_1:
-            middle += hold
-        else:
-            late += hold
-        if k > 2:
-            visit[1:k] += v * row[1:k] / (1.0 - stay)
-    return PhaseTimes(early, middle, late)
+    k = np.arange(n + 1)[:, None]
+    bands = np.hstack((k > k_star, (k_1 < k) & (k <= k_star), k <= k_1))
+    return PhaseTimes(*map(float, _back_substitute(source, bands.astype(float))[n]))
 
 
 def write_kernel_csv(kernel: TriangularKernel, path) -> None:

@@ -1,14 +1,22 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coalsim
 from coalsim.distributions import ProbabilityVector, from_descriptor, topheavy, uniform
 from coalsim.dynamics import early_threshold, expected_next_count, late_threshold
 from coalsim.exact_chain import (
+    TransitionRow,
     TriangularKernel,
     coalescence_time_cdf,
     collision_probability_bound,
@@ -354,6 +362,98 @@ class TestExpectedTimes:
             n = int(rng.integers(2, 12))
             et = expected_coalescence_times(TriangularKernel(random_vector(rng, n)))
             assert np.all(np.diff(et[1:]) >= -1e-12)
+
+    def test_row_without_way_down_raises(self):
+        for bad in ([0.0, 0.0, 0.0, 1.0], [0.0, math.nan, 0.5, 0.5]):
+            kernel = TriangularKernel(uniform(3))
+            kernel.row(3)
+            kernel._rows[3] = TransitionRow(3, np.array(bad))
+            with pytest.raises(ArithmeticError):
+                expected_coalescence_times(kernel)
+
+    def test_rational_oracle(self):
+        # E[T] in exact rationals from surjection counts: from m balls the
+        # count falls to b with chance (n)_b S(m, b) / n^m
+        n = 100
+        falling = [math.perm(n, b) for b in range(n + 1)]
+        stirling = [1]  # S(m, b) for b = 0..m
+        exact = [Fraction(0), Fraction(0)]
+        for m in range(1, n + 1):
+            prev = stirling + [0]
+            stirling = [0] + [b * prev[b] + prev[b - 1] for b in range(1, m + 1)]
+            if m >= 2:
+                down = sum(falling[b] * stirling[b] * exact[b] for b in range(2, m))
+                exact.append(Fraction(n**m + down, n**m - falling[m]))
+        got = expected_coalescence_times(uniform(n))
+        worst = max(abs(got[m] - float(exact[m])) / float(exact[m]) for m in range(2, n + 1))
+        assert worst <= 1e-14
+
+    def test_threshold_shape(self):
+        # c2 = 1/ln n: heavy E[T] c2 climbs above the uniform 2 and keeps
+        # climbing with n, the slowdown without sampling noise, while uniform
+        # E[T]/n rises toward 2 from below
+        heavy, flat = [], []
+        for n in (100, 300, 1000, 4000):
+            c2 = 1.0 / math.log(n)
+            heavy.append(expected_coalescence_times(topheavy(n, c2))[n] * c2)
+            flat.append(expected_coalescence_times(uniform(n))[n] / n)
+        assert np.all(np.diff(heavy) > 0.0)
+        assert np.all(np.diff(flat) > 0.0)
+        assert max(flat) < 2.0
+        assert heavy == pytest.approx([2.53, 2.83, 3.12, 3.41], abs=0.01)
+        assert flat == pytest.approx([1.9674, 1.9879, 1.9960, 1.9989], abs=1e-4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["uniform", "topheavy", "dirichlet"]),
+        n=st.integers(min_value=2, max_value=40),
+        spread=st.floats(min_value=0.0, max_value=0.99),
+        cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_properties_over_random_descriptors(self, family, n, spread, cuts):
+        if family == "uniform":
+            desc = {"family": "uniform", "n": n}
+        elif family == "topheavy":
+            desc = {"family": "topheavy", "n": n, "c2": 1.0 / n + spread * (1.0 - 1.0 / n)}
+        else:
+            rng = np.random.default_rng(int(spread * 1e6))
+            weights = rng.dirichlet(np.ones(n)).tolist()
+            desc = {"family": "explicit", "weights": weights, "normalize": True}
+        p = from_descriptor(desc)
+        kernel = TriangularKernel(p)
+        et = expected_coalescence_times(p)
+        assert np.array_equal(et, expected_coalescence_times(kernel))
+        assert np.all(np.diff(et[1:]) >= 0.0)
+        k_1 = 1.0 + cuts[0] * (n - 1)
+        k_star = k_1 + cuts[1] * (n - k_1)
+        ph = phase_decomposition(p, k_star, k_1)
+        assert ph == phase_decomposition(kernel, k_star, k_1)
+        assert abs(ph.total - et[n]) <= 1e-12 * et[n]
+
+    @pytest.mark.slow
+    def test_vector_streams_at_ten_thousand(self):
+        # a kernel at n = 1e4 would cache 5e7 floats (400 MB); a vector's rows
+        # are streamed, one at a time
+        script = """if True:
+            import json, math, resource
+            from coalsim import expected_coalescence_times, topheavy, uniform
+            n = 10_000
+            c2 = 1.0 / math.log(n)
+            flat = expected_coalescence_times(uniform(n))[n] / n
+            heavy = expected_coalescence_times(topheavy(n, c2))[n] * c2
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(json.dumps([flat, heavy, rss]))
+        """
+        src = str(Path(coalsim.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        flat, heavy, rss = json.loads(child.stdout)
+        assert 1.9989 < flat < 2.0  # still rising toward 2 past n = 4000
+        assert heavy > 3.41  # still climbing past n = 4000
+        assert rss < 150 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestSelfLoopMonotonicity:
