@@ -79,6 +79,15 @@ def _field(config: dict, key: str, command: str):
         raise _CliError(f"{command} config needs {key!r}")
 
 
+def _finite_numbers(value, key: str) -> list[float]:
+    """value of field key as floats; it must be a list of finite, non-bool numbers."""
+    if isinstance(value, list) and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
+    ):
+        return [float(v) for v in value]
+    raise _CliError(f"{key!r} must be a list of finite numbers, got {value!r}")
+
+
 def _distribution(config: dict):
     try:
         return from_descriptor(config["distribution"])
@@ -243,8 +252,10 @@ def _cmd_bounds(args) -> str:
     center = tail_bounds.tilt_center(p, k)
     b_values = config.get("b_values")
     if b_values is None:
-        offsets = config.get("b_offsets", [-2, -1, 0, 1, 2])
-        b_values = [center + float(o) for o in offsets]
+        offsets = _finite_numbers(config.get("b_offsets", [-2, -1, 0, 1, 2]), "b_offsets")
+        b_values = [center + o for o in offsets]
+    else:
+        b_values = _finite_numbers(b_values, "b_values")
     b_values = [b for b in b_values if 0.0 < b <= k]
     report = tail_bounds.curvature_report(p, k, b_values)
     rows = [

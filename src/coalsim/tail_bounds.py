@@ -28,6 +28,12 @@ __all__ = [
     "coalescence_time_lower_bound",
 ]
 
+_RTOL = 1e-12  # a solve stands when |z h_z| <= _RTOL max(b, 1) and |r h_r| <= _RTOL k
+_LOG_RANGE = 350.0  # past this |ln z| or |ln r|, _tilt_system's z^2 or r^2 leave the floats
+_FD_STEP = 2e-4  # curvature_report's difference step, as a fraction of k
+_SLOPE_RTOL = 1e-4
+_CURVATURE_SLACK = 1e-6
+
 
 class TiltSolveError(ArithmeticError):
     """Stationary solve failed; carries the last iterate and residuals."""
@@ -57,16 +63,16 @@ def tilt_exponent(
 ) -> float:
     """Value of the tilted exponent k ln(k/(rne)) - b ln z + sum ln(1 + z(e^{np_j r}-1)).
 
-    Each product term is evaluated as np_j r + log1p((z-1)(1 - e^{-np_j r})),
-    which stays finite for arbitrarily large np_j r; vanishing weights
-    contribute nothing.
+    Each product term is evaluated as a + ln(e^{-a} + z(1 - e^{-a})), a = np_j r:
+    a sum of positive parts, so it keeps its precision for every z > 0 and
+    stays finite for arbitrarily large a; vanishing weights contribute nothing.
     """
     if z <= 0.0 or r <= 0.0:
         raise ValueError("z and r must be positive")
     w = _weights(p)
     n = w.size
     a = n * r * w
-    terms = a + np.log1p((z - 1.0) * (-np.expm1(-a)))
+    terms = a + np.log(np.exp(-a) + z * -np.expm1(-a))
     return float(k * math.log(k / (r * n * math.e)) - b * math.log(z) + terms.sum())
 
 
@@ -95,96 +101,94 @@ def _tilt_system(w: np.ndarray, k: int, z: float, r: float, b: float):
     return h_z, h_r, h_zz, h_rr, h_rz
 
 
-def _newton_tilt(
-    w: np.ndarray, k: int, b: float, z: float, r: float, tol: float, max_iter: int = 40
-):
-    """Damped Newton in (ln z, ln r); multiplicative steps keep both positive
-    and stay conditioned where the curve runs off to large z."""
-    h_z, h_r, h_zz, h_rr, h_rz = _tilt_system(w, k, z, r, b)
-    norm = max(abs(h_z), abs(h_r))
-    for _ in range(max_iter):
-        if norm <= tol:
-            return z, r, h_z, h_r
-        # Jacobian of (H_z, H_r) in the log variables
-        j11, j12 = z * h_zz, r * h_rz
-        j21, j22 = z * h_rz, r * h_rr
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
+def _root(fun, x: float, lo: float, hi: float):
+    """Root of a rising fun on [lo, hi], where fun(x) = (f, f', ...): Newton
+    steps, bisecting whenever one leaves the bracket.  Returns x and fun(x)."""
+    x_new = min(max(x, lo), hi)
+    for _ in range(200):  # a safety net: halving a bracket to 4 ulp takes fewer steps
+        x = x_new
+        val = fun(x)
+        if val[0] == 0.0:
             break
-        d1 = -(j22 * h_z - j12 * h_r) / det
-        d2 = -(j11 * h_r - j21 * h_z) / det
-        cap = max(abs(d1), abs(d2))
-        if cap > 2.0:
-            d1, d2 = d1 * 2.0 / cap, d2 * 2.0 / cap
-        lam, accepted = 1.0, False
-        while lam > 2e-4:  # a sound step helps within a few halvings or never
-            zn, rn = z * math.exp(lam * d1), r * math.exp(lam * d2)
-            t_z, t_r, t_zz, t_rr, t_rz = _tilt_system(w, k, zn, rn, b)
-            t_norm = max(abs(t_z), abs(t_r))
-            if t_norm < norm:
-                z, r = zn, rn
-                h_z, h_r, h_zz, h_rr, h_rz = t_z, t_r, t_zz, t_rr, t_rz
-                norm = t_norm
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
+        if val[0] < 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - val[0] / val[1] if val[1] > 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
             break
-    if norm <= tol:
-        return z, r, h_z, h_r
-    return None, (z, r, h_z, h_r)
+    return x, val
 
 
-def solve_tilt(
-    p: ProbabilityVector | np.ndarray,
-    k: int,
-    b: float,
-    *,
-    continuation_step: float | None = None,
-    tol: float = 1e-11,
-) -> TiltPoint:
-    """Solve the stationary system at next-count b by continuation from its center.
+def _on_curve(lw: np.ndarray, cnt: np.ndarray, k: int, b: float, rho: float):
+    """r h_r at ln r = rho on the inner curve z(r), its derivative in ln r, and
+    ln z there, for positive weights grouped as cnt_j boxes with ln(n p_j) = lw_j."""
+    t = math.log(b) - math.log(cnt.sum() - b)  # logit(b / n+)
+    la = lw + rho
+    a = np.exp(la)
+    a_floor = np.maximum(a, 1e-300)
+    m = a_floor / -np.expm1(-a_floor)  # a / (1 - e^{-a}), which tends to 1 as a -> 0
+    L = a + la - np.log(m)  # ln(e^a - 1), increasing in a
 
-    Starts at the closed-form point (z, r) = (1, k/n) where the system is
-    exactly stationary, then walks b in small steps toward the target with a
-    damped Newton at each stop.  Raises TiltSolveError outside the solvable
-    range (far from the center this is expected, not exceptional).
+    def z_equation(s):  # q = expit(s + L) and its derivative v = q(1 - q)
+        e = np.exp(-np.maximum(s + L, -700.0))  # below -700, q underflows either way
+        q = 1.0 / (1.0 + e)
+        v = q * e * q
+        return float(cnt @ q) - b, float(cnt @ v), q, v
+
+    s_mid = t - float(cnt @ L) / cnt.sum()
+    s, (_, _, q, v) = _root(z_equation, s_mid, t - L[-1], t - L[0])
+    # d(r h_r)/d ln r = sum a m'(a) q plus the v-weighted spread of m: positive
+    cv = cnt * v
+    m_bar = float(cv @ m) / max(float(cv.sum()), 1e-300)
+    slope = float(cnt @ (q * m * (1.0 - m * np.exp(-a)))) + float(cv @ (m - m_bar) ** 2)
+    return float(cnt @ (m * q)) - k, slope, s
+
+
+def solve_tilt(p: ProbabilityVector | np.ndarray, k: int, b: float) -> TiltPoint:
+    """Solve the stationary system at next-count b as two nested 1-D roots.
+
+    Only the n+ positive weights take part.  With a_j = n p_j r and
+    L_j = ln(e^{a_j} - 1), the z-equation reads sum_j expit(ln z + L_j) = b,
+    which rises strictly in ln z; its root z(r) lies in the closed-form
+    bracket [logit(b/n+) - max L, logit(b/n+) - min L].  Along that curve
+    r h_r = sum_j a_j q_j / (1 - e^{-a_j}) - k, with q_j = expit(ln z + L_j),
+    rises strictly in r from b - k to infinity, so it has one root in ln r,
+    bracketed by max a = (k - b)/b below and mean a = k/b above.  Both roots
+    are safeguarded Newton (the outer one with the implicit dz/dr) falling
+    back to bisection.  A solve stands when |z h_z| <= 1e-12 max(b, 1) and
+    |r h_r| <= 1e-12 k.
+
+    Raises ValueError for b <= 0, and TiltSolveError (with finite residuals)
+    when b >= min(k, n+), where no stationary point exists, when z or r would
+    leave the float range, or when the solved point misses the rule above.
     """
     w = _weights(p)
     n = w.size
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError("b must be positive")
-    b_star = float(n - np.exp(-k * w).sum())
-    step = continuation_step if continuation_step is not None else max(k / 50.0, 1e-3)
-    z, r = 1.0, k / n
-    h_z, h_r = _tilt_system(w, k, z, r, b_star)[:2]
-    b_cur = b_star
-    direction = 1.0 if b >= b_star else -1.0
-    min_step = step / 65536.0
-    stride = step  # shrinks on failure, recovers slowly after success
-    outer = 0
-    while b_cur != b:
-        outer += 1
-        if outer > 5000:
-            raise TiltSolveError(b_cur, z, r, h_z, h_r)
-        while True:
-            if abs(b - b_cur) <= stride:
-                b_next = b
-            else:
-                b_next = b_cur + direction * stride
-            solved = _newton_tilt(w, k, b_next, z, r, tol)
-            if solved[0] is not None:
-                z, r, h_z, h_r = solved
-                b_cur = b_next
-                stride = min(stride * 1.4, step)
-                if not 1e-6 < z < 1e6:
-                    raise TiltSolveError(b_cur, z, r, h_z, h_r)
-                break
-            stride *= 0.25
-            hopeless = stride < step / 1024.0 and not 1e-3 < z < 1e3
-            if hopeless or stride < min_step or b_cur + direction * stride == b_cur:
-                z_last, r_last, rz, rr = solved[1]
-                raise TiltSolveError(b_next, z_last, r_last, rz, rr)
+
+    def unsolvable(z, r):  # with the residuals at the centre (1, k/n), always finite
+        return TiltSolveError(b, z, r, *_tilt_system(w, k, 1.0, k / n, b)[:2])
+
+    w_pos, counts = np.unique(w[w > 0.0], return_counts=True)
+    lw, cnt = np.log(n * w_pos), counts.astype(float)  # ln a_j = lw_j + ln r, increasing
+    if b >= min(k, cnt.sum()):
+        raise unsolvable(1.0, k / n)
+    rho_lo = math.log(k - b) - math.log(b) - lw[-1]
+    rho_hi = math.log(k) + math.log(cnt.sum()) - math.log(b) - math.log(n)
+    if rho_hi + lw[-1] > 300.0:
+        # max a >= (k - b)/b > e^300/n+ at the root: ln z is far below -_LOG_RANGE
+        raise unsolvable(0.0, k / n)
+    rho, (_, _, s) = _root(lambda x: _on_curve(lw, cnt, k, b, x), math.log(k / n), rho_lo, rho_hi)
+    if not (abs(s) <= _LOG_RANGE and abs(rho) <= _LOG_RANGE):
+        raise unsolvable(math.exp(min(s, 709.0)), math.exp(min(rho, 709.0)))
+    z, r = math.exp(s), math.exp(rho)
+    h_z, h_r = _tilt_system(w, k, z, r, b)[:2]
+    if abs(z * h_z) > _RTOL * max(b, 1.0) or abs(r * h_r) > _RTOL * k:
+        raise TiltSolveError(b, z, r, h_z, h_r)
     return TiltPoint(b=b, z=z, r=r, residual_z=h_z, residual_r=h_r)
 
 
@@ -247,42 +251,28 @@ class CurvatureReport:
         )
 
 
-def curvature_report(
-    p: ProbabilityVector | np.ndarray,
-    k: int,
-    b_grid,
-    *,
-    fd_step: float | None = None,
-    slope_rtol: float = 1e-4,
-    curvature_slack: float = 1e-6,
-) -> CurvatureReport:
+def curvature_report(p: ProbabilityVector | np.ndarray, k: int, b_grid) -> CurvatureReport:
     """Check the exponent's slope, concavity, and Hessian sign on a b grid.
 
     At each solvable grid point: (i) the central difference of the solved
-    exponent matches -ln z to slope_rtol (relative to max(|ln z|, 0.01));
-    (ii) the second central difference is at most -1/k + curvature_slack;
-    (iii) the Hessian determinant in (z, r) is positive.  Unsolvable points
-    are skipped and reported, not fatal.  The difference step defaults to
-    0.0002*k, small enough that truncation stays inside the slope tolerance
-    at every scale tested.
+    exponent matches -ln z to 1e-4 relative to max(|ln z|, 0.01); (ii) the
+    second central difference is at most -1/k + 1e-6; (iii) the Hessian
+    determinant in (z, r) is positive.  Unsolvable points are skipped and
+    reported, not fatal.  The difference step is 0.0002*k, small enough that
+    truncation stays inside the slope tolerance at every scale tested.
     """
-    if fd_step is None:
-        fd_step = 2e-4 * k
+    fd_step = _FD_STEP * k
     w = _weights(p)
     points: list[CurvaturePoint] = []
     skipped: list[tuple[float, str]] = []
     for b in b_grid:
         b = float(b)
         try:
-            center = solve_tilt(w, k, b)
-            lo = solve_tilt(w, k, b - fd_step)
-            hi = solve_tilt(w, k, b + fd_step)
+            center, lo, hi = (solve_tilt(w, k, x) for x in (b, b - fd_step, b + fd_step))
         except (TiltSolveError, ValueError) as exc:
             skipped.append((b, str(exc)))
             continue
-        h_mid = tilt_exponent(w, k, center.z, center.r, b)
-        h_lo = tilt_exponent(w, k, lo.z, lo.r, b - fd_step)
-        h_hi = tilt_exponent(w, k, hi.z, hi.r, b + fd_step)
+        h_mid, h_lo, h_hi = (tilt_exponent(w, k, pt.z, pt.r, pt.b) for pt in (center, lo, hi))
         slope_fd = (h_hi - h_lo) / (2.0 * fd_step)
         slope_an = -math.log(center.z)
         curv_fd = (h_hi - 2.0 * h_mid + h_lo) / (fd_step * fd_step)
@@ -290,17 +280,13 @@ def curvature_report(
         chi = h_zz * h_rr - h_rz * h_rz
         points.append(
             CurvaturePoint(
-                b=b,
-                z=center.z,
-                r=center.r,
-                h=h_mid,
+                b=b, z=center.z, r=center.r, h=h_mid,
                 slope_analytic=slope_an,
                 slope_fd=slope_fd,
                 curvature_fd=curv_fd,
                 hessian_det=chi,
-                slope_ok=abs(slope_fd - slope_an)
-                <= slope_rtol * max(abs(slope_an), 1e-2),
-                curvature_ok=curv_fd <= -1.0 / k + curvature_slack,
+                slope_ok=abs(slope_fd - slope_an) <= _SLOPE_RTOL * max(abs(slope_an), 1e-2),
+                curvature_ok=curv_fd <= -1.0 / k + _CURVATURE_SLACK,
                 hessian_ok=chi > 0.0,
             )
         )

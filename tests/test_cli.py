@@ -266,6 +266,15 @@ class TestErrorPaths:
             ("variational", {"n": 30, "k": 30}, "variational config needs 'c2'"),
             ("variational", {"n": 30, "c2": 0.1}, "variational config needs 'k'"),
             ("threshold", {"n_values": 50}, "'n_values' must be a list"),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 10,
+                        "b_offsets": 5}, "'b_offsets' must be a list of finite numbers"),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 10,
+                        "b_values": ["x"]}, "'b_values' must be a list of finite numbers"),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 10,
+                        "b_values": [True]}, "'b_values' must be a list of finite numbers"),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 10,
+                        "b_values": [float("nan")]},
+             "'b_values' must be a list of finite numbers"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):

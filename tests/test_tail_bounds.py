@@ -1,9 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coalsim.distributions import ProbabilityVector, topheavy, uniform
+from coalsim.distributions import ProbabilityVector, from_descriptor, topheavy, uniform
 from coalsim.dynamics import occupancy_proxy
 from coalsim.exact_chain import TriangularKernel, expected_coalescence_times, transition_row
 from coalsim.tail_bounds import (
@@ -16,6 +19,7 @@ from coalsim.tail_bounds import (
     tilt_center,
     tilt_exponent,
 )
+from coalsim.tail_bounds import _on_curve, _tilt_system
 
 
 def random_vector(rng, n):
@@ -97,6 +101,122 @@ class TestSolveTilt:
             solve_tilt(uniform(20), 10, 25.0)
         assert math.isfinite(err.value.residual_z)
         assert math.isfinite(err.value.residual_r)
+
+    @pytest.mark.parametrize(
+        "n, k, b", [(1000, 500, 50.0), (1000, 500, 499.0), (1000, 500, 499.9), (20, 10, 1.0)]
+    )
+    def test_far_targets_solve(self, n, k, b):
+        # far from the centre: b near k, where z is large, and small b, where z is tiny
+        p = uniform(n)
+        pt = solve_tilt(p, k, b)
+        assert_within_rule(pt, k)
+        assert tilt_exponent(p, k, pt.z, pt.r, b) <= 1e-9
+
+    def test_far_targets_are_fast(self):
+        p = uniform(1000)
+        for b in (499.0, 499.9, 50.0):
+            start = time.perf_counter()
+            solve_tilt(p, 500, b)
+            assert time.perf_counter() - start < 0.05
+
+    def test_tilt_rises_through_far_targets(self):
+        zs = [solve_tilt(uniform(20), 10, b).z for b in (0.5, 1.0, 3.0, 9.5)]
+        assert all(b > a for a, b in zip(zs, zs[1:]))
+
+    def test_targets_past_positive_boxes_raise(self):
+        # two positive weights: no round can fill more than two boxes
+        p = ProbabilityVector([0.5, 0.5, 0.0, 0.0, 0.0])
+        assert_within_rule(solve_tilt(p, 5, 1.999), 5)
+        for b in (2.0, 3.0):
+            with pytest.raises(TiltSolveError) as err:
+                solve_tilt(p, 5, b)
+            assert math.isfinite(err.value.residual_z)
+            assert math.isfinite(err.value.residual_r)
+
+    def test_tilt_below_float_range_raises(self):
+        for b in (1.0, 1e-10, 1e-200):
+            with pytest.raises(TiltSolveError) as err:
+                solve_tilt(uniform(1000), 500, b)
+            assert not math.isnan(err.value.z)
+            assert math.isfinite(err.value.residual_z)
+            assert math.isfinite(err.value.residual_r)
+
+    def test_nonpositive_target_rejected(self):
+        for b in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                solve_tilt(uniform(20), 10, b)
+
+
+def assert_within_rule(pt, k):
+    assert abs(pt.z * pt.residual_z) <= 1e-12 * max(pt.b, 1.0)
+    assert abs(pt.r * pt.residual_r) <= 1e-12 * k
+
+
+def descriptor_vector(family, n, spread):
+    if family == "uniform":
+        return from_descriptor({"family": "uniform", "n": n})
+    if family == "topheavy":
+        c2 = 1.0 / n + spread * (1.0 - 1.0 / n)
+        return from_descriptor({"family": "topheavy", "n": n, "c2": c2})
+    rng = np.random.default_rng(int(spread * 1e6))
+    weights = rng.dirichlet(np.full(n, 0.5)).tolist()
+    return from_descriptor({"family": "explicit", "weights": weights, "normalize": True})
+
+
+class TestNestedRoots:
+    """The outer root needs r h_r to rise strictly in r along the inner curve
+    z(r); every target below min(k, n+) then solves or raises TiltSolveError."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["uniform", "topheavy", "dirichlet"]),
+        n=st.integers(min_value=2, max_value=60),
+        spread=st.floats(min_value=0.0, max_value=0.99),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        b_frac=st.floats(min_value=0.02, max_value=0.98),
+    )
+    def test_outer_residual_rises_along_inner_curve(self, family, n, spread, k_frac, b_frac):
+        p = descriptor_vector(family, n, spread)
+        k = 1 + round(k_frac * (n - 1))
+        w_pos, counts = np.unique(p.weights[p.weights > 0.0], return_counts=True)
+        lw, cnt = np.log(n * w_pos), counts.astype(float)
+        b = b_frac * min(k, cnt.sum())
+        # the solver's bracket, widened by one unit of ln r each side
+        rho_lo = math.log((k - b) / b) - lw[-1] - 1.0
+        rho_hi = math.log(k * cnt.sum() / (b * n)) + 1.0
+        curve = [_on_curve(lw, cnt, k, b, rho) for rho in np.linspace(rho_lo, rho_hi, 25)]
+        g = np.array([c[0] for c in curve])
+        assert g[0] < 0.0 < g[-1]
+        assert np.all(np.diff(g) > 0.0)
+        assert all(c[1] > 0.0 for c in curve)
+        # the curve's r h_r is the system's own, wherever z is comfortably in range
+        for rho, (g_rho, _, s) in zip(np.linspace(rho_lo, rho_hi, 25), curve):
+            if abs(s) < 30.0:
+                z, r = math.exp(s), math.exp(rho)
+                h_z, h_r = _tilt_system(p.weights, k, z, r, b)[:2]
+                assert abs(z * h_z) <= 1e-10 * max(b, 1.0)
+                assert r * h_r == pytest.approx(g_rho, rel=1e-10, abs=1e-10 * k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["uniform", "topheavy", "dirichlet"]),
+        n=st.integers(min_value=2, max_value=60),
+        spread=st.floats(min_value=0.0, max_value=0.99),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        b_frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_every_target_solves_or_raises(self, family, n, spread, k_frac, b_frac):
+        p = descriptor_vector(family, n, spread)
+        k = 1 + round(k_frac * (n - 1))
+        b = b_frac * min(k, int((p.weights > 0.0).sum()))
+        try:
+            pt = solve_tilt(p, k, b)
+        except TiltSolveError as err:
+            assert not math.isnan(err.z) and not math.isnan(err.r)
+            assert math.isfinite(err.residual_z) and math.isfinite(err.residual_r)
+            return
+        assert 0.0 < pt.z < math.inf and 0.0 < pt.r < math.inf
+        assert_within_rule(pt, k)
 
 
 class TestChernoffBounds:
