@@ -198,7 +198,12 @@ def _cmd_dynamics(args) -> str:
     p = _distribution(config)
     ks = config.get("k_values")
     if ks is None:
-        ks = list(range(0, int(config.get("k_max", p.n)) + 1))
+        k_max = _whole(config.get("k_max", p.n), "k_max")
+        if k_max < 0:
+            raise _CliError(f"'k_max'={k_max} must be at least 0")
+        ks = range(k_max + 1)
+    else:
+        ks = _finite_numbers(ks, "k_values")
     rows = []
     for k in ks:
         k = float(k)

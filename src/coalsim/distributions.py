@@ -120,6 +120,16 @@ def uniform(n: int) -> ProbabilityVector:
     return ProbabilityVector(np.full(n, 1.0 / n), normalize=True)
 
 
+def _two_level(heavy: int, light: int, s: float, q: float) -> tuple[float, float]:
+    """(top, bottom) of the vector with `heavy` entries top and `light` entries
+    bottom, sum s and sum of squares q, top >= bottom; a slightly negative
+    variance from rounding counts as zero."""
+    m = heavy + light
+    radicand = light * (q * m - s * s) / heavy
+    top = (s + math.sqrt(max(radicand, 0.0))) / m
+    return top, (s - heavy * top) / light
+
+
 def topheavy(n: int, c2: float) -> ProbabilityVector:
     """Two-valued vector with a single large entry and the requested sum of squares.
 
@@ -133,167 +143,29 @@ def topheavy(n: int, c2: float) -> ProbabilityVector:
     if c2 < lo - 1e-12 or c2 > 1.0 + 1e-12:
         raise DistributionError(f"c2={c2!r} outside [1/n, 1] for n={n}")
     c2 = min(max(c2, lo), 1.0)
-    radicand = (n - 1.0) * (c2 * n - 1.0)
-    big = (1.0 + math.sqrt(max(radicand, 0.0))) / n
-    small = (1.0 - big) / (n - 1)
+    big, small = _two_level(1, n - 1, 1.0, c2)
     w = np.full(n, max(small, 0.0))
     w[0] = big
     return ProbabilityVector(w, normalize=True)
 
 
-def _three_level_weights(r1: float, r2: float, r3: float, nu: int, n: int) -> np.ndarray:
-    w = np.empty(n)
-    w[:nu] = r1
-    w[nu] = r2
-    w[nu + 1 :] = r3
-    return w
-
-
-def _three_level_residual(x: np.ndarray, nu: int, mu: int, c2: float, c3: float) -> np.ndarray:
-    r1, r2, r3 = x
-    return np.array(
-        [
-            nu * r1 + r2 + mu * r3 - 1.0,
-            nu * r1 * r1 + r2 * r2 + mu * r3 * r3 - c2,
-            nu * r1**3 + r2**3 + mu * r3**3 - c3,
-        ]
-    )
-
-
-def _three_level_newton(
-    nu: int, mu: int, c2: float, c3: float, n: int, tol: float, max_iter: int
-) -> tuple[np.ndarray, float]:
-    r1 = math.sqrt(c2 / nu)
-    r3 = (1.0 - nu * r1) / (n - nu)
-    x = np.array([r1, 0.5 * (r1 + r3), r3])
-    res = _three_level_residual(x, nu, mu, c2, c3)
-    norm = float(np.abs(res).max())
-    for _ in range(max_iter):
-        if norm <= tol:
-            break
-        r1, r2, r3 = x
-        jac = np.array(
-            [
-                [nu, 1.0, mu],
-                [2.0 * nu * r1, 2.0 * r2, 2.0 * mu * r3],
-                [3.0 * nu * r1 * r1, 3.0 * r2 * r2, 3.0 * mu * r3 * r3],
-            ]
-        )
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        lam, improved = 1.0, False
-        while lam > 1e-12:
-            trial = x + lam * step
-            trial_res = _three_level_residual(trial, nu, mu, c2, c3)
-            trial_norm = float(np.abs(trial_res).max())
-            if trial_norm < norm:
-                x, res, norm, improved = trial, trial_res, trial_norm, True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    return x, norm
-
-
-def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None:
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    lo, hi = (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
-def _three_level_reduced(
-    nu: int, mu: int, c2: float, c3: float, tol: float
-) -> tuple[np.ndarray, float]:
-    """Reduce to a one-dimensional root problem in the top value.
-
-    For a fixed top value the linear and quadratic equations pin the lower two
-    values in closed form (discriminant branch keeping the singleton above the
-    bottom level); the cubic residual is then bracketed and bisected over the
-    feasible top-value range.  The range endpoints are computed analytically,
-    which nails roots sitting exactly on the degenerate boundary where the
-    two lower values coincide and the full Jacobian is singular.
-    """
-
-    def lower_pair(r1: float) -> tuple[float, float]:
-        s = 1.0 - nu * r1
-        q = c2 - nu * r1 * r1
-        disc = max(mu * ((mu + 1.0) * q - s * s), 0.0)
-        r3 = (s * mu - math.sqrt(disc)) / (mu * (mu + 1.0))
-        r2 = s - mu * r3
-        return r2, max(r3, 0.0)
-
-    def cubic_gap(r1: float) -> float:
-        r2, r3 = lower_pair(r1)
-        return nu * r1**3 + r2**3 + mu * r3**3 - c3
-
-    # feasibility in the top value r1:
-    #   q >= 0 and s >= 0 :            r1 <= min(sqrt(c2/nu), 1/nu)
-    #   discriminant >= 0 :            between the roots of a downward parabola
-    #   bottom level >= 0 (s^2 >= q):  outside the roots of an upward parabola
-    upper = min(math.sqrt(c2 / nu), 1.0 / nu)
-    disc_roots = _quadratic_roots(-nu * (mu + 1.0 + nu), 2.0 * nu, (mu + 1.0) * c2 - 1.0)
-    if disc_roots is None:
-        return np.zeros(3), math.inf
-    lo, hi = max(disc_roots[0], 0.0), min(disc_roots[1], upper)
-    if lo > hi:
-        return np.zeros(3), math.inf
-    intervals = [(lo, hi)]
-    neg_roots = _quadratic_roots(nu * (nu + 1.0), -2.0 * nu, 1.0 - c2)
-    if neg_roots is not None and neg_roots[0] < neg_roots[1]:
-        cut_lo, cut_hi = neg_roots
-        intervals = []
-        if lo < cut_lo:
-            intervals.append((lo, min(hi, cut_lo)))
-        if hi > cut_hi:
-            intervals.append((max(lo, cut_hi), hi))
-
-    # the moment system does not know the shape, so a mirror root with the
-    # singleton on top can appear; prefer roots with r1 >= r2
-    best: dict[bool, tuple[float, float] | None] = {True: None, False: None}
-
-    def consider(x: float, gap: float) -> None:
-        valid = x >= lower_pair(x)[0] - 1e-9
-        cur = best[valid]
-        if cur is None or gap < cur[1]:
-            best[valid] = (x, gap)
-
-    for a, b in intervals:
-        if not a <= b:
-            continue
-        grid = np.linspace(a, b, 2001)
-        vals = [cubic_gap(float(r)) for r in grid]
-        for i, (x, g) in enumerate(zip(grid, vals)):
-            consider(float(x), abs(g))
-            if i + 1 < len(grid) and (g < 0.0) != (vals[i + 1] < 0.0):
-                lo_x, hi_x = float(grid[i]), float(grid[i + 1])
-                for _ in range(100):
-                    mid = 0.5 * (lo_x + hi_x)
-                    if (cubic_gap(mid) < 0.0) == (g < 0.0):
-                        lo_x = mid
-                    else:
-                        hi_x = mid
-                root = 0.5 * (lo_x + hi_x)
-                consider(root, abs(cubic_gap(root)))
-    pick = best[True] if best[True] is not None else best[False]
-    if pick is None:
-        return np.zeros(3), math.inf
-    r2, r3 = lower_pair(pick[0])
-    return np.array([pick[0], r2, r3]), pick[1]
-
-
 def three_level(n: int, c2: float, c3: float, nu: int) -> ProbabilityVector:
-    """Vector with values (r1 x nu, r2 x 1, r3 x (n-nu-1)) matching (c2, c3).
+    """Vector with values (r1 x nu, r2 x 1, r3 x (n-nu-1)) matching (c2, c3),
+    r1 >= r2 >= r3 >= 0.
 
-    Solved by damped Newton from the start r1 = sqrt(c2/nu),
-    r3 = (1 - nu*r1)/(n - nu), r2 midway, with a one-dimensional bracketing
-    fallback for the degenerate boundary r2 = r3 where the Jacobian is
-    singular.  Raises SolverError when no solution is reachable and
-    DistributionError when the solved values violate r1 >= r2 >= r3 >= 0.
+    With the sum fixed at 1 and the sum of squares at c2, the middle value r2
+    pins (r1, r3) as a two-level vector with sum 1 - r2 and sum of squares
+    c2 - r2^2, and c3 falls strictly in r2 (dc3/dr2 = -3(r1 - r2)(r2 - r3)).
+    Its range runs from the end r2 = r3 (nu heavy, n - nu light) down to the
+    end r2 = r1 (nu + 1 heavy), or r3 = 0 (nu heavy, one light) when that
+    end's light value would be negative.  A c3 within 1e-12 relative of an
+    end returns that end exactly; inside the range r2 is bisected until the
+    bracket stops shrinking.
+
+    Raises DistributionError when nu cannot carry (c2, c3): the r2 = r3 end
+    already has r3 < 0, or c3 lies outside the range by more than 1e-12
+    relative.  SolverError is a safety net for a returned vector missing the
+    sum, c2 or c3 by more than 1e-12 relative.
     """
     if n < 3:
         raise DistributionError("three-level vectors need n >= 3")
@@ -306,39 +178,50 @@ def three_level(n: int, c2: float, c3: float, nu: int) -> ProbabilityVector:
     mu = n - nu - 1
     tol = 1e-12
 
-    x, norm = _three_level_newton(nu, mu, c2, c3, n, tol, max_iter=200)
-    near_fold = abs(x[1] - x[2]) < 1e-5  # Newton is singular where r2 = r3
-    # the moment system has mirror roots with the levels out of order; fall
-    # back whenever Newton's root is unusable, not only when it failed
-    shape_bad = x[1] < x[2] - 1e-9 or x[0] < x[1] - 1e-9
-    if norm > tol or near_fold or shape_bad or np.any(x < -1e-10):
-        x_alt, norm_alt = _three_level_reduced(nu, mu, c2, c3, tol)
-        alt_ok = x_alt[0] >= x_alt[1] - 1e-9
-        if (norm_alt <= tol and (alt_ok or shape_bad or norm > tol)) or norm_alt < norm:
-            x, norm = x_alt, norm_alt
-    if norm > 1e-9:
-        raise SolverError(f"no three-level solution for n={n}, nu={nu}", norm)
-    # the square-root fold at r2 = r3 amplifies float noise to ~1e-8; snap to
-    # exact coincidence when that loses nothing measurable in the moments
-    if 0.0 <= x[1] - x[2] < 1e-6:
-        mid = (1.0 - nu * x[0]) / (mu + 1.0)
-        snapped = np.array([x[0], mid, mid])
-        snap_norm = float(
-            np.abs(_three_level_residual(snapped, nu, mu, c2, c3)).max()
-        )
-        if snap_norm <= max(norm, 1e-10):
-            x, norm = snapped, snap_norm
-    r1, r2, r3 = (float(v) for v in x)
-    shape_tol = 1e-9
-    if r2 < r3 - shape_tol or r1 < r2 - shape_tol or r3 < -shape_tol:
+    def levels(r2: float) -> tuple[float, float, float]:
+        r1, r3 = _two_level(nu, mu, 1.0 - r2, c2 - r2 * r2)
+        return r1, r2, r3
+
+    def cubic(r: tuple[float, float, float]) -> float:
+        return nu * r[0] ** 3 + r[1] ** 3 + mu * r[2] ** 3
+
+    top, bottom = _two_level(nu, mu + 1, 1.0, c2)
+    if (mu + 1) * bottom < -tol:  # light mass below 0 beyond rounding
         raise DistributionError(
-            f"nu={nu} infeasible: solved values ({r1:.6g}, {r2:.6g}, {r3:.6g}) "
-            "violate the nonincreasing three-level shape"
+            f"nu={nu} infeasible: {nu} equal top values need c2 <= {1.0 / nu:.6g}"
         )
-    r3 = max(r3, 0.0)
-    r2 = max(r2, r3)
-    r1 = max(r1, r2)
-    return ProbabilityVector(_three_level_weights(r1, r2, r3, nu, n), normalize=True)
+    first = (top, bottom, bottom)  # r2 = r3: largest c3
+    top, bottom = _two_level(nu + 1, mu, 1.0, c2)
+    # r2 = r1, or r3 = 0 where that end would need r3 < 0: smallest c3
+    last = (top, top, bottom) if bottom >= 0.0 else (*_two_level(nu, 1, 1.0, c2), 0.0)
+    c3_first, c3_last = cubic(first), cubic(last)
+    if abs(c3 - c3_first) <= tol * c3:
+        r = first
+    elif abs(c3 - c3_last) <= tol * c3:
+        r = last
+    elif c3_last < c3 < c3_first:
+        lo, hi = first[1], last[1]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if cubic(levels(mid)) > c3:
+                lo = mid
+            else:
+                hi = mid
+        r = levels(lo)
+    else:
+        raise DistributionError(
+            f"nu={nu} infeasible: c3={c3!r} outside [{c3_last:.17g}, {c3_first:.17g}], "
+            f"the range of three-level vectors with n={n}, c2={c2!r}"
+        )
+    # rounding can leave a fold an ulp out of order
+    r3 = max(r[2], 0.0)
+    r2 = max(r[1], r3)
+    w = np.repeat((max(r[0], r2), r2, r3), (nu, 1, mu))
+    p = ProbabilityVector(w, normalize=True)
+    m = p.moments()
+    residual = max(abs(w.sum() - 1.0), abs(m.c2 - c2) / c2, abs(m.c3 - c3) / c3)
+    if residual > tol:
+        raise SolverError(f"three-level solve for n={n}, nu={nu} missed (c2, c3)", residual)
+    return p
 
 
 def sample_fixed_c2_batch(

@@ -139,25 +139,29 @@ def topheavy_envelope(c2: float, n: int, t: int) -> float:
     return n * (1.0 - math.sqrt(c2) / 4.0) ** t + 2.0 / math.sqrt(c2)
 
 
+def _harmonic_roots(t: np.ndarray) -> np.ndarray:
+    """Positive roots of 1 - exp(-x) = x (1 - 2/(t+2)) for each t >= 1, by
+    bisection on the bracket [1e-12, 2(t+2)/t]."""
+    slope = 1.0 - 2.0 / (t + 2.0)
+    lo = np.full_like(t, 1e-12)
+    hi = 2.0 * (t + 2.0) / t
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        pos = 1.0 - np.exp(-mid) - slope * mid > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def harmonic_envelope_root(t: int) -> float:
-    """Positive root of 1 - exp(-x) = x (1 - 2/(t+2)), by bisection to 1e-12.
+    """Positive root of 1 - exp(-x) = x (1 - 2/(t+2)).
 
     t = 0 makes the right side vanish and the root diverge, so t >= 1 is
     required.  The root decreases in t and (t+2) times it tends to 4.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    slope = 1.0 - 2.0 / (t + 2.0)
-    lo, hi = 1e-12, 2.0 * (t + 2.0) / t
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 1.0 - math.exp(-mid) - slope * mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return float(_harmonic_roots(np.array([t], dtype=float))[0])
 
 
 def harmonic_envelope_constant(t_max: int = 100_000) -> float:
@@ -169,16 +173,7 @@ def harmonic_envelope_constant(t_max: int = 100_000) -> float:
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     t = np.arange(1, t_max + 1, dtype=float)
-    slope = 1.0 - 2.0 / (t + 2.0)
-    lo = np.full_like(t, 1e-12)
-    hi = 2.0 * (t + 2.0) / t
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        pos = 1.0 - np.exp(-mid) - slope * mid > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    roots = 0.5 * (lo + hi)
-    return float(((t + 1.0) * roots).max())
+    return float(((t + 1.0) * _harmonic_roots(t)).max())
 
 
 def lower_step_curve(x: float) -> float:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from coalsim import cli
 from coalsim.cli import main
-from coalsim.distributions import topheavy
+from coalsim.distributions import SolverError, topheavy
 from coalsim.simulate import SimConfig, batch, run
 
 
@@ -197,9 +198,9 @@ class TestErrorPaths:
         )
         assert main(["moments", "--config", str(cfg)]) == 1
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # three-level request with c3 at its ceiling but a large heavy count
-        # has no solution: the solver reports non-convergence
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # five equal top values are each at most 1/5, so c2 <= 0.2: the
+        # request is infeasible in closed form, a validation error naming nu
         c2 = 0.4
         cfg = write_config(
             tmp_path,
@@ -214,7 +215,17 @@ class TestErrorPaths:
                 }
             },
         )
+        assert main(["moments", "--config", str(cfg)]) == 1
+        assert "nu=5" in capsys.readouterr().err
+
+    def test_solver_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(desc):
+            raise SolverError("three-level solve missed (c2, c3)", 3e-9)
+
+        monkeypatch.setattr(cli, "from_descriptor", fail)
+        cfg = write_config(tmp_path, "s.json", {"distribution": {"family": "uniform", "n": 4}})
         assert main(["moments", "--config", str(cfg)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -275,6 +286,20 @@ class TestErrorPaths:
             ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 10,
                         "b_values": [float("nan")]},
              "'b_values' must be a list of finite numbers"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5},
+                          "k_values": [float("nan")]}, "'k_values' must be a list of finite"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5},
+                          "k_values": [float("inf")]}, "'k_values' must be a list of finite"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5},
+                          "k_values": [True]}, "'k_values' must be a list of finite"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5},
+                          "k_values": 5}, "'k_values' must be a list of finite"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5}, "k_max": 2.5},
+             "'k_max' must be a whole number"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5}, "k_max": True},
+             "'k_max' must be a whole number"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5}, "k_max": -3},
+             "'k_max'=-3 must be at least 0"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):

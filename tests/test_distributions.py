@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalsim.distributions import (
     DistributionError,
@@ -180,6 +182,69 @@ class TestThreeLevel:
             three_level(5, 0.3, 0.12, 4)
         with pytest.raises(DistributionError):
             three_level(5, 0.3, 0.12, 0)
+
+    @staticmethod
+    def assert_three_level(p, n, nu, c2, c3):
+        m = p.moments()
+        assert abs(m.c2 - c2) <= 1e-12 * c2
+        assert abs(m.c3 - c3) <= 1e-12 * c3
+        w = p.weights
+        assert np.all(w[:nu] == w[0]) and np.all(w[nu + 1 :] == w[-1])
+        assert w[0] >= w[nu] >= w[-1] >= 0.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=3, max_value=3000),
+        nu_frac=st.floats(min_value=0.0, max_value=1.0),
+        fold=st.sampled_from(["none", "r1=r2", "r2=r3", "r3=0"]),
+        middle=st.floats(min_value=0.0, max_value=1.0),
+        bottom=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_planted_vectors_recovered(self, n, nu_frac, fold, middle, bottom):
+        nu = 1 + round(nu_frac * (n - 3))
+        r1, r2 = 1.0, middle
+        r3 = r2 * bottom
+        if fold == "r1=r2":
+            r2 = r1
+        elif fold == "r2=r3":
+            r2 = r3
+        elif fold == "r3=0":
+            r3 = 0.0
+        w = np.repeat([r1, r2, r3], (nu, 1, n - nu - 1))
+        m = ProbabilityVector(w, normalize=True).moments()
+        self.assert_three_level(three_level(n, m.c2, m.c3, nu), n, nu, m.c2, m.c3)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=3, max_value=3000),
+        nu_frac=st.floats(min_value=0.0, max_value=1.0),
+        c2_frac=st.floats(min_value=0.0, max_value=1.0),
+        c3_frac=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_request_solved_or_refused(self, n, nu_frac, c2_frac, c3_frac):
+        nu = 1 + round(nu_frac * (n - 3))
+        c2 = 1.0 / n + c2_frac * (1.0 - 1.0 / n)
+        c3 = c2 * c2 + c3_frac * (c2**1.5 - c2 * c2)
+        try:
+            p = three_level(n, c2, c3, nu)
+        except DistributionError:
+            return
+        self.assert_three_level(p, n, nu, c2, c3)
+
+    def test_planted_near_fold_regression(self):
+        # middle value 2e-5 below the top, next to the r1 = r2 fold, where a
+        # mirror root with the levels out of order matches the moments too
+        n, nu, r1, r2 = 90, 30, 0.0193112, 0.0192895
+        w = np.repeat([r1, r2, (1.0 - nu * r1 - r2) / (n - nu - 1)], (nu, 1, n - nu - 1))
+        m = ProbabilityVector(w, normalize=True).moments()
+        got = three_level(n, m.c2, m.c3, nu)
+        self.assert_three_level(got, n, nu, m.c2, m.c3)
+        assert got.weights[nu] == pytest.approx(r2, rel=1e-9)
+
+    def test_uniform_request_regression(self):
+        got = three_level(1000, 1e-3, 1e-6, 10)
+        self.assert_three_level(got, 1000, 10, 1e-3, 1e-6)
+        assert got.weights == pytest.approx(np.full(1000, 1e-3), rel=1e-12)
 
 
 class TestSampleFixedC2:
