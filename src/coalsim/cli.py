@@ -122,31 +122,18 @@ def _cmd_exact(args) -> str:
     kernel = exact_chain.TriangularKernel(p)
     out_kernel, out_csv, out_json = _outputs(args, ".kernel.csv", ".expected.csv", ".json")
     exact_chain.write_kernel_csv(kernel, out_kernel)
-    et = exact_chain.expected_coalescence_times(kernel)
-    _write_csv(
-        out_csv,
-        ["m", "expected_T"],
-        ((m, et[m]) for m in range(1, p.n + 1)),
-    )
-    m = p.moments()
-    payload = {
-        "n": p.n,
-        "c2": m.c2,
-        "expected_T_from_n": et[p.n],
-        "pair_bound_2n_minus_2": 2 * p.n - 2,
-    }
+    c2 = p.moments().c2
+    payload = {"n": p.n, "c2": c2, "pair_bound_2n_minus_2": 2 * p.n - 2}
     eps = config.get("eps")
-    if eps is not None:
-        k_star = min(max(early_threshold(m.c2, p.n, float(eps)), 1.0), float(p.n))
-        k_1 = min(max(late_threshold(m.c2, p.n, float(eps)), 1.0), k_star)
-        phases = exact_chain.phase_decomposition(kernel, k_star, k_1)
-        payload["phases"] = {
-            "k_star": k_star,
-            "k_1": k_1,
-            "early": phases.early,
-            "middle": phases.middle,
-            "late": phases.late,
-        }
+    if eps is None:
+        et = exact_chain.expected_coalescence_times(kernel)
+    else:
+        k_star = min(max(early_threshold(c2, p.n, float(eps)), 1.0), float(p.n))
+        k_1 = min(max(late_threshold(c2, p.n, float(eps)), 1.0), k_star)
+        et, phases = exact_chain._times_and_phases(kernel, k_star, k_1)
+        payload["phases"] = {"k_star": k_star, "k_1": k_1, **vars(phases)}
+    payload["expected_T_from_n"] = et[p.n]
+    _write_csv(out_csv, ["m", "expected_T"], enumerate(et[1:], start=1))
     _write_json(out_json, payload)
     return f"exact: n={p.n} expected_T={et[p.n]:.12g}"
 
@@ -204,18 +191,11 @@ def _cmd_dynamics(args) -> str:
         ks = range(k_max + 1)
     else:
         ks = _finite_numbers(ks, "k_values")
-    rows = []
-    for k in ks:
-        k = float(k)
-        rows.append(
-            (
-                k,
-                empty_boxes_proxy(p, k),
-                occupancy_proxy(p, k),
-                one_step_envelope(p, k),
-                envelope_margin(p, k) if k > 0 else 0.0,
-            )
-        )
+    ks = np.array(ks, dtype=float)
+    margin = np.zeros_like(ks)  # the margin's limit at k = 0
+    margin[ks > 0] = envelope_margin(p, ks[ks > 0])
+    columns = (empty_boxes_proxy(p, ks), occupancy_proxy(p, ks), one_step_envelope(p, ks))
+    rows = np.column_stack((ks, *columns, margin)).tolist()
     _write_csv(
         _outputs(args, ".csv")[0],
         ["k", "empty_proxy", "occupancy_proxy", "envelope", "margin"],

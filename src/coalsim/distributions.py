@@ -140,7 +140,7 @@ def topheavy(n: int, c2: float) -> ProbabilityVector:
     if n < 2:
         raise DistributionError("n must be at least 2")
     lo = 1.0 / n
-    if c2 < lo - 1e-12 or c2 > 1.0 + 1e-12:
+    if c2 < lo * (1.0 - 1e-12) or c2 > 1.0 + 1e-12:
         raise DistributionError(f"c2={c2!r} outside [1/n, 1] for n={n}")
     c2 = min(max(c2, lo), 1.0)
     big, small = _two_level(1, n - 1, 1.0, c2)
@@ -171,8 +171,8 @@ def three_level(n: int, c2: float, c3: float, nu: int) -> ProbabilityVector:
         raise DistributionError("three-level vectors need n >= 3")
     if not 1 <= nu <= n - 2:
         raise DistributionError(f"nu={nu} outside [1, n-2] for n={n}")
-    if c2 < 1.0 / n - 1e-12 or c2 > 1.0 + 1e-12:
-        raise DistributionError(f"c2={c2!r} outside [1/n, 1]")
+    if c2 < (1.0 - 1e-12) / n or c2 > 1.0 + 1e-12:
+        raise DistributionError(f"c2={c2!r} outside [1/n, 1] for n={n}")
     if c3 < c2 * c2 - 1e-12 or c3 > c2**1.5 + 1e-12:
         raise DistributionError(f"c3={c3!r} outside [c2^2, c2^(3/2)]")
     mu = n - nu - 1
@@ -238,9 +238,9 @@ def sample_fixed_c2_batch(
     if n < 2:
         raise DistributionError("n must be at least 2")
     lo = 1.0 / n
-    if c2 < lo - 1e-12 or c2 >= 1.0:
+    if c2 < lo * (1.0 - 1e-12) or c2 >= 1.0:
         raise DistributionError(f"c2={c2!r} outside [1/n, 1) for n={n}")
-    if c2 <= lo + 1e-15:
+    if c2 <= lo * (1.0 + 1e-12):
         return np.full((size, n), lo)
 
     e = rng.standard_exponential((size, n))

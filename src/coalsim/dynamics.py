@@ -27,24 +27,33 @@ __all__ = [
     "lower_decay_rate",
 ]
 
+Ks = float | np.ndarray  # a ball count k, or an array of them
+
 
 def _weights(p: ProbabilityVector | np.ndarray) -> np.ndarray:
     w = getattr(p, "weights", None)
     return w if w is not None else np.asarray(p, dtype=float)
 
 
-def empty_boxes_proxy(p: ProbabilityVector | np.ndarray, k: float) -> float:
-    """Sum of exp(-k * p_j): the smoothed count of boxes a k-ball round misses."""
-    if k < 0:
+def empty_boxes_proxy(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
+    """Sum of exp(-k * p_j): the smoothed count of boxes a k-ball round misses.
+
+    k is a scalar (a float is returned) or an array (an array of its shape),
+    and the sum runs over the distinct weights: one exp per (k, level)."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k < 0):
         raise ValueError("k must be nonnegative")
-    w = _weights(p)
-    return float(np.exp(-k * w).sum())
+    levels, counts = np.unique(_weights(p), return_counts=True)
+    flat, out = k.ravel(), np.empty(k.size)
+    step = max((1 << 18) // levels.size, 1)  # k per block: bounded for distinct weights
+    for i in range(0, flat.size, step):
+        out[i : i + step] = np.exp(-np.multiply.outer(flat[i : i + step], levels)) @ counts
+    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
-def occupancy_proxy(p: ProbabilityVector | np.ndarray, k: float) -> float:
+def occupancy_proxy(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
     """Smoothed predictor of the next ball count: n minus the empty-box proxy."""
-    w = _weights(p)
-    return float(w.size - np.exp(-k * w).sum())
+    return _weights(p).size - empty_boxes_proxy(p, k)
 
 
 def expected_next_count(p: ProbabilityVector | np.ndarray, k: int) -> float:
@@ -55,17 +64,17 @@ def expected_next_count(p: ProbabilityVector | np.ndarray, k: int) -> float:
     return float((1.0 - (1.0 - w) ** k).sum())
 
 
-def one_step_envelope(p: ProbabilityVector | np.ndarray, k: float) -> float:
+def one_step_envelope(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
     """Midpoint of k and the occupancy proxy: the high-probability one-step cap."""
     return 0.5 * (k + occupancy_proxy(p, k))
 
 
-def envelope_margin(p: ProbabilityVector | np.ndarray, k: float) -> float:
+def envelope_margin(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
     """Squared gap between envelope and proxy, scaled by 1/k; increasing in k."""
-    if k <= 0:
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0):
         raise ValueError("k must be positive")
-    w = _weights(p)
-    gap = 0.5 * (k - w.size + np.exp(-k * w).sum())
+    gap = 0.5 * (k - _weights(p).size + empty_boxes_proxy(p, k))
     return gap * gap / k
 
 

@@ -297,6 +297,20 @@ class PhaseTimes:
         return self.early + self.middle + self.late
 
 
+def _times_and_phases(
+    source: TriangularKernel | ProbabilityVector, k_star: float, k_1: float
+) -> tuple[np.ndarray, PhaseTimes]:
+    """Expected times and the phase split, from one back-substitution whose
+    reward columns are ones and the three band indicators."""
+    n = source.n
+    if not 1.0 <= k_1 <= k_star <= n:
+        raise ValueError(f"need 1 <= k_1 <= k_star <= n, got ({k_1}, {k_star}, {n})")
+    k = np.arange(n + 1)[:, None]
+    rewards = np.hstack((k >= 0, k > k_star, (k_1 < k) & (k <= k_star), k <= k_1))
+    e = _back_substitute(source, rewards.astype(float))
+    return e[:, 0], PhaseTimes(*map(float, e[n, 1:]))
+
+
 def phase_decomposition(
     source: TriangularKernel | ProbabilityVector, k_star: float, k_1: float
 ) -> PhaseTimes:
@@ -308,12 +322,7 @@ def phase_decomposition(
     (k_1, k_star] are middle, and those in (1, k_1] are late.  A vector's rows
     are streamed, as in expected_coalescence_times.
     """
-    n = source.n
-    if not 1.0 <= k_1 <= k_star <= n:
-        raise ValueError(f"need 1 <= k_1 <= k_star <= n, got ({k_1}, {k_star}, {n})")
-    k = np.arange(n + 1)[:, None]
-    bands = np.hstack((k > k_star, (k_1 < k) & (k <= k_star), k <= k_1))
-    return PhaseTimes(*map(float, _back_substitute(source, bands.astype(float))[n]))
+    return _times_and_phases(source, k_star, k_1)[1]
 
 
 def write_kernel_csv(kernel: TriangularKernel, path) -> None:

@@ -337,10 +337,6 @@ def delta_audit(result: RunResult, p: ProbabilityVector, k_star: float) -> int:
     """
     if result.trajectory is None:
         raise ValueError("trajectory was not recorded")
-    traj = result.trajectory
-    violations = 0
-    for t in range(traj.size - 1):
-        b = int(traj[t])
-        if b >= k_star and traj[t + 1] > one_step_envelope(p, b):
-            violations += 1
-    return violations
+    b, nxt = result.trajectory[:-1], result.trajectory[1:]
+    early = b >= k_star
+    return int(np.count_nonzero(nxt[early] > one_step_envelope(p, b[early])))

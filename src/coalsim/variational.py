@@ -15,7 +15,6 @@ from .distributions import (
     sample_fixed_c2_batch,
     three_level,
     topheavy,
-    uniform,
 )
 from .dynamics import empty_boxes_proxy
 
@@ -30,9 +29,9 @@ __all__ = [
     "level_count",
 ]
 
-# orthonormal basis of the plane of zero-sum 3-vectors
-_E1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-_E2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+# d @ _CROSS = u x d for the turn axis u = (1, 1, 1) / sqrt(3); samples drawn at once
+_CROSS = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / math.sqrt(3.0)
+_SAMPLE_BLOCK = 4096
 
 
 def proxy_rows(weights: np.ndarray, k: float) -> np.ndarray:
@@ -40,29 +39,41 @@ def proxy_rows(weights: np.ndarray, k: float) -> np.ndarray:
     return np.exp(-k * np.asarray(weights, dtype=float)).sum(axis=-1)
 
 
-def _rotate_triples(q: np.ndarray, idx: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate chosen coordinate triples along their sum/sum-of-squares circle.
+def _distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """m uniform ordered triples of distinct indices in [0, n), one per row: the
+    second and third draws, over n - 1 and n - 2 values, skip the taken ones."""
+    idx = rng.integers(0, (n, n - 1, n - 2), size=(m, 3))
+    a, b, c = idx.T  # views: the shifts write idx
+    b += b >= a
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    return idx
 
-    Three coordinates under two constraints (their sum and their sum of
-    squares) trace a circle; moving along it keeps both totals exactly, so
-    every candidate stays on the constraint slice.  Candidates that leave the
-    nonnegative orthant are the caller's problem.
+
+def _rotate_triples(trip: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Turn coordinate triples, one per row, by an (m, 1) column of angles about (1, 1, 1).
+
+    A turn keeps each triple's sum and sum of squares, so it stays on the
+    slice; triples that leave the nonnegative orthant are the caller's problem.
     """
-    out = np.repeat(q[None, :], idx.shape[0], axis=0)
-    trip = q[idx]  # (moves, 3)
     center = trip.mean(axis=1, keepdims=True)
     dev = trip - center
-    a = dev @ _E1
-    b = dev @ _E2
-    radius = np.hypot(a, b)
-    theta = np.arctan2(b, a) + angles
-    new = (
-        center
-        + np.cos(theta)[:, None] * radius[:, None] * _E1
-        + np.sin(theta)[:, None] * radius[:, None] * _E2
-    )
-    np.put_along_axis(out, idx, new, axis=1)
-    return out
+    return center + np.cos(angles) * dev + np.sin(angles) * (dev @ _CROSS)
+
+
+def _sample_seeds(
+    n: int, c2: float, k: float, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 8 lowest-proxy rows of `size` slice samples, lowest first, and
+    their proxies.  Drawn in blocks, in O(block * n) memory, the rows are those
+    of one sample_fixed_c2_batch call of `size` rows."""
+    best, values = np.empty((0, n)), np.empty(0)
+    for start in range(0, size, _SAMPLE_BLOCK):
+        block = sample_fixed_c2_batch(n, c2, rng, min(_SAMPLE_BLOCK, size - start))
+        best, values = np.vstack((best, block)), np.append(values, proxy_rows(block, k))
+        keep = np.argsort(values, kind="stable")[:8]
+        best, values = best[keep], values[keep]
+    return best, values
 
 
 def minimize_proxy_fixed_c2(
@@ -72,51 +83,46 @@ def minimize_proxy_fixed_c2(
 
     Random restarts drawn on the slice, refined by three-coordinate circle
     moves that preserve the sum and sum of squares exactly.  The budget counts
-    proxy evaluations across sampling and refinement.
+    proxy evaluations across sampling and refinement; a move is scored by the
+    proxy's change over its three entries.  A c2 within 1e-12 relative of 1/n
+    returns topheavy(n, c2), and one below raises DistributionError.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if budget < 1:
         raise ValueError("budget must be positive")
-    lo = 1.0 / n
-    if c2 <= lo + 1e-15:
-        u = uniform(n)
+    if c2 * n <= 1.0 + 1e-12:
+        u = topheavy(n, c2)
         return u, empty_boxes_proxy(u, k)
 
     n_samples = max(budget // 2, 1)
-    samples = sample_fixed_c2_batch(n, c2, rng, n_samples)
-    values = proxy_rows(samples, k)
-    order = np.argsort(values)
-    seeds = samples[order[: min(8, n_samples)]]
-    best_q = samples[order[0]].copy()
-    best_f = float(values[order[0]])
+    seeds, values = _sample_seeds(n, c2, k, rng, n_samples)
+    best_q, best_f = seeds[0].copy(), float(values[0])
 
-    remaining = budget - n_samples
-    per_seed = max(remaining // max(len(seeds), 1), 0)
+    # a triple move needs three boxes; the two-box slice is two mirror points
+    per_seed = (budget - n_samples) // len(seeds) if n > 2 else 0
     batch_size = 32
-    for seed in seeds:
-        q = seed.copy()
-        f = float(proxy_rows(q[None, :], k)[0])
+    for q in seeds:
+        terms = np.exp(-k * q)
         sigma = 0.5
         left = per_seed
         while left > 0 and sigma > 1e-10:
             m = min(batch_size, left)
             left -= m
-            idx = np.empty((m, 3), dtype=np.int64)
-            for row in range(m):
-                idx[row] = rng.choice(n, size=3, replace=False)
-            angles = rng.normal(0.0, sigma, size=m)
-            cand = _rotate_triples(q, idx, angles)
-            ok = cand.min(axis=1) >= 0.0
+            idx = _distinct_triples(rng, n, m)
+            moved = _rotate_triples(q[idx], rng.normal(0.0, sigma, size=(m, 1)))
+            ok = moved.min(axis=1) >= 0.0
             if not ok.any():
                 sigma *= 0.5
                 continue
-            vals = np.where(ok, proxy_rows(cand, k), np.inf)
-            j = int(np.argmin(vals))
-            if vals[j] < f - 1e-15:
-                q, f = cand[j], float(vals[j])
+            delta = np.where(ok, proxy_rows(moved, k) - terms[idx].sum(axis=1), np.inf)
+            j = int(np.argmin(delta))
+            if delta[j] < -1e-15:
+                q[idx[j]] = moved[j]
+                terms = np.exp(-k * q)
             else:
                 sigma *= 0.7
+        f = float(terms.sum())  # the full proxy of q
         if f < best_f:
             best_q, best_f = q, f
     return ProbabilityVector(best_q, normalize=True), best_f

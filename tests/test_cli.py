@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import coalsim
 from coalsim import cli
 from coalsim.cli import main
 from coalsim.distributions import SolverError, topheavy
+from coalsim.exact_chain import TriangularKernel, expected_coalescence_times
 from coalsim.simulate import SimConfig, batch, run
 
 
@@ -55,6 +62,16 @@ class TestExact:
         phases = summary["phases"]
         total = phases["early"] + phases["middle"] + phases["late"]
         assert total == pytest.approx(summary["expected_T_from_n"], abs=1e-8)
+
+    def test_phase_pass_keeps_expected_times(self, tmp_path):
+        # with eps, one back-substitution yields E[T] and the phase split
+        desc = {"family": "topheavy", "n": 160, "c2": 0.05}
+        cfg = write_config(tmp_path, "th_in.json", {"distribution": desc, "eps": 0.2})
+        out = tmp_path / "th"
+        assert main(["exact", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rows = np.loadtxt(tmp_path / "th.expected.csv", delimiter=",", skiprows=1)
+        et = expected_coalescence_times(TriangularKernel(topheavy(160, 0.05)))
+        assert np.allclose(rows[:, 1], et[1:], rtol=1e-14, atol=0.0)
 
 
     def test_uniform_pair_expected_time_is_exact(self, tmp_path):
@@ -122,6 +139,29 @@ class TestDynamics:
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(5.0)  # k=0 leaves all boxes empty
 
+    def test_rows_in_given_order(self, tmp_path):
+        ks = [3.5, 0, 7, 3.5, 1]
+        cfg = write_config(
+            tmp_path, "dyn.json", {"distribution": {"family": "uniform", "n": 5}, "k_values": ks}
+        )
+        out = tmp_path / "dyn"
+        assert main(["dynamics", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rows = np.loadtxt(tmp_path / "dyn.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == ks
+        assert rows[0].tolist() == rows[3].tolist()
+        assert rows[:, 1] == pytest.approx([5 * np.exp(-k / 5) for k in ks], rel=1e-15)
+
+    def test_negative_k_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "dyn.json",
+            {"distribution": {"family": "uniform", "n": 5}, "k_values": [1, -0.5, 2]},
+        )
+        out = tmp_path / "dyn"
+        assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "k must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "dyn.csv").exists()
+
 
 class TestVariationalCommand:
     def test_report(self, tmp_path):
@@ -133,6 +173,28 @@ class TestVariationalCommand:
         report = json.loads((tmp_path / "var.json").read_text())
         assert report["f_best"] >= report["f_topheavy"] - 1e-9
         assert report["distinct_levels_at_1e-6"] >= 1
+
+    @pytest.mark.slow
+    def test_search_streams_its_samples(self, tmp_path):
+        # 50 000 slice samples of 200 weights are 80 MB at once; the search
+        # keeps one block of them
+        cfg = write_config(tmp_path, "var.json", {"n": 200, "c2": 0.02, "k": 200})
+        script = f"""if True:
+            import json, resource
+            from coalsim.cli import main
+            code = main(["variational", "--config", {str(cfg)!r}, "--seed", "1", "--quiet"])
+            print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+        """
+        src = str(Path(coalsim.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        code, rss = json.loads(child.stdout)
+        assert code == 0
+        assert json.loads((tmp_path / "var.out.json").read_text())["budget"] == 100_000
+        assert rss < 150 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestBoundsCommand:

@@ -132,6 +132,11 @@ class TestTopheavy:
         with pytest.raises(DistributionError):
             topheavy(4, 1.5)
 
+    def test_c2_just_below_one_over_n_regression(self):
+        # 5e-10 relative below 1/n: no vector has this sum of squares
+        with pytest.raises(DistributionError, match=r"c2=.* outside \[1/n, 1\]"):
+            topheavy(1000, 1e-3 - 5e-13)
+
 
 class TestThreeLevel:
     def test_inverts_seed_vector(self):
@@ -245,6 +250,12 @@ class TestThreeLevel:
         got = three_level(1000, 1e-3, 1e-6, 10)
         self.assert_three_level(got, 1000, 10, 1e-3, 1e-6)
         assert got.weights == pytest.approx(np.full(1000, 1e-3), rel=1e-12)
+
+    def test_c2_just_below_one_over_n_regression(self):
+        # the error names c2, not the c3 range that c2 leaves empty
+        c2 = 1e-3 - 5e-13
+        with pytest.raises(DistributionError, match=r"c2=.* outside \[1/n, 1\]"):
+            three_level(1000, c2, c2 * c2, 3)
 
 
 class TestSampleFixedC2:

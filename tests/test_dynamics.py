@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from coalsim.distributions import ProbabilityVector, topheavy, uniform
+from coalsim.cli import main
+from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
 from coalsim.dynamics import (
     early_threshold,
     empty_boxes_proxy,
@@ -143,6 +145,45 @@ class TestEnvelopeMargin:
             p = uniform(n)
             for k in range(1, n + 1):
                 assert envelope_margin(p, k) >= k**3 / (36.0 * n * n) - 1e-12
+
+
+class TestDynamicsTable:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            uniform(300),
+            topheavy(500, 0.02),
+            three_level(120, 0.05, 0.0055, 3),
+            ProbabilityVector(
+                np.random.default_rng(18).dirichlet(np.ones(1000)) * (np.arange(1000) % 7 > 0),
+                normalize=True,
+            ),
+        ],
+        ids=["uniform", "topheavy", "three_level", "dirichlet_zeros"],
+    )
+    def test_columns_match_direct_sums(self, tmp_path, p):
+        # the Dirichlet vector has a seventh of its weights zero and enough
+        # distinct levels that the k grid is taken in several blocks
+        w = p.weights
+        cfg = tmp_path / "dyn.json"
+        cfg.write_text(json.dumps({"distribution": {"family": "explicit",
+                                                    "weights": w.tolist()}}))
+        out = tmp_path / "dyn"
+        assert main(["dynamics", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rows = np.loadtxt(tmp_path / "dyn.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], np.arange(p.n + 1))
+        direct = np.array([np.exp(-k * w).sum() for k in rows[:, 0]])
+        assert np.allclose(rows[:, 1], direct, rtol=1e-12, atol=0.0)
+        assert np.allclose(rows[:, 2], p.n - direct, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(rows[:, 4]) >= 0.0)
+
+    def test_array_k_matches_scalar_calls(self):
+        p = topheavy(40, 0.1)
+        ks = np.array([[0.5, 3.0], [40.0, 7.25]])
+        for fn in (empty_boxes_proxy, occupancy_proxy, one_step_envelope, envelope_margin):
+            got = fn(p, ks)
+            assert got.shape == ks.shape
+            assert got.tolist() == [[fn(p, float(k)) for k in row] for row in ks]
 
 
 class TestThresholds:

@@ -1,11 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
+from coalsim.distributions import (
+    DistributionError,
+    ProbabilityVector,
+    sample_fixed_c2_batch,
+    three_level,
+    topheavy,
+    uniform,
+)
 from coalsim.dynamics import empty_boxes_proxy
 from coalsim.variational import (
+    _SAMPLE_BLOCK,
+    _distinct_triples,
+    _sample_seeds,
     distinct_four_determinant,
     level_count,
     middle_pair_excess,
@@ -74,6 +87,10 @@ class TestMinimizeFixedC2:
         q, f = minimize_proxy_fixed_c2(6, 1.0 / 6.0, 4.0, 1000, rng)
         assert f == pytest.approx(6 * math.exp(-4.0 / 6.0), abs=1e-12)
 
+    def test_c2_below_one_over_n_rejected(self):
+        with pytest.raises(DistributionError, match=r"c2=0.1 outside \[1/n, 1\]"):
+            minimize_proxy_fixed_c2(6, 0.1, 4.0, 1000, np.random.default_rng(0))
+
     def test_finds_topheavy_floor(self):
         rng = np.random.default_rng(1)
         q, f = minimize_proxy_fixed_c2(4, 0.3, 5.0, 100_000, rng)
@@ -93,6 +110,62 @@ class TestMinimizeFixedC2:
         for n, c2, k in ((4, 0.35, 2.0), (6, 0.25, 7.0)):
             _, f = minimize_proxy_fixed_c2(n, c2, k, 20_000, rng)
             assert f >= empty_boxes_proxy(topheavy(n, c2), k) - 1e-9
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 300),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        k=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_result_on_slice_with_its_proxy(self, n, frac, k, seed):
+        c2 = 1.0 / n + frac * (1.0 - 1.0 / n)
+        assume(c2 < 1.0)
+        q, f = minimize_proxy_fixed_c2(n, c2, k, 20_000, np.random.default_rng(seed))
+        assert abs(q.moments().c2 - c2) <= 1e-12 * c2
+        assert abs(empty_boxes_proxy(q, k) - f) <= 1e-12 * f
+        assert f - empty_boxes_proxy(topheavy(n, c2), k) >= -1e-9
+
+    def test_two_boxes_return_a_slice_point(self):
+        # no triple move exists; the best sample is already optimal
+        q, f = minimize_proxy_fixed_c2(2, 5 / 8, 4.0, 1000, np.random.default_rng(0))
+        assert q.sorted_desc() == pytest.approx([0.75, 0.25], abs=1e-12)
+        assert f == pytest.approx(math.exp(-3.0) + math.exp(-1.0), rel=1e-12)
+
+
+class TestSearchInternals:
+    def test_blocked_sampling_matches_one_draw(self):
+        n, c2, k = 20, 0.15, 12.0
+        size = 2 * _SAMPLE_BLOCK + 123
+        rows, values = _sample_seeds(n, c2, k, np.random.default_rng(7), size)
+        rng = np.random.default_rng(7)
+        full = sample_fixed_c2_batch(n, c2, rng, size)
+        full_values = proxy_rows(full, k)
+        order = np.argsort(full_values, kind="stable")[:8]
+        assert np.array_equal(rows, full[order])
+        assert np.array_equal(values, full_values[order])
+
+    def test_triples_distinct(self):
+        for n in (3, 4, 7, 100):
+            idx = _distinct_triples(np.random.default_rng(n), n, 5000)
+            assert idx.shape == (5000, 3)
+            assert idx.min() >= 0 and idx.max() < n
+            srt = np.sort(idx, axis=1)
+            assert np.all(np.diff(srt, axis=1) > 0)
+
+    def test_triples_uniform_over_ordered_triples(self):
+        n, m = 5, 60_000
+        idx = _distinct_triples(np.random.default_rng(8), n, m)
+        cells = list(itertools.permutations(range(n), 3))
+        code = (idx[:, 0] * n + idx[:, 1]) * n + idx[:, 2]
+        counts = np.bincount(code, minlength=n**3)[[(a * n + b) * n + c for a, b, c in cells]]
+        assert counts.sum() == m
+        expected = m / len(cells)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # Wilson-Hilferty upper 1e-5 quantile of chi-square with 59 degrees of freedom
+        dof, z = len(cells) - 1, 4.265
+        limit = dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+        assert chi2 < limit
 
 
 class TestUniformGlobalFloor:
