@@ -141,13 +141,16 @@ def _cmd_exact(args) -> str:
 def _cmd_simulate(args) -> str:
     config = _load_config(args.config)
     p = _distribution(config)
-    replicates = args.replicates or int(config.get("replicates", 1000))
-    thresholds = tuple(float(t) for t in config.get("thresholds", ()))
+    replicates = _whole(config.get("replicates", 1000), "replicates")
+    if args.replicates is not None:  # validated by SimConfig
+        replicates = args.replicates
+    thresholds = tuple(_finite_numbers(config.get("thresholds", []), "thresholds"))
+    b0 = config.get("b0")
     sim = simulate.SimConfig(
         p=p,
         replicates=replicates,
         master_seed=args.seed,
-        b0=config.get("b0"),
+        b0=None if b0 is None else _whole(b0, "b0"),
         record_trajectory=bool(config.get("record", False)),
         passage_thresholds=thresholds,
     )
@@ -267,7 +270,7 @@ def _cmd_bounds(args) -> str:
 def _cmd_limit(args) -> str:
     config = _load_config(args.config)
     cfg = asymptotics.ExperimentConfig.from_dict("limit", config, args.seed)
-    if args.replicates:
+    if args.replicates is not None:  # validated like the config's count
         cfg = replace(cfg, replicates=args.replicates)
     rows = [
         asymptotics.limit_law_experiment(n, cfg.replicates, cfg.seed, cfg.truncation)
@@ -292,15 +295,16 @@ def _cmd_limit(args) -> str:
 def _cmd_threshold(args) -> str:
     config = _load_config(args.config)
     cfg = asymptotics.ExperimentConfig.from_dict("threshold", config, args.seed)
-    replicates = args.replicates or cfg.replicates
+    if args.replicates is not None:  # validated like the config's count
+        cfg = replace(cfg, replicates=args.replicates)
     rule = cfg.c2_rule
     if isinstance(rule, float):
         rows = asymptotics.threshold_experiment(
-            cfg.n_values, lambda n: rule * math.log(n) ** 2, replicates, cfg.seed
+            cfg.n_values, lambda n: rule * math.log(n) ** 2, cfg.replicates, cfg.seed
         )
     else:
         rows = asymptotics.threshold_experiment(
-            cfg.n_values, rule, replicates, cfg.seed
+            cfg.n_values, rule, cfg.replicates, cfg.seed
         )
     out_csv, out_json = _outputs(args, ".csv", ".json")
     _write_csv(

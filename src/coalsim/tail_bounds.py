@@ -30,7 +30,8 @@ __all__ = [
 
 _RTOL = 1e-12  # a solve stands when |z h_z| <= _RTOL max(b, 1) and |r h_r| <= _RTOL k
 _LOG_RANGE = 350.0  # past this |ln z| or |ln r|, _tilt_system's z^2 or r^2 leave the floats
-_FD_STEP = 2e-4  # curvature_report's difference step, as a fraction of k
+_FD_STEP = 2e-4  # curvature_report's difference step, as a fraction of k ...
+_FD_END = 4e-3  # ... and at most this fraction of the distance to b = 0 or b = k
 _SLOPE_RTOL = 1e-4
 _CURVATURE_SLACK = 1e-6
 
@@ -258,15 +259,17 @@ def curvature_report(p: ProbabilityVector | np.ndarray, k: int, b_grid) -> Curva
     exponent matches -ln z to 1e-4 relative to max(|ln z|, 0.01); (ii) the
     second central difference is at most -1/k + 1e-6; (iii) the Hessian
     determinant in (z, r) is positive.  Unsolvable points are skipped and
-    reported, not fatal.  The difference step is 0.0002*k, small enough that
-    truncation stays inside the slope tolerance at every scale tested.
+    reported, not fatal.  The difference step is 0.0002*k, cut to
+    0.004*min(b, k - b) near the ends, where the exponent bends faster:
+    small enough that truncation stays inside the slope tolerance at every
+    scale tested.
     """
-    fd_step = _FD_STEP * k
     w = _weights(p)
     points: list[CurvaturePoint] = []
     skipped: list[tuple[float, str]] = []
     for b in b_grid:
         b = float(b)
+        fd_step = min(_FD_STEP * k, _FD_END * min(b, k - b))
         try:
             center, lo, hi = (solve_tilt(w, k, x) for x in (b, b - fd_step, b + fd_step))
         except (TiltSolveError, ValueError) as exc:

@@ -362,6 +362,21 @@ class TestErrorPaths:
              "'k_max' must be a whole number"),
             ("dynamics", {"distribution": {"family": "uniform", "n": 5}, "k_max": -3},
              "'k_max'=-3 must be at least 0"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "replicates": 2.5},
+             "'replicates' must be a whole number"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "replicates": True},
+             "'replicates' must be a whole number"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "replicates": "7"},
+             "'replicates' must be a whole number"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "b0": True},
+             "'b0' must be a whole number"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "b0": 2.5},
+             "'b0' must be a whole number"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "thresholds": 5},
+             "'thresholds' must be a list of finite numbers"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5},
+                          "thresholds": [float("nan")]},
+             "'thresholds' must be a list of finite numbers"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):
@@ -369,6 +384,24 @@ class TestErrorPaths:
         out = tmp_path / "exp"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("simulate", "replicates must be at least 1"),
+            ("limit", "at least 100 replicates"),
+            ("threshold", "replicates must be at least 1"),
+        ],
+    )
+    def test_zero_replicates_flag_rejected(self, tmp_path, capsys, command, message):
+        cfg = write_config(
+            tmp_path, "exp.json",
+            {"distribution": {"family": "uniform", "n": 5}, "n_values": [20],
+             "replicates": 150},
+        )
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "exp"), "--replicates", "0"]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_integer_lambda_is_a_collision_rate(self, tmp_path, capsys):
         outs = []

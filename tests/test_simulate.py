@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coalsim.distributions import ProbabilityVector, topheavy, uniform
+from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
 from coalsim.dynamics import early_threshold, one_step_envelope
 from coalsim.exact_chain import (
     TriangularKernel,
@@ -16,6 +16,7 @@ from coalsim.simulate import (
     BatchSummary,
     RunningStats,
     SimConfig,
+    _distinct,
     batch,
     delta_audit,
     first_passages,
@@ -236,6 +237,72 @@ class TestJumpChain:
                     b = step(p, b, rng)
                     t += 1
                 assert first_passages(p, (th,), replicate_rng(13, i))[th] == t
+
+
+def merged_chi_square(observed, expected):
+    """Pearson statistic and degrees of freedom after merging neighbouring
+    bins until each expects at least 5; a short tail joins the last bin."""
+    obs, exp, o, e = [], [], 0.0, 0.0
+    for oi, ei in zip(observed, expected):
+        o, e = o + oi, e + ei
+        if e >= 5.0:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0.0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    obs, exp = np.array(obs), np.array(exp)
+    return float(((obs - exp) ** 2 / exp).sum()), len(exp) - 1
+
+
+def three_level_vector(n):
+    heavy, middle, nu = 0.05, 0.02, 3
+    rest = (1.0 - nu * heavy - middle) / (n - nu - 1)
+    w = np.array([heavy] * nu + [middle] + [rest] * (n - nu - 1))
+    return three_level(n, float(w @ w), float((w * w) @ w), nu)
+
+
+class TestLevelRound:
+    """Vectors with at most three distinct positive weights throw a round
+    level by level; the rest keep their alias draws."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            uniform(200),
+            topheavy(300, 0.05),
+            three_level_vector(150),
+            ProbabilityVector([0.3] * 2 + [0.0] * 5 + [0.4 / 193] * 193, normalize=True),
+        ],
+        ids=["uniform200", "topheavy300", "three_level150", "two_level_zeros200"],
+    )
+    def test_step_law_matches_kernel_row(self, p):
+        assert len({w for w in p.weights if w > 0}) <= 3
+        for k in sorted({64, 150, p.n}):
+            rng = replicate_rng(404, k)
+            draws = 20_000
+            counts = np.bincount([step(p, k, rng) for _ in range(draws)], minlength=k + 1)
+            expected = transition_row(p, k).probs * draws
+            stat, dof = merged_chi_square(counts[1:], expected[1:])
+            # Wilson-Hilferty upper 1e-5 quantile of chi-square with dof degrees of freedom
+            z = 4.265
+            limit = dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+            assert stat < limit, (k, stat, dof)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ProbabilityVector(np.random.default_rng(2).dirichlet(np.ones(300))),
+            ProbabilityVector([0.4, 0.2, 0.1] + [0.3 / 97] * 97, normalize=True),
+        ],
+        ids=["dirichlet300", "four_levels100"],
+    )
+    def test_four_levels_keep_alias_draws(self, p):
+        table = AliasTable(p.weights)
+        for k in (1, 64, 100):
+            got = [step(p, k, replicate_rng(9, i)) for i in range(20)]
+            want = [_distinct(table.draw(replicate_rng(9, i), k)) for i in range(20)]
+            assert got == want
 
 
 class TestRunningStats:

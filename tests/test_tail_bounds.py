@@ -289,6 +289,12 @@ class TestCurvatureReport:
         assert pt.slope_analytic == pytest.approx(0.0, abs=1e-10)
         assert abs(pt.slope_fd) <= 1e-6
 
+    def test_points_near_the_ends_pass(self):
+        # a step of 0.0002 k = 0.1 is too coarse at b = 5, 499 and 499.5
+        report = curvature_report(uniform(1000), 500, [5, 50, 499, 499.5])
+        assert not report.skipped
+        assert report.all_ok
+
     def test_unsolvable_points_skipped(self):
         p = uniform(6)
         k = 3
