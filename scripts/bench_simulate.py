@@ -12,14 +12,18 @@ over its runs, with the core count and the Python and numpy versions.
 Every rate is taken with the per-vector caches warm:
 
 - ``replicates_per_s``: ``simulate.runs`` for uniform and topheavy
-  (c2 = 1/ln n) vectors at n = 1e2, 1e3 and 1e4;
+  (c2 = 1/ln n) vectors at n = 1e2, 1e3 and 1e4, and for three-level vectors
+  at n = 1e3 and 1e4: nu heavy boxes of weight 0.15/nu, one middle box of
+  weight 0.02 and n - nu - 1 light boxes, with nu = 1 (one level of several
+  boxes) and nu = 3 (two such levels);
 - ``rounds_per_s``: ``simulate.step`` at 64 and at n balls, the round that
   every count of at least 64 balls takes, for the same vectors at n = 1e3
   and 1e4 and for a Dirichlet(1) vector, whose weights are all distinct;
 - ``jump_chain_runs_per_s``: whole runs from b0 = 63 balls, which only take
   jump-chain steps;
 - ``setup_s``: one one-replicate run of a new vector, which builds what the
-  vector's rounds and jump chain reuse.
+  vector's rounds and jump chain reuse; a throwaway run of another vector
+  first keeps the process's one-time warm-up out of the first entry.
 """
 
 from __future__ import annotations
@@ -39,7 +43,10 @@ import numpy as np
 REPLICATES = {
     ("uniform", 100): 5000, ("uniform", 1000): 600, ("uniform", 10_000): 40,
     ("topheavy", 100): 5000, ("topheavy", 1000): 3000, ("topheavy", 10_000): 600,
+    ("three_level_nu1", 1000): 1000, ("three_level_nu1", 10_000): 300,
+    ("three_level_nu3", 1000): 1000, ("three_level_nu3", 10_000): 300,
 }
+ROUND_FAMILIES = ("uniform", "topheavy", "three_level_nu1", "three_level_nu3", "dirichlet")
 
 
 def _vector(cs, family: str, n: int):
@@ -47,6 +54,10 @@ def _vector(cs, family: str, n: int):
         return cs.uniform(n)
     if family == "topheavy":
         return cs.topheavy(n, 1.0 / math.log(n))
+    if family.startswith("three_level_nu"):
+        nu = int(family.removeprefix("three_level_nu"))
+        w = np.array([0.15 / nu] * nu + [0.02] + [0.83 / (n - nu - 1)] * (n - nu - 1))
+        return cs.three_level(n, float(w @ w), float((w * w) @ w), nu)
     return cs.ProbabilityVector(np.random.default_rng(n).dirichlet(np.ones(n)))
 
 
@@ -62,13 +73,14 @@ def _child(src: str) -> dict:
     from coalsim import simulate
 
     out: dict = {"replicates_per_s": {}, "rounds_per_s": {}, "setup_s": {}}
+    simulate.runs(cs.SimConfig(p=cs.uniform(80), master_seed=1))
     for (family, n), reps in REPLICATES.items():
         key = f"{family}_n{n}"
         p = _vector(cs, family, n)
         out["setup_s"][key] = _timed(lambda: simulate.runs(cs.SimConfig(p=p, master_seed=1)))
         config = cs.SimConfig(p=p, replicates=reps, master_seed=2)
         out["replicates_per_s"][key] = reps / _timed(lambda: simulate.runs(config))
-    for family in ("uniform", "topheavy", "dirichlet"):
+    for family in ROUND_FAMILIES:
         for n in (1000, 10_000):
             p = _vector(cs, family, n)
             rng = np.random.default_rng(3)

@@ -34,10 +34,14 @@ __all__ = [
 # rows 2..63, which the box pass builds in O(n * 63^3) at worst; from it up,
 # each round throws every ball.
 _VECTOR_MIN = 64
-# A vector with at most this many distinct positive weights throws a round
-# level by level; past it the alias table is cheaper: each further multi-box
-# level costs one more `integers` call and count, about 9 us, against about
-# 20 us for a whole alias round of 64 balls (2-vCPU VM, numpy 2.4).
+# A vector whose positive weights take at most this many distinct values,
+# at most one of them on more than one box, throws a round level by level;
+# otherwise the alias table is cheaper.  An `integers` call costs about 4 us
+# whatever its size, so a second multi-box level loses at 64 to 256 balls,
+# where most rounds fall: per level, rounds of 64 balls on three_level with
+# nu = 3 (boxes 3, 1, n - 4) ran 28% (n = 1e3) and 23% (n = 1e4) slower than
+# alias draws, while uniform, topheavy and three_level with nu = 1 ran
+# 12-37% faster (BENCH_simulate.json).  More levels were not measured.
 _MAX_LEVELS = 3
 
 
@@ -96,11 +100,12 @@ _round_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _round(p: ProbabilityVector):
     """The function (rng, b) -> number of distinct boxes hit by b balls
     thrown by p, picked once per vector and shared read-only: level by level
-    for at most _MAX_LEVELS distinct positive weights, else by alias draws."""
+    for at most _MAX_LEVELS distinct positive weights with at most one of them
+    on several boxes, else by alias draws."""
     throw = _round_cache.get(p)
     if throw is None:
         levels = [(w, m) for w, m in p.grouped() if w > 0.0]
-        if len(levels) <= _MAX_LEVELS:
+        if len(levels) <= _MAX_LEVELS and sum(m > 1 for _, m in levels) <= 1:
             throw = _level_round(levels)
         else:
             table = AliasTable(p.weights)

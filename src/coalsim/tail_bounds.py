@@ -32,6 +32,10 @@ _RTOL = 1e-12  # a solve stands when |z h_z| <= _RTOL max(b, 1) and |r h_r| <= _
 _LOG_RANGE = 350.0  # past this |ln z| or |ln r|, _tilt_system's z^2 or r^2 leave the floats
 _FD_STEP = 2e-4  # curvature_report's difference step, as a fraction of k ...
 _FD_END = 4e-3  # ... and at most this fraction of the distance to b = 0 or b = k
+# Points closer than this fraction of k to b = 0 or b = k are skipped: there
+# the step is so short that the solver's rounding swamps the differences
+# (failures start near 2e-10 k on uniform, topheavy and three-level vectors).
+_FD_MIN_GAP = 1e-9
 _SLOPE_RTOL = 1e-4
 _CURVATURE_SLACK = 1e-6
 
@@ -262,14 +266,19 @@ def curvature_report(p: ProbabilityVector | np.ndarray, k: int, b_grid) -> Curva
     reported, not fatal.  The difference step is 0.0002*k, cut to
     0.004*min(b, k - b) near the ends, where the exponent bends faster:
     small enough that truncation stays inside the slope tolerance at every
-    scale tested.
+    scale tested.  Points within 1e-9*k of an end are skipped, since a step
+    that short is below the solver's precision.
     """
     w = _weights(p)
     points: list[CurvaturePoint] = []
     skipped: list[tuple[float, str]] = []
     for b in b_grid:
         b = float(b)
-        fd_step = min(_FD_STEP * k, _FD_END * min(b, k - b))
+        gap = min(b, k - b)
+        if 0.0 <= gap < _FD_MIN_GAP * k:
+            skipped.append((b, f"b within {_FD_MIN_GAP:g}*k of an end: difference step too short"))
+            continue
+        fd_step = min(_FD_STEP * k, _FD_END * gap)
         try:
             center, lo, hi = (solve_tilt(w, k, x) for x in (b, b - fd_step, b + fd_step))
         except (TiltSolveError, ValueError) as exc:

@@ -255,29 +255,31 @@ def merged_chi_square(observed, expected):
     return float(((obs - exp) ** 2 / exp).sum()), len(exp) - 1
 
 
-def three_level_vector(n):
-    heavy, middle, nu = 0.05, 0.02, 3
+def three_level_vector(n, nu):
+    heavy, middle = 0.15 / nu, 0.02
     rest = (1.0 - nu * heavy - middle) / (n - nu - 1)
     w = np.array([heavy] * nu + [middle] + [rest] * (n - nu - 1))
     return three_level(n, float(w @ w), float((w * w) @ w), nu)
 
 
 class TestLevelRound:
-    """Vectors with at most three distinct positive weights throw a round
-    level by level; the rest keep their alias draws."""
+    """Vectors with at most three distinct positive weights, at most one of
+    them on several boxes, throw a round level by level; the rest keep their
+    alias draws."""
 
     @pytest.mark.parametrize(
         "p",
         [
             uniform(200),
             topheavy(300, 0.05),
-            three_level_vector(150),
-            ProbabilityVector([0.3] * 2 + [0.0] * 5 + [0.4 / 193] * 193, normalize=True),
+            three_level_vector(150, nu=1),
+            ProbabilityVector([0.3] + [0.0] * 5 + [0.7 / 194] * 194, normalize=True),
         ],
         ids=["uniform200", "topheavy300", "three_level150", "two_level_zeros200"],
     )
     def test_step_law_matches_kernel_row(self, p):
-        assert len({w for w in p.weights if w > 0}) <= 3
+        levels = [m for w, m in p.grouped() if w > 0]
+        assert len(levels) <= 3 and sum(m > 1 for m in levels) <= 1
         for k in sorted({64, 150, p.n}):
             rng = replicate_rng(404, k)
             draws = 20_000
@@ -294,10 +296,12 @@ class TestLevelRound:
         [
             ProbabilityVector(np.random.default_rng(2).dirichlet(np.ones(300))),
             ProbabilityVector([0.4, 0.2, 0.1] + [0.3 / 97] * 97, normalize=True),
+            three_level_vector(150, nu=3),
+            ProbabilityVector([0.3] * 2 + [0.0] * 5 + [0.4 / 193] * 193, normalize=True),
         ],
-        ids=["dirichlet300", "four_levels100"],
+        ids=["dirichlet300", "four_levels100", "three_level150_nu3", "two_multibox_levels200"],
     )
-    def test_four_levels_keep_alias_draws(self, p):
+    def test_other_vectors_keep_alias_draws(self, p):
         table = AliasTable(p.weights)
         for k in (1, 64, 100):
             got = [step(p, k, replicate_rng(9, i)) for i in range(20)]

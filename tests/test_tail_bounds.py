@@ -291,8 +291,15 @@ class TestCurvatureReport:
 
     def test_points_near_the_ends_pass(self):
         # a step of 0.0002 k = 0.1 is too coarse at b = 5, 499 and 499.5
-        report = curvature_report(uniform(1000), 500, [5, 50, 499, 499.5])
+        grid = [5, 50, 499, 499.5, 499.9, 499.99, 500 - 1e-6]
+        report = curvature_report(uniform(1000), 500, grid)
         assert not report.skipped
+        assert report.all_ok
+
+    def test_points_at_the_ends_skipped(self):
+        # a step of 0.004 (k - b) drowns in the solver's rounding this close to k
+        report = curvature_report(uniform(1000), 500, [499.5, 500 - 1e-8, 500])
+        assert [b for b, _ in report.skipped] == [500 - 1e-8, 500]
         assert report.all_ok
 
     def test_unsolvable_points_skipped(self):
