@@ -233,6 +233,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be at least 1")
         if not self.n_values:
             raise ValueError("need at least one n")
+        if min(self.n_values) < 2:
+            raise ValueError("n must be at least 2")
         if isinstance(self.c2_rule, str) and self.c2_rule not in LAMBDA_RULES:
             raise ValueError(
                 f"unknown 'lambda' rule {self.c2_rule!r}; "

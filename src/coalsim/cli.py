@@ -79,11 +79,20 @@ def _field(config: dict, key: str, command: str):
         raise _CliError(f"{command} config needs {key!r}")
 
 
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _finite(value, key: str) -> float:
+    """value of field key as a float; it must be a finite, non-bool number."""
+    if _is_finite(value):
+        return float(value)
+    raise _CliError(f"{key!r} must be a finite number, got {value!r}")
+
+
 def _finite_numbers(value, key: str) -> list[float]:
     """value of field key as floats; it must be a list of finite, non-bool numbers."""
-    if isinstance(value, list) and all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
-    ):
+    if isinstance(value, list) and all(_is_finite(v) for v in value):
         return [float(v) for v in value]
     raise _CliError(f"{key!r} must be a list of finite numbers, got {value!r}")
 
@@ -210,8 +219,8 @@ def _cmd_dynamics(args) -> str:
 def _cmd_variational(args) -> str:
     config = _load_config(args.config)
     n = _whole(_field(config, "n", "variational"), "n")
-    c2 = float(_field(config, "c2", "variational"))
-    k = float(_field(config, "k", "variational"))
+    c2 = _finite(_field(config, "c2", "variational"), "c2")
+    k = _finite(_field(config, "k", "variational"), "k")
     budget = _whole(config.get("budget", 100_000), "budget")
     rng = np.random.default_rng(args.seed)
     q_best, f_best = variational.minimize_proxy_fixed_c2(n, c2, k, budget, rng)

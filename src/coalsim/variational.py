@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
 # d @ _CROSS = u x d for the turn axis u = (1, 1, 1) / sqrt(3); samples drawn at once
 _CROSS = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / math.sqrt(3.0)
 _SAMPLE_BLOCK = 4096
+_BATCH = 32  # proposals scored together per descent step
 
 
 def proxy_rows(weights: np.ndarray, k: float) -> np.ndarray:
@@ -39,26 +41,90 @@ def proxy_rows(weights: np.ndarray, k: float) -> np.ndarray:
     return np.exp(-k * np.asarray(weights, dtype=float)).sum(axis=-1)
 
 
-def _distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """m uniform ordered triples of distinct indices in [0, n), one per row: the
-    second and third draws, over n - 1 and n - 2 values, skip the taken ones."""
-    idx = rng.integers(0, (n, n - 1, n - 2), size=(m, 3))
-    a, b, c = idx.T  # views: the shifts write idx
-    b += b >= a
-    c += c >= np.minimum(a, b)
-    c += c >= np.maximum(a, b)
+def _distinct_indices(rng: np.random.Generator, n: int, m: int, r: int) -> np.ndarray:
+    """m uniform ordered r-tuples of distinct indices in [0, n), one per row: the
+    j-th draw, over n - j values, skips the taken ones in increasing order."""
+    idx = rng.integers(0, n - np.arange(r), size=(m, r))
+    below = []  # the taken indices, ascending within each row
+    for j, col in enumerate(idx.T):  # views: the shifts write idx
+        for t in below:
+            col += col >= t
+        if j < r - 1:  # insert col among the taken ones
+            for i, t in enumerate(below):
+                below[i], col = np.minimum(t, col), np.maximum(t, col)
+            below.append(col)
     return idx
 
 
-def _rotate_triples(trip: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Turn coordinate triples, one per row, by an (m, 1) column of angles about (1, 1, 1).
+def _check_search(k: float, budget: int) -> None:
+    if not (0.0 < k < math.inf and budget >= 1):  # a NaN k fails too
+        raise ValueError(f"need a finite k > 0 and budget >= 1, got k={k}, budget={budget}")
 
-    A turn keeps each triple's sum and sum of squares, so it stays on the
-    slice; triples that leave the nonnegative orthant are the caller's problem.
-    """
-    center = trip.mean(axis=1, keepdims=True)
+
+def _descend(q: np.ndarray, k: float, moves: int, propose) -> float:
+    """Best-of-batch descent of the proxy at k from q, in place; returns the proxy of q.
+    propose(m, sigma) gives m rows of indices and moved values, a negative or NaN value
+    marking an infeasible row; sigma halves when none is feasible, shrinks by 0.7 when
+    none improves, and each move is scored over its own entries."""
+    terms = np.exp(-k * q)
+    sigma = 0.5
+    while moves > 0 and sigma > 1e-10:
+        m = min(_BATCH, moves)
+        moves -= m
+        idx, moved = propose(m, sigma)
+        ok = moved.min(axis=1) >= 0.0
+        if not ok.any():
+            sigma *= 0.5
+            continue
+        delta = np.where(ok, proxy_rows(moved, k) - terms[idx].sum(axis=1), np.inf)
+        j = int(np.argmin(delta))
+        if delta[j] < -1e-15:
+            q[idx[j]] = moved[j]
+            terms = np.exp(-k * q)
+        else:
+            sigma *= 0.7
+    return float(terms.sum())
+
+
+def _turns(rng: np.random.Generator, q: np.ndarray, m: int, sigma: float):
+    """m coordinate triples of q, each turned about (1, 1, 1) by an N(0, sigma)
+    angle, which keeps the triple's sum and sum of squares."""
+    idx = _distinct_indices(rng, q.size, m, 3)
+    angles = rng.normal(0.0, sigma, size=(m, 1))
+    trip = q[idx]
+    center = trip.sum(axis=1, keepdims=True) / 3.0
     dev = trip - center
-    return center + np.cos(angles) * dev + np.sin(angles) * (dev @ _CROSS)
+    return idx, center + np.cos(angles) * dev + np.sin(angles) * (dev @ _CROSS)
+
+
+def _quartic_moves(rng: np.random.Generator, q: np.ndarray, m: int, sigma: float):
+    """m blocks of four coordinates of q, each moved keeping its first three power sums.
+
+    Those fix e1, e2 and e3 (Newton's identities), so the moved block is the root
+    set of P + delta, P(x) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4, read off companion
+    eigenvalues and assigned sorted, in the block's order; non-real rows are NaN.
+    delta is sigma N(0, 1) times P at the gap midpoints on its side: roots stay real
+    from -(P's hump in the middle gap) to its shallower dip in the outer gaps.
+    """
+    idx = _distinct_indices(rng, q.size, m, 4)
+    idx = np.take_along_axis(idx, np.argsort(q[idx], axis=1), axis=1)
+    block = q[idx]
+    coef = np.zeros((m, 5))  # P's coefficients, highest power first
+    coef[:, 0] = 1.0
+    for i in range(4):
+        coef[:, 1:] -= block[:, i : i + 1] * coef[:, :-1]
+    mids = 0.5 * (block[:, 1:] + block[:, :-1])
+    p_mid = np.prod(mids[:, :, None] - block[:, None, :], axis=2)  # <= 0, >= 0, <= 0
+    z = rng.standard_normal(m)
+    reach = np.where(z < 0.0, p_mid[:, 1], -np.maximum(p_mid[:, 0], p_mid[:, 2]))
+    coef[:, 4] += sigma * z * reach
+    companion = np.zeros((m, 4, 4))
+    companion[:, 1:, :3] = np.eye(3)
+    companion[:, :, 3] = -coef[:, :0:-1]
+    roots = np.linalg.eigvals(companion)
+    moved = np.sort(roots.real, axis=1)
+    moved[(roots.imag != 0.0).any(axis=1)] = np.nan
+    return idx, moved
 
 
 def _sample_seeds(
@@ -87,10 +153,7 @@ def minimize_proxy_fixed_c2(
     proxy's change over its three entries.  A c2 within 1e-12 relative of 1/n
     returns topheavy(n, c2), and one below raises DistributionError.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    _check_search(k, budget)
     if c2 * n <= 1.0 + 1e-12:
         u = topheavy(n, c2)
         return u, empty_boxes_proxy(u, k)
@@ -101,49 +164,11 @@ def minimize_proxy_fixed_c2(
 
     # a triple move needs three boxes; the two-box slice is two mirror points
     per_seed = (budget - n_samples) // len(seeds) if n > 2 else 0
-    batch_size = 32
     for q in seeds:
-        terms = np.exp(-k * q)
-        sigma = 0.5
-        left = per_seed
-        while left > 0 and sigma > 1e-10:
-            m = min(batch_size, left)
-            left -= m
-            idx = _distinct_triples(rng, n, m)
-            moved = _rotate_triples(q[idx], rng.normal(0.0, sigma, size=(m, 1)))
-            ok = moved.min(axis=1) >= 0.0
-            if not ok.any():
-                sigma *= 0.5
-                continue
-            delta = np.where(ok, proxy_rows(moved, k) - terms[idx].sum(axis=1), np.inf)
-            j = int(np.argmin(delta))
-            if delta[j] < -1e-15:
-                q[idx[j]] = moved[j]
-                terms = np.exp(-k * q)
-            else:
-                sigma *= 0.7
-        f = float(terms.sum())  # the full proxy of q
+        f = _descend(q, k, per_seed, partial(_turns, rng, q))
         if f < best_f:
             best_q, best_f = q, f
     return ProbabilityVector(best_q, normalize=True), best_f
-
-
-def _project_moments(y: np.ndarray, targets: tuple[float, float, float]) -> np.ndarray | None:
-    """Gauss-Newton return of a 4-point block onto its three moment targets."""
-    s, q, c = targets
-    for _ in range(40):
-        res = np.array(
-            [y.sum() - s, (y * y).sum() - q, (y**3).sum() - c]
-        )
-        if np.abs(res).max() <= 1e-14:
-            return y
-        jac = np.vstack([np.ones_like(y), 2.0 * y, 3.0 * y * y])
-        try:
-            corr = jac.T @ np.linalg.solve(jac @ jac.T, res)
-        except np.linalg.LinAlgError:
-            return None
-        y = y - corr
-    return y if np.abs(res).max() <= 1e-12 else None
 
 
 def minimize_proxy_fixed_c2_c3(
@@ -155,64 +180,26 @@ def minimize_proxy_fixed_c2_c3(
     rng: np.random.Generator,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Random walk on the fixed-(c2, c3) slice, keeping the best proxy value.
+    """Descent on the fixed-(c2, c3) slice for the smallest proxy at k.
 
-    Moves pick four coordinates; the three moment constraints leave one degree
-    of freedom, realized as a step along the tangent null direction followed
-    by a Gauss-Newton return to the slice (the cubic constraint has no closed
-    form).  Starts from a feasible point, by default the best three-level
-    vector over all shape counts.
+    Budget moves of four coordinates that keep their first three power sums
+    (see _quartic_moves), from start or else the best three-level vector over
+    all shape counts; below four boxes no move exists and the start is returned.
     """
+    _check_search(k, budget)
     if start is None:
-        best = None
+        starts = []
         for nu in range(1, n - 1):
             try:
-                v = three_level(n, c2, c3, nu)
+                starts.append(three_level(n, c2, c3, nu).weights)
             except DistributionError:
                 continue
-            f = empty_boxes_proxy(v, k)
-            if best is None or f < best[1]:
-                best = (v.weights.copy(), f)
-        if best is None:
-            raise DistributionError(
-                f"no feasible three-level start for n={n}, c2={c2}, c3={c3}"
-            )
-        q = best[0]
-    else:
-        q = np.asarray(start, dtype=float).copy()
-    best_q = q.copy()
-    best_f = float(proxy_rows(q[None, :], k)[0])
-    f = best_f
-    scale = 0.1
-    for _ in range(budget):
-        idx = rng.choice(n, size=4, replace=False)
-        block = q[idx]
-        diffs = block[:, None] - block[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        prods = diffs.prod(axis=1)
-        if np.any(np.abs(prods) < 1e-30):
-            continue  # repeated values: null direction degenerates
-        direction = 1.0 / prods
-        direction /= np.linalg.norm(direction)
-        h = rng.normal(0.0, scale)
-        targets = (block.sum(), float(block @ block), float((block**3).sum()))
-        moved = _project_moments(block + h * direction, targets)
-        if moved is None or moved.min() < 0.0:
-            scale *= 0.95
-            continue
-        cand = q.copy()
-        cand[idx] = moved
-        cf = float(proxy_rows(cand[None, :], k)[0])
-        if cf < f:
-            q, f = cand, cf
-            if cf < best_f:
-                best_q, best_f = cand.copy(), cf
-        else:
-            # hill-climb with occasional sideways drift to keep exploring
-            if rng.random() < 0.1:
-                q, f = cand, cf
-            scale = max(scale * 0.999, 1e-4)
-    return best_q, best_f
+        if not starts:
+            raise DistributionError(f"no feasible three-level start for n={n}, c2={c2}, c3={c3}")
+        start = min(starts, key=lambda w: proxy_rows(w, k))
+    q = np.array(start, dtype=float)
+    f = _descend(q, k, budget if n > 3 else 0, partial(_quartic_moves, rng, q))
+    return q, f
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,12 @@ class TestErrorPaths:
             ("simulate", {"distribution": {"family": "uniform", "n": 5},
                           "thresholds": [float("nan")]},
              "'thresholds' must be a list of finite numbers"),
+            ("variational", {"n": 30, "c2": 0.1, "k": float("nan")},
+             "'k' must be a finite number"),
+            ("variational", {"n": 30, "c2": 0.1, "k": float("inf")},
+             "'k' must be a finite number"),
+            ("variational", {"n": 30, "c2": True, "k": 30}, "'c2' must be a finite number"),
+            ("threshold", {"n_values": [1]}, "n must be at least 2"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):

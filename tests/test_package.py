@@ -1,10 +1,13 @@
-"""Package-level checks: every exported name resolves, and the README's
-distribution descriptors build."""
+"""Package-level checks: every exported name resolves, the package imports
+no scipy, and the README's distribution descriptors build."""
 
 import ast
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,21 @@ def test_module_all_resolves(name):
     module = importlib.import_module(f"coalsim.{name}")
     # a stale name here breaks `from coalsim.<module> import *`
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_no_module_imports_scipy():
+    # a child process: this one may have scipy loaded by pytest plugins
+    modules = ", ".join(["coalsim"] + [f"coalsim.{name}" for name in MODULES])
+    code = (
+        f"import sys, {modules}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(coalsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_package_reexports_are_public_names():

@@ -17,7 +17,7 @@ from coalsim.distributions import (
 from coalsim.dynamics import empty_boxes_proxy
 from coalsim.variational import (
     _SAMPLE_BLOCK,
-    _distinct_triples,
+    _distinct_indices,
     _sample_seeds,
     distinct_four_determinant,
     level_count,
@@ -27,6 +27,16 @@ from coalsim.variational import (
     proxy_ordering,
     proxy_rows,
 )
+
+
+def _best_three_level(n, c2, c3, k):
+    values = []
+    for nu in range(1, n - 1):
+        try:
+            values.append(empty_boxes_proxy(three_level(n, c2, c3, nu), k))
+        except DistributionError:
+            continue
+    return min(values)
 
 
 class TestFourPointCertificate:
@@ -146,26 +156,45 @@ class TestSearchInternals:
         assert np.array_equal(values, full_values[order])
 
     def test_triples_distinct(self):
-        for n in (3, 4, 7, 100):
-            idx = _distinct_triples(np.random.default_rng(n), n, 5000)
-            assert idx.shape == (5000, 3)
-            assert idx.min() >= 0 and idx.max() < n
-            srt = np.sort(idx, axis=1)
-            assert np.all(np.diff(srt, axis=1) > 0)
+        for r in (3, 4):
+            for n in (r, r + 1, 7, 100):
+                idx = _distinct_indices(np.random.default_rng(n), n, 5000, r)
+                assert idx.shape == (5000, r)
+                assert idx.min() >= 0 and idx.max() < n
+                srt = np.sort(idx, axis=1)
+                assert np.all(np.diff(srt, axis=1) > 0)
+        # triples are the fixed-c2 search's stream: three integers per row, shifted
+        rng = np.random.default_rng(3)
+        a, b, c = rng.integers(0, (9, 8, 7), size=(5000, 3)).T
+        b = b + (b >= a)
+        c = c + (c >= np.minimum(a, b))
+        c = c + (c >= np.maximum(a, b))
+        idx = _distinct_indices(np.random.default_rng(3), 9, 5000, 3)
+        assert np.array_equal(idx, np.column_stack((a, b, c)))
 
     def test_triples_uniform_over_ordered_triples(self):
         n, m = 5, 60_000
-        idx = _distinct_triples(np.random.default_rng(8), n, m)
-        cells = list(itertools.permutations(range(n), 3))
-        code = (idx[:, 0] * n + idx[:, 1]) * n + idx[:, 2]
-        counts = np.bincount(code, minlength=n**3)[[(a * n + b) * n + c for a, b, c in cells]]
-        assert counts.sum() == m
-        expected = m / len(cells)
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        # Wilson-Hilferty upper 1e-5 quantile of chi-square with 59 degrees of freedom
-        dof, z = len(cells) - 1, 4.265
-        limit = dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
-        assert chi2 < limit
+        # Wilson-Hilferty upper 1e-5 quantiles with 59 and 119 degrees of freedom
+        for r, seed in ((3, 8), (4, 9)):
+            idx = _distinct_indices(np.random.default_rng(seed), n, m, r)
+            cells = list(itertools.permutations(range(n), r))
+            digits = n ** np.arange(r - 1, -1, -1)  # a tuple's code in base n
+            counts = np.bincount(idx @ digits, minlength=n**r)[np.array(cells) @ digits]
+            assert counts.sum() == m
+            expected = m / len(cells)
+            chi2 = float(((counts - expected) ** 2 / expected).sum())
+            dof, z = len(cells) - 1, 4.265
+            limit = dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+            assert chi2 < limit
+
+    @pytest.mark.parametrize("k, budget", [(math.nan, 100), (math.inf, 100), (0.0, 100), (4.0, 0)])
+    def test_k_and_budget_checked_for_both_searches(self, k, budget):
+        start = np.array([0.4, 0.3, 0.2, 0.1])
+        c2, c3 = float(start @ start), float((start**3).sum())
+        with pytest.raises(ValueError, match="finite k > 0 and budget >= 1"):
+            minimize_proxy_fixed_c2(4, c2, k, budget, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite k > 0 and budget >= 1"):
+            minimize_proxy_fixed_c2_c3(4, c2, c3, k, budget, np.random.default_rng(0), start)
 
 
 class TestUniformGlobalFloor:
@@ -205,6 +234,34 @@ class TestMinimizeFixedC2C3:
         assert (w**2).sum() == pytest.approx(m.c2, abs=1e-10)
         assert (w**3).sum() == pytest.approx(m.c3, abs=1e-10)
         assert w.min() >= -1e-15
+
+    def test_walker_leaves_a_grouped_start(self):
+        # every four-block of this start holds a repeated value
+        start = np.array([0.4, 0.2, 0.2, 0.1, 0.1])
+        c2, c3 = float(start @ start), float((start**3).sum())
+        best = _best_three_level(5, c2, c3, 4.0)
+        assert best == pytest.approx(2.4402827881, rel=1e-10)
+        rng = np.random.default_rng(12)
+        _, f = minimize_proxy_fixed_c2_c3(5, c2, c3, 4.0, 20_000, rng, start)
+        assert abs(f - best) <= 1e-9 * best
+        assert f >= best * (1.0 - 1e-12)
+
+    def test_three_boxes_return_the_start(self):
+        start = np.array([0.5, 0.3, 0.2])
+        c2, c3 = float(start @ start), float((start**3).sum())
+        q, f = minimize_proxy_fixed_c2_c3(3, c2, c3, 4.0, 1000, np.random.default_rng(0), start)
+        assert np.array_equal(q, start)
+        assert f == float(np.exp(-4.0 * start).sum())
+
+    def test_walker_descends_from_fifty_distinct_values(self):
+        rng = np.random.default_rng(13)
+        start = rng.dirichlet(np.full(50, 2.0))
+        c2, c3 = float(start @ start), float((start**3).sum())
+        best = _best_three_level(50, c2, c3, 50.0)
+        w, f = minimize_proxy_fixed_c2_c3(50, c2, c3, 50.0, 100_000, rng, start)
+        assert abs(f - best) <= 1e-4 * best
+        assert abs(w @ w - c2) <= 1e-12 * c2
+        assert abs((w**3).sum() - c3) <= 1e-12 * c3
 
 
 class TestProxyOrdering:
