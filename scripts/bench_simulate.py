@@ -102,14 +102,16 @@ def _median_tree(samples: list):
     return statistics.median(samples)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(child=_child, doc: str = __doc__, script: str = __file__) -> None:
+    """With --child SRC, print child(SRC) as JSON; otherwise run each labelled
+    tree's child `script` in turn, --pairs times, and print every label's medians."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("trees", nargs="*", help="label=path/to/src")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        print(json.dumps(_child(args.child)))
+        print(json.dumps(child(args.child)))
         return
     trees = dict(t.split("=", 1) for t in args.trees)
     runs: dict[str, list] = {label: [] for label in trees}
@@ -117,11 +119,11 @@ def main() -> None:
         # alternate which label goes first
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         for label in order:
-            child = [sys.executable, __file__, "--child", trees[label]]
-            result = subprocess.run(child, check=True, capture_output=True, text=True)
+            argv = [sys.executable, script, "--child", trees[label]]
+            result = subprocess.run(argv, check=True, capture_output=True, text=True)
             runs[label].append(json.loads(result.stdout))
     report = {
-        "command": "python3 scripts/bench_simulate.py " + " ".join(sys.argv[1:]),
+        "command": f"python3 scripts/{os.path.basename(script)} " + " ".join(sys.argv[1:]),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

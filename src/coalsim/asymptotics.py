@@ -135,6 +135,8 @@ def threshold_experiment(
     rule = LAMBDA_RULES[lam] if isinstance(lam, str) else lam
     rows = []
     for i, n in enumerate(ns):
+        if n < 2:
+            raise ValueError("n must be at least 2")
         lam_n = rule(n)
         c2 = lam_n / math.log(n) ** 2
         if not 0.0 < c2 <= 1.0:

@@ -243,33 +243,28 @@ def sample_fixed_c2_batch(
     if c2 <= lo * (1.0 + 1e-12):
         return np.full((size, n), lo)
 
-    e = rng.standard_exponential((size, n))
-    q0 = e / e.sum(axis=1, keepdims=True)
-    c0 = np.einsum("ij,ij->i", q0, q0)
-    out = np.empty_like(q0)
-
+    q = rng.standard_exponential((size, n))
+    q /= q.sum(axis=1, keepdims=True)
+    c0 = np.einsum("ij,ij->i", q, q)
     down = c0 > c2
-    if np.any(down):
-        # blend weight toward uniform: sum of squares is linear in (1-s)^2
-        w = (c2 - lo) / (c0[down] - lo)
-        s = 1.0 - np.sqrt(np.clip(w, 0.0, 1.0))
-        out[down] = (1.0 - s)[:, None] * q0[down] + (s / n)[:, None]
-    up = ~down
-    if np.any(up):
-        rows = q0[up]
-        jmax = np.argmax(rows, axis=1)
-        qm = rows[np.arange(rows.shape[0]), jmax]
-        # (1-s)^2 c0 + 2 s (1-s) qm + s^2 = c2, upward parabola with one root in (0,1)
-        a = 1.0 - 2.0 * qm + c0[up]
-        b = 2.0 * (qm - c0[up])
-        c = c0[up] - c2
-        disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-        s = np.where(a > 1e-300, (-b + disc) / (2.0 * a), -c / np.where(b == 0, 1.0, b))
-        s = np.clip(s, 0.0, 1.0)
-        blended = (1.0 - s)[:, None] * rows
-        blended[np.arange(rows.shape[0]), jmax] += s
-        out[up] = blended
-    return out
+    up = np.flatnonzero(~down)
+    s = np.empty(size)  # each row's blend weight
+    # toward uniform: sum of squares is linear in (1-s)^2
+    s[down] = 1.0 - np.sqrt(np.clip((c2 - lo) / (c0[down] - lo), 0.0, 1.0))
+    jmax = q.argmax(axis=1)[up]
+    qm, cu = q[up, jmax], c0[up]
+    # toward the point mass at jmax: (1-s)^2 c0 + 2 s (1-s) qm + s^2 = c2,
+    # an upward parabola with one root in (0,1)
+    a = 1.0 - 2.0 * qm + cu
+    b = 2.0 * (qm - cu)
+    c = cu - c2
+    disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    s_up = np.where(a > 1e-300, (-b + disc) / (2.0 * a), -c / np.where(b == 0, 1.0, b))
+    s[up] = np.clip(s_up, 0.0, 1.0)
+    q *= (1.0 - s)[:, None]
+    q += np.where(down, s / n, 0.0)[:, None]
+    q[up, jmax] += s[up]
+    return q
 
 
 def sample_fixed_c2(n: int, c2: float, rng: np.random.Generator) -> ProbabilityVector:

@@ -30,15 +30,16 @@ __all__ = [
     "level_count",
 ]
 
-# d @ _CROSS = u x d for the turn axis u = (1, 1, 1) / sqrt(3); samples drawn at once
+# d @ _CROSS = u x d for the turn axis u = (1, 1, 1) / sqrt(3)
 _CROSS = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / math.sqrt(3.0)
-_SAMPLE_BLOCK = 4096
+_SAMPLE_BLOCK = 1 << 16  # entries (rows x n) per block of slice samples: 512 KB stays in L2
 _BATCH = 32  # proposals scored together per descent step
 
 
 def proxy_rows(weights: np.ndarray, k: float) -> np.ndarray:
     """Row-wise decline proxy sum(exp(-k w)) for a matrix of weight vectors."""
-    return np.exp(-k * np.asarray(weights, dtype=float)).sum(axis=-1)
+    terms = np.multiply(-k, weights, dtype=float)
+    return np.exp(terms, out=terms).sum(axis=-1)
 
 
 def _distinct_indices(rng: np.random.Generator, n: int, m: int, r: int) -> np.ndarray:
@@ -61,44 +62,47 @@ def _check_search(k: float, budget: int) -> None:
         raise ValueError(f"need a finite k > 0 and budget >= 1, got k={k}, budget={budget}")
 
 
-def _descend(q: np.ndarray, k: float, moves: int, propose) -> float:
-    """Best-of-batch descent of the proxy at k from q, in place; returns the proxy of q.
-    propose(m, sigma) gives m rows of indices and moved values, a negative or NaN value
-    marking an infeasible row; sigma halves when none is feasible, shrinks by 0.7 when
-    none improves, and each move is scored over its own entries."""
+def _descend(q: np.ndarray, k: float, moves: int, propose) -> np.ndarray:
+    """Best-of-batch descent of the proxy at k from each row of the stack q, in lockstep
+    and in place; returns each row's proxy.  propose(m, sigma) gives, per row, m rows of
+    indices and moved values, a negative or NaN value marking an infeasible move.  A
+    row's sigma halves when none of its moves is feasible and shrinks by 0.7 when none
+    improves; rows with sigma above 1e-10 are live, and each applies its best move,
+    scored over the move's own entries."""
     terms = np.exp(-k * q)
-    sigma = 0.5
-    while moves > 0 and sigma > 1e-10:
+    sigma = np.full(len(q), 0.5)
+    rows = np.arange(len(q))
+    while moves > 0 and (live := sigma > 1e-10).any():
         m = min(_BATCH, moves)
         moves -= m
         idx, moved = propose(m, sigma)
-        ok = moved.min(axis=1) >= 0.0
-        if not ok.any():
-            sigma *= 0.5
-            continue
-        delta = np.where(ok, proxy_rows(moved, k) - terms[idx].sum(axis=1), np.inf)
-        j = int(np.argmin(delta))
-        if delta[j] < -1e-15:
-            q[idx[j]] = moved[j]
-            terms = np.exp(-k * q)
-        else:
-            sigma *= 0.7
-    return float(terms.sum())
+        ok = moved.min(axis=2) >= 0.0
+        old = terms[rows[:, None, None], idx].sum(axis=2)
+        delta = np.where(ok, proxy_rows(moved, k) - old, np.inf)
+        j = np.argmin(delta, axis=1)
+        step = live & (delta[rows, j] < -1e-15)
+        sigma *= np.where(step, 1.0, np.where(ok.any(axis=1), 0.7, 0.5))
+        r, j = rows[step], j[step]
+        q[r[:, None], idx[r, j]] = moved[r, j]
+        terms[r] = np.exp(-k * q[r])
+    return terms.sum(axis=1)
 
 
-def _turns(rng: np.random.Generator, q: np.ndarray, m: int, sigma: float):
-    """m coordinate triples of q, each turned about (1, 1, 1) by an N(0, sigma)
-    angle, which keeps the triple's sum and sum of squares."""
-    idx = _distinct_indices(rng, q.size, m, 3)
-    angles = rng.normal(0.0, sigma, size=(m, 1))
-    trip = q[idx]
-    center = trip.sum(axis=1, keepdims=True) / 3.0
+def _turns(rng: np.random.Generator, q: np.ndarray, m: int, sigma: np.ndarray):
+    """m coordinate triples of each row of q, each turned about (1, 1, 1) by an
+    N(0, sigma) angle, which keeps the triple's sum and sum of squares."""
+    s, n = q.shape
+    idx = _distinct_indices(rng, n, s * m, 3).reshape(s, m, 3)
+    angles = rng.standard_normal((s, m, 1)) * sigma[:, None, None]
+    trip = q[np.arange(s)[:, None, None], idx]
+    center = trip.sum(axis=2, keepdims=True) / 3.0
     dev = trip - center
     return idx, center + np.cos(angles) * dev + np.sin(angles) * (dev @ _CROSS)
 
 
-def _quartic_moves(rng: np.random.Generator, q: np.ndarray, m: int, sigma: float):
-    """m blocks of four coordinates of q, each moved keeping its first three power sums.
+def _quartic_moves(rng: np.random.Generator, q: np.ndarray, m: int, sigma: np.ndarray):
+    """m blocks of four coordinates of the one row of q, each moved keeping its first
+    three power sums.
 
     Those fix e1, e2 and e3 (Newton's identities), so the moved block is the root
     set of P + delta, P(x) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4, read off companion
@@ -106,9 +110,10 @@ def _quartic_moves(rng: np.random.Generator, q: np.ndarray, m: int, sigma: float
     delta is sigma N(0, 1) times P at the gap midpoints on its side: roots stay real
     from -(P's hump in the middle gap) to its shallower dip in the outer gaps.
     """
-    idx = _distinct_indices(rng, q.size, m, 4)
-    idx = np.take_along_axis(idx, np.argsort(q[idx], axis=1), axis=1)
-    block = q[idx]
+    (row,) = q
+    idx = _distinct_indices(rng, row.size, m, 4)
+    idx = np.take_along_axis(idx, np.argsort(row[idx], axis=1), axis=1)
+    block = row[idx]
     coef = np.zeros((m, 5))  # P's coefficients, highest power first
     coef[:, 0] = 1.0
     for i in range(4):
@@ -124,19 +129,22 @@ def _quartic_moves(rng: np.random.Generator, q: np.ndarray, m: int, sigma: float
     roots = np.linalg.eigvals(companion)
     moved = np.sort(roots.real, axis=1)
     moved[(roots.imag != 0.0).any(axis=1)] = np.nan
-    return idx, moved
+    return idx[None], moved[None]
 
 
 def _sample_seeds(
     n: int, c2: float, k: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The 8 lowest-proxy rows of `size` slice samples, lowest first, and
-    their proxies.  Drawn in blocks, in O(block * n) memory, the rows are those
-    of one sample_fixed_c2_batch call of `size` rows."""
+    their proxies.  Drawn in blocks of about _SAMPLE_BLOCK entries, the rows are
+    those of one sample_fixed_c2_batch call of `size` rows."""
     best, values = np.empty((0, n)), np.empty(0)
-    for start in range(0, size, _SAMPLE_BLOCK):
-        block = sample_fixed_c2_batch(n, c2, rng, min(_SAMPLE_BLOCK, size - start))
-        best, values = np.vstack((best, block)), np.append(values, proxy_rows(block, k))
+    rows = max(1, _SAMPLE_BLOCK // n)
+    for start in range(0, size, rows):
+        block = sample_fixed_c2_batch(n, c2, rng, min(rows, size - start))
+        block_values = proxy_rows(block, k)
+        top = np.argsort(block_values, kind="stable")[:8]  # ties keep draw order
+        best, values = np.vstack((best, block[top])), np.append(values, block_values[top])
         keep = np.argsort(values, kind="stable")[:8]
         best, values = best[keep], values[keep]
     return best, values
@@ -147,10 +155,10 @@ def minimize_proxy_fixed_c2(
 ) -> tuple[ProbabilityVector, float]:
     """Search the fixed-c2 slice for the smallest decline proxy at k.
 
-    Random restarts drawn on the slice, refined by three-coordinate circle
-    moves that preserve the sum and sum of squares exactly.  The budget counts
-    proxy evaluations across sampling and refinement; a move is scored by the
-    proxy's change over its three entries.  A c2 within 1e-12 relative of 1/n
+    Random restarts drawn on the slice, the best 8 refined together by
+    three-coordinate circle moves that preserve the sum and sum of squares
+    exactly.  The budget counts proxy evaluations across sampling and
+    refinement; a move is scored by the proxy's change over its three entries.  A c2 within 1e-12 relative of 1/n
     returns topheavy(n, c2), and one below raises DistributionError.
     """
     _check_search(k, budget)
@@ -164,10 +172,10 @@ def minimize_proxy_fixed_c2(
 
     # a triple move needs three boxes; the two-box slice is two mirror points
     per_seed = (budget - n_samples) // len(seeds) if n > 2 else 0
-    for q in seeds:
-        f = _descend(q, k, per_seed, partial(_turns, rng, q))
-        if f < best_f:
-            best_q, best_f = q, f
+    f = _descend(seeds, k, per_seed, partial(_turns, rng, seeds))
+    j = int(np.argmin(f))  # the first seed of the lowest proxy, if below the best sample
+    if f[j] < best_f:
+        best_q, best_f = seeds[j], float(f[j])
     return ProbabilityVector(best_q, normalize=True), best_f
 
 
@@ -197,9 +205,9 @@ def minimize_proxy_fixed_c2_c3(
         if not starts:
             raise DistributionError(f"no feasible three-level start for n={n}, c2={c2}, c3={c3}")
         start = min(starts, key=lambda w: proxy_rows(w, k))
-    q = np.array(start, dtype=float)
-    f = _descend(q, k, budget if n > 3 else 0, partial(_quartic_moves, rng, q))
-    return q, f
+    q = np.array(start, dtype=float, ndmin=2)
+    (f,) = _descend(q, k, budget if n > 3 else 0, partial(_quartic_moves, rng, q))
+    return q[0], float(f)
 
 
 @dataclass(frozen=True)
@@ -228,8 +236,8 @@ def proxy_ordering(
     p: ProbabilityVector, k: float, nu_values: range | None = None
 ) -> OrderingReport:
     """Compare the proxy of p with its moment-matched extremal vectors at k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0.0 < k < math.inf:  # a NaN k fails too
+        raise ValueError(f"need a finite k > 0, got k={k}")
     m = p.moments()
     n = p.n
     f_three: dict[int, float] = {}

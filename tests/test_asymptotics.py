@@ -93,6 +93,11 @@ class TestThresholdExperiment:
         with pytest.raises(ValueError):
             threshold_experiment([2], "ln", 10, seed=0)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_n_below_two_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            threshold_experiment([n], "ln", 5, seed=0)
+
 
 class TestEarlyPhaseExperiment:
     def test_moderate_size(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from coalsim.distributions import (
 from coalsim.dynamics import empty_boxes_proxy
 from coalsim.variational import (
     _SAMPLE_BLOCK,
+    _descend,
     _distinct_indices,
     _sample_seeds,
+    _turns,
     distinct_four_determinant,
     level_count,
     middle_pair_excess,
@@ -27,6 +30,37 @@ from coalsim.variational import (
     proxy_ordering,
     proxy_rows,
 )
+
+
+def _mask_copy_fixed_c2_batch(n, c2, rng, size):
+    """sample_fixed_c2_batch written with row copies through the branch masks."""
+    lo = 1.0 / n
+    if c2 <= lo * (1.0 + 1e-12):
+        return np.full((size, n), lo)
+    e = rng.standard_exponential((size, n))
+    q0 = e / e.sum(axis=1, keepdims=True)
+    c0 = np.einsum("ij,ij->i", q0, q0)
+    out = np.empty_like(q0)
+    down = c0 > c2
+    if np.any(down):
+        w = (c2 - lo) / (c0[down] - lo)
+        s = 1.0 - np.sqrt(np.clip(w, 0.0, 1.0))
+        out[down] = (1.0 - s)[:, None] * q0[down] + (s / n)[:, None]
+    up = ~down
+    if np.any(up):
+        rows = q0[up]
+        jmax = np.argmax(rows, axis=1)
+        qm = rows[np.arange(rows.shape[0]), jmax]
+        a = 1.0 - 2.0 * qm + c0[up]
+        b = 2.0 * (qm - c0[up])
+        c = c0[up] - c2
+        disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        s = np.where(a > 1e-300, (-b + disc) / (2.0 * a), -c / np.where(b == 0, 1.0, b))
+        s = np.clip(s, 0.0, 1.0)
+        blended = (1.0 - s)[:, None] * rows
+        blended[np.arange(rows.shape[0]), jmax] += s
+        out[up] = blended
+    return out
 
 
 def _best_three_level(n, c2, c3, k):
@@ -154,6 +188,49 @@ class TestSearchInternals:
         order = np.argsort(full_values, kind="stable")[:8]
         assert np.array_equal(rows, full[order])
         assert np.array_equal(values, full_values[order])
+
+    def test_sampler_matches_mask_copy_reference(self):
+        blends = set()  # which way the rows were slid, over all cases
+        for n, c2 in ((2, 0.6), (5, 0.35), (50, 0.05), (200, 0.006), (7, 1.0 / 7.0)):
+            got = sample_fixed_c2_batch(n, c2, np.random.default_rng(23), 3000)
+            want = _mask_copy_fixed_c2_batch(n, c2, np.random.default_rng(23), 3000)
+            assert np.array_equal(got, want)
+            e = np.random.default_rng(23).standard_exponential((3000, n))
+            c0 = ((e / e.sum(axis=1, keepdims=True)) ** 2).sum(axis=1)
+            blends.update(np.where(c0 > c2, "uniform", "point mass"))
+        assert blends == {"uniform", "point mass"}
+
+    def test_lockstep_rows_keep_their_slices(self):
+        n, k = 30, 30.0
+        rng = np.random.default_rng(24)
+        start = rng.dirichlet(np.ones(n), size=8)
+        q = start.copy()
+        f = _descend(q, k, 4000, partial(_turns, rng, q))
+        assert f.shape == (8,)
+        assert np.all(np.abs(f - proxy_rows(q, k)) <= 1e-12 * f)
+        assert np.abs(q.sum(axis=1) - start.sum(axis=1)).max() <= 1e-12
+        assert np.abs((q * q).sum(axis=1) - (start * start).sum(axis=1)).max() <= 1e-12
+        assert np.all(f <= proxy_rows(start, k))
+
+    def test_optimum_row_stays_while_the_others_descend(self):
+        n, k = 30, 30.0
+        rng = np.random.default_rng(25)
+        start = np.vstack((topheavy(n, 0.1).weights, rng.dirichlet(np.ones(n), size=7)))
+        q = start.copy()
+        sigmas = []
+
+        def propose(m, sigma):
+            sigmas.append(sigma.copy())
+            return _turns(rng, q, m, sigma)
+
+        f = _descend(q, k, 200 * 32, propose)
+        assert np.array_equal(q[0], start[0])
+        assert np.all(f[1:] < proxy_rows(start[1:], k))
+        # the optimum's own step falls to the floor; the others stay live to the end
+        sigmas = np.array(sigmas)
+        assert len(sigmas) == 200
+        assert sigmas[100, 0] <= 1e-10
+        assert sigmas[-1, 1:].min() > 1e-10
 
     def test_triples_distinct(self):
         for r in (3, 4):
@@ -284,6 +361,11 @@ class TestProxyOrdering:
         rep = proxy_ordering(th, 4.0)
         assert rep.f_value == pytest.approx(rep.f_topheavy, abs=1e-10)
         assert rep.ordered
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0])
+    def test_k_must_be_finite_and_positive(self, k):
+        with pytest.raises(ValueError, match="finite k > 0"):
+            proxy_ordering(uniform(5), k)
 
     def test_infeasible_shapes_reported_not_fatal(self):
         th = topheavy(6, 0.3)
