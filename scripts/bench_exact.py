@@ -1,0 +1,97 @@
+"""Exact expected times and kernel output of ``coalsim.exact_chain``, as written
+to BENCH_exact.json.
+
+Run from the repository root, naming each source tree to measure::
+
+    python3 scripts/bench_exact.py --pairs 3 parent=/path/to/parent/src change=src
+
+Each labelled tree is imported in its own child process.  The children run in
+turn, label after label, ``--pairs`` times, so slow spells of a shared machine
+hit every label alike; the JSON on standard output holds each label's median
+over its runs, with the core count and the Python and numpy versions (the
+runner is ``scripts/bench_simulate.py``'s ``main``).
+
+- ``expected_time_s``: one ``expected_coalescence_times`` of a vector, whose
+  rows are streamed, for uniform and topheavy (c2 = 1/ln n) vectors at
+  n = 1e3, 1e4, 3e4 and 1e5.  A size is "not run" when the quadratic
+  extrapolation of the family's previous size, t * (n / n_prev)^2, exceeds
+  the cap of ``CAP_S`` seconds; ``expected_time`` holds E[T] from n balls and
+  ``dropped`` the mass the banded pass left out, where rows carry it;
+- ``kernel_csv_entries_per_s``: ``write_kernel_csv`` of a built kernel at
+  n = 200, n (n + 1) / 2 entries, best of 5;
+- ``row_pass_s``: all rows of a new ``TriangularKernel`` for the grouped
+  vectors of perfbench's ``exact`` workload (uniform n = 200, topheavy n = 160
+  at c2 = 0.05, three-level n = 120 with three heavy boxes), best of 20.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import sys
+import tempfile
+from time import perf_counter
+
+from bench_simulate import main  # the labelled-tree runner the bench scripts share
+
+SIZES = (1000, 10_000, 30_000, 100_000)
+CAP_S = 30.0
+
+
+def _vectors(cs, n: int) -> dict:
+    return {"uniform": cs.uniform(n), "topheavy": cs.topheavy(n, 1.0 / math.log(n))}
+
+
+def _best(fn, repeats: int) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        t0 = perf_counter()
+        fn()
+        best = min(best, perf_counter() - t0)
+    return best
+
+
+def _child(src: str) -> dict:
+    sys.path.insert(0, src)
+    import coalsim as cs
+    from coalsim import exact_chain
+
+    out: dict = {"expected_time_s": {}, "expected_time": {}, "dropped": {},
+                 "kernel_csv_entries_per_s": {}, "row_pass_s": {}}
+    cs.expected_coalescence_times(cs.uniform(50))  # warm-up
+    last: dict = {}
+    for n in SIZES:
+        for family, p in _vectors(cs, n).items():
+            key = f"{family}_n{n}"
+            prev = last.get(family)
+            if prev is not None and prev[1] * (n / prev[0]) ** 2 > CAP_S:
+                out["expected_time_s"][key] = f"not run: over the {CAP_S:g} s cap"
+                continue
+            t0 = perf_counter()
+            e = cs.expected_coalescence_times(p)
+            secs = perf_counter() - t0
+            last[family] = (n, secs)
+            out["expected_time_s"][key] = secs
+            out["expected_time"][key] = float(e[n])
+            if hasattr(cs.TransitionRow, "dropped"):  # rows that carry their dropped mass
+                out["dropped"][key] = cs.transition_row(p, n).dropped
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kernel.csv")
+        for family, p in _vectors(cs, 200).items():
+            kernel = cs.TriangularKernel(p)
+            kernel.row(p.n)
+            secs = _best(lambda: exact_chain.write_kernel_csv(kernel, path), 5)
+            out["kernel_csv_entries_per_s"][f"{family}_n200"] = 200 * 201 / 2 / secs
+    heavy = [0.08 / 3] * 3 + [0.02]
+    jobs = {
+        "uniform_n200": cs.uniform(200),
+        "topheavy_n160": cs.topheavy(160, 0.05),
+        "three_level_n120": cs.ProbabilityVector(heavy + [(1.0 - sum(heavy)) / 116] * 116),
+    }
+    for key, p in jobs.items():
+        out["row_pass_s"][key] = _best(lambda: cs.TriangularKernel(p).row(p.n), 20)
+    return out
+
+
+if __name__ == "__main__":
+    main(_child, __doc__, __file__)

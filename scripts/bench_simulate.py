@@ -99,6 +99,8 @@ def _child(src: str) -> dict:
 def _median_tree(samples: list):
     if isinstance(samples[0], dict):
         return {k: _median_tree([s[k] for s in samples]) for k in samples[0]}
+    if isinstance(samples[0], str):  # a note such as "not run", the same in every run
+        return samples[0]
     return statistics.median(samples)
 
 

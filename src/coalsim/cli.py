@@ -48,10 +48,20 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write each row as one %-format, whose fields follow _fmt: %.17g for a
+    float and %s for everything else.  The format is built again only when a
+    row's types differ from the row before it."""
+    kinds = None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            types = list(map(type, row))
+            if types != kinds:
+                kinds = types
+                fields = ("%.17g" if issubclass(t, float) else "%s" for t in kinds)
+                line = ",".join(fields) + "\n"
+            fh.write(line % row)
 
 
 def _write_json(path: Path, payload: dict) -> None:

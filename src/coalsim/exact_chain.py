@@ -27,10 +27,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransitionRow:
-    """Next-state distribution from k balls; probs[b] = P(next count = b)."""
+    """Next-state distribution from k balls; probs[b] = P(next count = b).
+
+    probs is zero outside probs[lo:hi] (hi None: to the end).  dropped is the
+    mass the banded pass has left out up to this row, which bounds how far the
+    row falls short of the exact one in total.
+    """
 
     k: int
     probs: np.ndarray  # length k+1, index 0 unused (always 0)
+    lo: int = 0
+    hi: int | None = None
+    dropped: float = 0.0
 
     @property
     def mean(self) -> float:
@@ -48,6 +56,9 @@ class TransitionRow:
 # O(n * k^3) for all rows up to k.  S <= n^2 keeps the recurrence the cheaper
 # route; the cap bounds its arrays to a few megabytes.
 _MAX_STATES = 1 << 20
+# Slices of the joint state lighter than this are dropped at the ends of its
+# window; at n = 1e5 the dropped mass stays near 1e-15.
+_TRIM = 1e-20
 
 
 def _occupancy_groups(p: ProbabilityVector) -> list[tuple[float, int]] | None:
@@ -58,39 +69,95 @@ def _occupancy_groups(p: ProbabilityVector) -> list[tuple[float, int]] | None:
     return groups if states <= min(p.n * p.n, _MAX_STATES) else None
 
 
-def _occupancy_rows(groups: list[tuple[float, int]], k_max: int):
-    """Yield rows 1..k_max, throwing one ball at a time.
+def _occupancy_bands(groups: list[tuple[float, int]], k_max: int):
+    """Yield (lo, band, dropped) for rows 1..k_max, throwing one ball at a time.
 
     The state is the joint law of the occupied-box counts (l_g) of the weight
-    groups (w_g, m_g), one array axis per group.  A ball lands in an occupied
-    box of group g with chance l_g*w_g and opens a new one with chance
-    (m_g - l_g)*w_g.  Row k is the law after k balls, summed over the states
-    with sum(l_g) = b.  Every term is a sum of nonnegative products, so there
-    is no cancellation and no scaling.
+    groups (w_g, m_g).  A ball lands in an occupied box of group g with chance
+    l_g*w_g and opens a new one with chance (m_g - l_g)*w_g.  Row k is the law
+    after k balls, summed over the states with sum(l_g) = b.  Every term is a
+    sum of nonnegative products, so there is no cancellation and no scaling.
+
+    The array holds state[s, b]: s indexes the counts of every group but the
+    largest (the side groups, C order) and b = sum(l_g), so a row is the sum
+    over s.  b is kept on a window, which grows by one count with each ball.
+    After each ball the leading side states and the leading and trailing counts
+    lighter than _TRIM are dropped and their mass is added to dropped: finite
+    state projection, where the kept mass never exceeds the exact one and falls
+    short of it by dropped in total.  Leading side states and counts never come
+    back, and a dropped top count is fed again from the one below it.
     """
     caps = [min(m, k_max) for _, m in groups]
-    dims = len(caps)
-    axes = np.ix_(*(np.arange(c + 1) for c in caps))
-    stay = sum(l * w for l, (w, _) in zip(axes, groups))
-    opens = [
-        ((m - np.arange(c)) * w).reshape([c if a == g else 1 for a in range(dims)])
-        for g, ((w, m), c) in enumerate(zip(groups, caps))
-    ]
-    lower = [(slice(None),) * g + (slice(None, -1),) for g in range(dims)]
-    upper = [(slice(None),) * g + (slice(1, None),) for g in range(dims)]
-    occupied = sum(axes).ravel()
-    state = np.zeros(stay.shape)
-    state[(0,) * dims] = 1.0
-    for k in range(1, k_max + 1):
-        nxt = state * stay
-        for g, rate in enumerate(opens):
-            nxt[upper[g]] += state[lower[g]] * rate
-        state = nxt
-        if k == 1:
-            yield TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
+    main = caps.index(max(caps))
+    sizes = [c + 1 for g, c in enumerate(caps) if g != main]
+    states = math.prod(sizes)
+    side = np.indices(sizes).reshape(len(sizes), states)
+    counts = side.sum(axis=0)
+    top = min(k_max, sum(caps))  # the largest count
+    # l_g of every state: a side group's by s, the largest group's by (s, b)
+    mains = np.clip(np.arange(top + 1) - counts[:, None], 0, caps[main])
+    levels = [*side[:main], mains, *side[main:]]
+    stay = sum(l.reshape(states, -1) * w for l, (w, _) in zip(levels, groups))
+    shifts = []  # (side states down, rate): a ball opens a box of group g
+    for g, ((w, m), l, c) in enumerate(zip(groups, levels, caps)):
+        if g == main:
+            shifts.append((0, (m - l) * w))
         else:
-            probs = np.bincount(occupied, weights=state.ravel(), minlength=k + 1)
-            yield TransitionRow(k, probs[: k + 1])
+            stride = math.prod(sizes[g - (g > main) + 1 :])  # of side axis g - (g > main)
+            shifts.append((stride, np.where(l < c, (m - l) * w, 0.0)[:, None]))
+    # The leading side state has no inflow, as every side group's count only
+    # grows, so its mass shrinks by the factor kept[s] with each ball; it is
+    # summed only when that bound, lead, falls below _TRIM.
+    kept = 1.0 - sum((rate[:, 0] for down, rate in shifts if down), np.zeros(states))
+
+    def window(first: int):
+        """stay and the shifts over side states first..; one state is 1-D."""
+        pick = first if first == states - 1 else slice(first, None)
+        moves = [
+            (0, rate[pick]) if down == 0 else (down, rate[first : states - down])
+            for down, rate in shifts
+            if down < states - first
+        ]
+        return stay[pick], moves
+
+    first_s = first_b = 0
+    stay_s, shifts_s = window(0)
+    state = np.zeros(stay_s.shape[:-1] + (1,))
+    state.flat[0] = 1.0
+    dropped, lead = 0.0, 1.0
+    for k in range(1, k_max + 1):
+        width = state.shape[-1]
+        moves = min(width, top - first_b)  # counts with one above them in the window
+        nxt = np.zeros(state.shape[:-1] + (moves + 1,))
+        np.multiply(state, stay_s[..., first_b : first_b + width], out=nxt[..., :width])
+        for down, rate in shifts_s:
+            if down == 0:
+                nxt[..., 1:] += state[..., :moves] * rate[..., first_b : first_b + moves]
+            else:
+                nxt[down:, 1:] += state[:-down, :moves] * rate
+        lead *= kept[first_s]
+        while lead < _TRIM and first_s < states - 1:
+            lead = float(np.add.reduce(nxt[0]))
+            if lead >= _TRIM:
+                break
+            dropped += lead
+            first_s += 1
+            nxt = nxt[1:] if first_s < states - 1 else nxt[1]
+            stay_s, shifts_s = window(first_s)
+            lead = float(np.add.reduce(nxt[0])) if nxt.ndim == 2 else 1.0
+        band = nxt if nxt.ndim == 1 else np.add.reduce(nxt)
+        lo, hi = 0, band.size
+        while lo < hi - 1 and band[lo] < _TRIM:
+            dropped += float(band[lo])
+            lo += 1
+        while hi > lo + 1 and band[hi - 1] < _TRIM:
+            hi -= 1
+            dropped += float(band[hi])
+        state, first_b = nxt[..., lo:hi], first_b + lo
+        if k == 1:
+            yield 1, np.array([1.0]), dropped  # absorbing, exactly
+        else:
+            yield first_b, band[lo:hi], dropped
 
 
 def _box_rows(weights, k_max: int):
@@ -119,21 +186,37 @@ def _box_rows(weights, k_max: int):
         for j in range(1, size):
             keep[:, j, : j + 1] = news * keep[:, j - 1, : j + 1]
             keep[:, j, 1 : j + 1] += olds * keep[:, j - 1, :j]
-        for box in keep:
-            nxt = law * np.diag(box)[:, None]
-            nxt[:, 1:] += np.tril(box, -1) @ law[:, :-1]
+        diagonal = np.arange(size)
+        stays = keep[:, diagonal, diagonal]
+        keep[:, diagonal, diagonal] = 0.0  # keep is now strictly lower triangular
+        for box, stay in zip(keep, stays):
+            nxt = law * stay[:, None]
+            nxt[:, 1:] += box @ law[:, :-1]
             law = nxt
     yield TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
     for k in range(2, size):
         yield TransitionRow(k, law[k, : k + 1].copy())
 
 
-def _rows(p: ProbabilityVector, k_max: int):
-    """Rows 1..k_max of p by its one route, which follows from p.grouped()."""
+def _bands(p: ProbabilityVector, k_max: int):
+    """(lo, band, dropped) of rows 1..k_max of p by its one route, which
+    follows from p.grouped(); box rows are whole, at lo = 0."""
     groups = _occupancy_groups(p)
     if groups is None:
-        return _box_rows(p.weights, k_max)
-    return _occupancy_rows(groups, k_max)
+        return ((0, row.probs, 0.0) for row in _box_rows(p.weights, k_max))
+    return _occupancy_bands(groups, k_max)
+
+
+def _row(k: int, lo: int, band: np.ndarray, dropped: float) -> TransitionRow:
+    probs = np.zeros(k + 1)
+    probs[lo : lo + band.size] = band
+    return TransitionRow(k, probs, lo, lo + band.size, dropped)
+
+
+def _rows(p: ProbabilityVector, k_max: int):
+    """Rows 1..k_max of p, dense, by its one route."""
+    for k, band in enumerate(_bands(p, k_max), start=1):
+        yield _row(k, *band)
 
 
 def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
@@ -141,17 +224,19 @@ def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
 
     This is the classical occupancy law of k balls landing independently by
     p.  Vectors with few distinct weights (uniform, topheavy, three_level and
-    small explicit vectors) run the ball-by-ball occupancy recurrence up to k,
-    in O(k * S) for S joint occupied-count states.  Vectors whose S is too
-    large, such as explicit vectors with all-distinct weights, take the
-    box-by-box pass, O(n * k^3).
+    small explicit vectors) run the ball-by-ball occupancy recurrence up to k
+    over S joint occupied-count states, dropping the states lighter than 1e-20
+    at the ends of its window; the row is zero outside probs[lo:hi] and its
+    dropped field bounds the mass left out.  Vectors whose S is too large,
+    such as explicit vectors with all-distinct weights, take the box-by-box
+    pass, O(n * k^3), which drops nothing.
     """
     n = p.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, n={n}]")
-    for row in _rows(p, k):
+    for band in _bands(p, k):
         pass
-    return row
+    return _row(k, *band)
 
 
 def uniform_row_exact(n: int, k: int) -> TransitionRow:
@@ -233,23 +318,26 @@ def _back_substitute(source: TriangularKernel | ProbabilityVector, reward: np.nd
     """First-step analysis down the chain, reading rows in increasing count.
 
     e[m] = (reward[m] + sum_{j<m} P(m->j) e[j]) / leave(m), e[1] = 0, per reward
-    column.  leave(m) = sum_{j<m} P(m->j) is summed off the row, since 1 - P(stay)
-    loses it to rounding.  A kernel serves its cached rows; a vector streams
-    _rows(p, n) and holds none, in O(n) memory; the rows are the same, bit for bit.
+    column, summed over the row's band below m only.  leave(m) = sum_{j<m}
+    P(m->j) is summed off the row, since 1 - P(stay) loses it to rounding.  A
+    kernel serves its cached rows; a vector streams the bands of _bands(p, n)
+    and holds none, in O(n) memory, and costs O(n * w) for bands of width w;
+    the bands are the same, bit for bit.
     """
     if isinstance(source, TriangularKernel):
         rows = map(source.row, range(1, source.n + 1))
+        bands = ((row.lo, row.probs[row.lo : row.hi]) for row in rows)
     else:
-        rows = _rows(source, source.n)
-    next(rows)  # row 1 is absorbing: e[1] = 0
+        bands = ((lo, band) for lo, band, _ in _bands(source, source.n))
+    next(bands)  # row 1 is absorbing: e[1] = 0
     e = np.zeros(reward.shape)
-    for row in rows:
-        m = row.k
-        down = row.probs[1:m]
+    for m, (lo, band) in enumerate(bands, start=2):
+        start, stop = max(lo, 1), min(lo + band.size, m)
+        down = band[start - lo : stop - lo]
         leave = float(down.sum())
         if not leave > 0.0:
             raise ArithmeticError(f"no way down from state {m}; kernel corrupted")
-        e[m] = (reward[m] + down @ e[1:m]) / leave
+        e[m] = (reward[m] + down @ e[start:stop]) / leave
     return e
 
 
@@ -326,10 +414,15 @@ def phase_decomposition(
 
 
 def write_kernel_csv(kernel: TriangularKernel, path) -> None:
-    """Dump all rows as k,b,prob lines for external validation."""
+    """Dump all rows as k,b,prob lines for external validation.
+
+    Each row is one %-format: the lines of row k are "k" joined onto the
+    ",b,%.17g" tails, so entries outside a row's band are written as 0.
+    """
+    tails = [f",{b},%.17g\n" for b in range(kernel.n + 1)]
     with open(path, "w", newline="") as fh:
         fh.write("k,b,prob\n")
         for k in range(1, kernel.n + 1):
-            probs = kernel.row(k).probs
-            for b in range(1, k + 1):
-                fh.write(f"{k},{b},{probs[b]:.17g}\n")
+            head = str(k)
+            line = head + head.join(tails[1 : k + 1])
+            fh.write(line % tuple(kernel.row(k).probs[1:].tolist()))

@@ -118,19 +118,24 @@ _jump_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _jump_rows(p: ProbabilityVector) -> list:
-    """Entry k of 2..min(n, 63): (log(1 - leave), cumulative jump law) at k.
+    """Entry k of 2..min(n, 63): (log(1 - leave), first count, cumulative jump
+    law from that count) at k.
 
-    leave is summed off row k below k; 1 - P(stay) would lose it to rounding.
+    leave is summed off row k's band below k; 1 - P(stay) would lose it to
+    rounding.  Counts below the band have chance 0, so the law starts there.
     """
     rows = _jump_cache.get(p)
     if rows is None:
         rows = [None, None]
-        for row in list(exact_chain._rows(p, min(p.n, _VECTOR_MIN - 1)))[1:]:
-            down = row.probs[1 : row.k]
+        bands = exact_chain._bands(p, min(p.n, _VECTOR_MIN - 1))
+        next(bands)  # row 1 is absorbing
+        for k, (lo, band, _) in enumerate(bands, start=2):
+            first = max(lo, 1)
+            down = band[first - lo : k - lo]
             leave = float(down.sum())
             rate = math.log1p(-leave) if leave < 1.0 else -math.inf
             cum = np.cumsum(down)
-            rows.append((rate, (cum / cum[-1]).tolist()))
+            rows.append((rate, first, (cum / cum[-1]).tolist()))
         _jump_cache[p] = rows
     return rows
 
@@ -167,9 +172,9 @@ def _jumps(p: ProbabilityVector, b: int, rng: np.random.Generator):
     rows = _jump_rows(p)
     uniforms = iter(rng.random(2 * (b - 1)).tolist())  # two per jump at most
     while b > 1:
-        rate, cum = rows[b]
+        rate, first, cum = rows[b]
         t += 1 + int(math.log1p(-next(uniforms)) / rate)
-        b = bisect.bisect_right(cum, next(uniforms)) + 1
+        b = bisect.bisect_right(cum, next(uniforms)) + first
         yield t, b
 
 

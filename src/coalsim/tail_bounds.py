@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 _RTOL = 1e-12  # a solve stands when |z h_z| <= _RTOL max(b, 1) and |r h_r| <= _RTOL k
-_LOG_RANGE = 350.0  # past this |ln z| or |ln r|, _tilt_system's z^2 or r^2 leave the floats
+_LOG_RANGE = 350.0  # past this |ln z| or |ln r|, b/z^2 or k/r^2 in _tilt_system may overflow
 _FD_STEP = 2e-4  # curvature_report's difference step, as a fraction of k ...
 _FD_END = 4e-3  # ... and at most this fraction of the distance to b = 0 or b = k
 # Points closer than this fraction of k to b = 0 or b = k are skipped: there
@@ -100,8 +100,8 @@ def _tilt_system(w: np.ndarray, k: int, z: float, r: float, b: float):
     den2 = den * den
     h_z = -b / z + float((one_minus_u / den).sum())
     h_r = -k / r + z * n * float((w / den).sum())
-    h_zz = b / (z * z) - float((one_minus_u * one_minus_u / den2).sum())
-    h_rr = k / (r * r) + z * (1.0 - z) * n * n * float((w * w * u / den2).sum())
+    h_zz = (b / z) / z - float((one_minus_u * one_minus_u / den2).sum())
+    h_rr = (k / r) / r + z * (1.0 - z) * n * n * float((w * w * u / den2).sum())
     h_rz = n * float((w * u / den2).sum())
     return h_z, h_r, h_zz, h_rr, h_rz
 

@@ -499,3 +499,21 @@ class TestDefaultOutputBase:
         assert main(["moments", "--config", str(cfg), "--quiet"]) == 0
         assert cfg.read_text() == before
         assert json.loads((tmp_path / "exp.out.json").read_text())["n"] == 4
+
+
+class TestWriteCsv:
+    def test_bytes_match_per_value_fmt(self, tmp_path):
+        # one %-format per row gives the bytes of formatting each value by _fmt
+        rows = [
+            [1, 2, -3, np.int64(4)],
+            [0.1, 1e-300, -0.0, 2.0 / 3.0, np.float64(1e300), float("inf"), float("nan")],
+            [True, False, np.bool_(True)],
+            [7, 0.25, True, "text", np.float32(0.1), None, np.float64(5e-324)],
+            [],
+            (3, 1.5),
+            [3, 1.5],
+        ]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, ["a", "b"], iter(rows))
+        want = "a,b\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from coalsim.exact_chain import (
     uniform_row_exact,
     write_kernel_csv,
 )
+from coalsim import exact_chain
 from coalsim.exact_chain import _box_rows, _occupancy_groups
 
 # 99.9% quantiles of the chi-square distribution by degrees of freedom
@@ -561,3 +563,198 @@ class TestKernelCsv:
         k, b, prob = lines[1].split(",")
         assert (k, b) == ("1", "1")
         assert float(prob) == 1.0
+
+    def test_rows_written_as_formatted_entries(self, tmp_path):
+        # the bytes of one f-string per entry, on both routes
+        rng = np.random.default_rng(40)
+        for p in (topheavy(30, 0.1), three_level_shape(25, 0.1, 0.03, 2), random_vector(rng, 12)):
+            kernel = TriangularKernel(p)
+            path = tmp_path / "kernel.csv"
+            write_kernel_csv(kernel, path)
+            want = ["k,b,prob\n"]
+            for k in range(1, p.n + 1):
+                probs = kernel.row(k).probs
+                want += [f"{k},{b},{probs[b]:.17g}\n" for b in range(1, k + 1)]
+            assert path.read_bytes() == "".join(want).encode()
+
+    def test_entries_outside_the_band_are_zero(self, tmp_path):
+        n = 200
+        kernel = TriangularKernel(uniform(n))
+        path = tmp_path / "kernel.csv"
+        write_kernel_csv(kernel, path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == n * (n + 1) // 2
+        zeros = sum(line.endswith(",0") for line in lines)
+        # more than half of the entries lie outside their row's band
+        assert zeros > len(lines) // 2
+        for line in lines:
+            k, b, prob = line.split(",")
+            row = kernel.row(int(k))
+            assert (prob == "0") == (not row.lo <= int(b) < row.hi) or float(prob) == 0.0
+
+
+def rational_expected_times(n):
+    """Uniform E[T] from every start m in exact rationals: from m balls the
+    count falls to b with chance (n)_b S(m, b) / n^m."""
+    falling = [math.perm(n, b) for b in range(n + 1)]
+    stirling = [1]  # S(m, b) for b = 0..m
+    exact = [Fraction(0), Fraction(0)]
+    for m in range(1, n + 1):
+        prev = stirling + [0]
+        stirling = [0] + [b * prev[b] + prev[b - 1] for b in range(1, m + 1)]
+        if m >= 2:
+            down = sum(falling[b] * stirling[b] * exact[b] for b in range(2, m))
+            exact.append(Fraction(n**m + down, n**m - falling[m]))
+    return exact
+
+
+def box_expected_times(p):
+    """E[T] by first-step analysis over the rows of the box pass, which drops
+    no mass."""
+    e = np.zeros(p.n + 1)
+    for row in _box_rows(p.weights, p.n):
+        m = row.k
+        if m >= 2:
+            down = row.probs[1:m]
+            e[m] = (1.0 + down @ e[1:m]) / down.sum()
+    return e
+
+
+def box_rows_reference(weights, k_max):
+    """Rows of the box pass with np.diag and np.tril taken per box."""
+    size = k_max + 1
+    w = weights[weights > 0.0]
+    total = np.cumsum(w)
+    old, new = np.concatenate(([0.0], total[:-1])) / total, w / total
+    law = np.zeros((size, size))
+    law[0, 0] = 1.0
+    block = max(1, (1 << 16) // (size * size))
+    for first in range(0, w.size, block):
+        olds, news = old[first : first + block, None], new[first : first + block, None]
+        keep = np.zeros((olds.size, size, size))
+        keep[:, 0, 0] = 1.0
+        for j in range(1, size):
+            keep[:, j, : j + 1] = news * keep[:, j - 1, : j + 1]
+            keep[:, j, 1 : j + 1] += olds * keep[:, j - 1, :j]
+        for box in keep:
+            nxt = law * np.diag(box)[:, None]
+            nxt[:, 1:] += np.tril(box, -1) @ law[:, :-1]
+            law = nxt
+    return [np.array([0.0, 1.0])] + [law[k, : k + 1].copy() for k in range(2, size)]
+
+
+class TestBandedPass:
+    """The occupancy pass keeps each row on a window and reports the mass it
+    drops (finite state projection); the box pass keeps whole rows."""
+
+    def test_rational_oracle_at_150(self):
+        n = 150
+        exact = rational_expected_times(n)
+        got = expected_coalescence_times(uniform(n))
+        worst = max(abs(got[m] - float(exact[m])) / float(exact[m]) for m in range(2, n + 1))
+        assert worst <= 1e-14
+
+    def test_rows_carry_their_band_and_dropped_mass(self):
+        for p in (uniform(600), topheavy(600, 1.0 / math.log(600)), three_level_shape(400, 0.05, 0.02, 3)):
+            kernel = TriangularKernel(p)
+            dropped = 0.0
+            for k in range(1, p.n + 1):
+                row = kernel.row(k)
+                assert not row.probs[: row.lo].any() and not row.probs[row.hi :].any()
+                assert dropped <= row.dropped <= 1e-12
+                assert abs(row.probs.sum() + row.dropped - 1.0) <= 1e-12 * k
+                dropped = row.dropped
+            lone = transition_row(p, p.n)
+            assert (lone.lo, lone.hi, lone.dropped) == (row.lo, row.hi, row.dropped)
+
+    def test_top_row_sits_in_a_narrow_window(self):
+        n = 5000
+        for p in (uniform(n), topheavy(n, 1.0 / math.log(n))):
+            row = transition_row(p, n)
+            assert row.hi - row.lo < n // 8
+            assert 0.0 < row.dropped <= 1e-12
+
+    def test_box_rows_are_whole(self):
+        p = random_vector(np.random.default_rng(41), 10)
+        for row in _box_rows(p.weights, p.n):
+            assert (row.lo, row.hi, row.dropped) == (0, None, 0.0)
+        assert transition_row(p, 10).dropped == 0.0
+
+    def test_box_rows_match_per_box_reference(self):
+        # diagonals taken once per block give the rows of np.diag / np.tril per box
+        rng = np.random.default_rng(42)
+        cases = [
+            (random_vector(rng, 40).weights, 40),
+            (random_vector(rng, 200).weights, 200),  # boxes span two blocks
+            (random_vector(rng, 2000).weights, 63),
+            (ProbabilityVector([0.5, 0.0, 0.3, 0.2]).weights, 4),
+        ]
+        for weights, k_max in cases:
+            got = [row.probs for row in _box_rows(weights, k_max)]
+            want = box_rows_reference(weights, k_max)
+            assert len(got) == len(want) == k_max
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["uniform", "topheavy", "three_level"]),
+        n=st.integers(min_value=2, max_value=200),
+        spread=st.floats(min_value=0.0, max_value=0.95),
+        nu=st.integers(min_value=1, max_value=3),
+        trim=st.sampled_from([None, 1e-9, 1e-6]),
+    )
+    def test_within_dropped_bound_of_box_pass(self, family, n, spread, nu, trim):
+        if family == "uniform":
+            p = uniform(n)
+        elif family == "topheavy":
+            p = topheavy(n, 1.0 / n + spread * (1.0 - 1.0 / n))
+        else:
+            n, nu = max(n, 4), min(nu, max(n, 4) - 2)
+            heavy = (1.0 + spread * (n - 1)) / n / (nu + 1)
+            p = three_level_shape(n, heavy, 0.5 * heavy, nu)
+        assert _occupancy_groups(p) is not None
+        with mock.patch.object(exact_chain, "_TRIM", trim or exact_chain._TRIM):
+            got = expected_coalescence_times(p)
+            top = transition_row(p, p.n)
+        dropped = top.dropped
+        assert abs(top.probs.sum() + dropped - 1.0) <= 1e-13  # every drop is counted
+        want = box_expected_times(p)
+        if trim is None:
+            assert dropped <= 1e-12
+        # rows short of the exact ones by at most dropped in total move every
+        # expected time by at most 2 dropped E~[T] E[T]; the rest is rounding
+        # between the two routes
+        bound = 2.0 * dropped * got[p.n] * want[p.n] + 1e-12 * want
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.slow
+    def test_hundred_thousand_in_seconds(self):
+        script = """if True:
+            import json, math, time
+            from coalsim import expected_coalescence_times, topheavy, transition_row, uniform
+            n = 100_000
+            out = []
+            for p in (uniform(n), topheavy(n, 1.0 / math.log(n))):
+                t0 = time.perf_counter()
+                e = expected_coalescence_times(p)[n]
+                secs = time.perf_counter() - t0
+                out.append([e, secs, transition_row(p, n).dropped])
+            # the peak of this process's own memory: ru_maxrss would also count
+            # the test runner's pages, which the child shares until it execs
+            with open("/proc/self/status") as fh:
+                peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            print(json.dumps([out, peak]))
+        """
+        src = str(Path(coalsim.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        (flat, heavy), peak = json.loads(child.stdout)
+        assert flat[0] / 100_000 == pytest.approx(1.99994, abs=1e-5)
+        assert heavy[0] * (1.0 / math.log(100_000)) > 3.6  # still climbing past n = 1e4
+        for _, secs, dropped in (flat, heavy):
+            assert secs < 5.0
+            assert dropped <= 1e-12
+        assert peak < 60 * 1024  # VmHWM is in KiB

@@ -385,3 +385,15 @@ class TestMarginGrowthTrend:
             k_star = early_threshold(mo.c2, n, eps)
             ratios.append(envelope_margin(p, k_star) / math.log(n) ** (1 + eps))
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+
+class TestTiltSystemRange:
+    def test_finite_at_tiny_z(self):
+        # z * z underflows to 0 below z ~ 2e-162; b / z / z does not, and at
+        # b = 1e-100 its value 1e300 is representable
+        w = uniform(10).weights
+        h = _tilt_system(w, 5, 1e-200, 0.5, 1e-100)
+        assert all(math.isfinite(x) for x in h)
+        assert h[2] == pytest.approx(1e300, rel=1e-12)
+        # where the true b / z^2 overflows, the entry is +inf, not an exception
+        assert _tilt_system(w, 5, 1e-200, 0.5, 1.0)[2] == math.inf
