@@ -21,7 +21,12 @@ runner is ``scripts/bench_simulate.py``'s ``main``).
   n = 200, n (n + 1) / 2 entries, best of 5;
 - ``row_pass_s``: all rows of a new ``TriangularKernel`` for the grouped
   vectors of perfbench's ``exact`` workload (uniform n = 200, topheavy n = 160
-  at c2 = 0.05, three-level n = 120 with three heavy boxes), best of 20.
+  at c2 = 0.05, three-level n = 120 with three heavy boxes), best of 20, and
+  for a Dirichlet(1) vector at n = 200, whose all-distinct weights take the
+  box pass, best of 5;
+- ``jump_rows_s``: ``transition_row(p, 63)`` of a Dirichlet(1) vector at
+  n = 2000 and 1e4, which builds rows 1..63 by the box pass: the rows the
+  Monte Carlo jump chain reads.  Best of 5.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import sys
 import tempfile
 from time import perf_counter
 
+import numpy as np
 from bench_simulate import main  # the labelled-tree runner the bench scripts share
 
 SIZES = (1000, 10_000, 30_000, 100_000)
@@ -40,6 +46,10 @@ CAP_S = 30.0
 
 def _vectors(cs, n: int) -> dict:
     return {"uniform": cs.uniform(n), "topheavy": cs.topheavy(n, 1.0 / math.log(n))}
+
+
+def _dirichlet(cs, n: int):
+    return cs.ProbabilityVector(np.random.default_rng(n).dirichlet(np.ones(n)))
 
 
 def _best(fn, repeats: int) -> float:
@@ -57,7 +67,7 @@ def _child(src: str) -> dict:
     from coalsim import exact_chain
 
     out: dict = {"expected_time_s": {}, "expected_time": {}, "dropped": {},
-                 "kernel_csv_entries_per_s": {}, "row_pass_s": {}}
+                 "kernel_csv_entries_per_s": {}, "row_pass_s": {}, "jump_rows_s": {}}
     cs.expected_coalescence_times(cs.uniform(50))  # warm-up
     last: dict = {}
     for n in SIZES:
@@ -90,6 +100,11 @@ def _child(src: str) -> dict:
     }
     for key, p in jobs.items():
         out["row_pass_s"][key] = _best(lambda: cs.TriangularKernel(p).row(p.n), 20)
+    p = _dirichlet(cs, 200)
+    out["row_pass_s"]["dirichlet_n200"] = _best(lambda: cs.TriangularKernel(p).row(p.n), 5)
+    for n in (2000, 10_000):
+        p = _dirichlet(cs, n)
+        out["jump_rows_s"][f"dirichlet_n{n}"] = _best(lambda: cs.transition_row(p, 63), 5)
     return out
 
 

@@ -23,7 +23,9 @@ Every rate is taken with the per-vector caches warm:
   jump-chain steps;
 - ``setup_s``: one one-replicate run of a new vector, which builds what the
   vector's rounds and jump chain reuse; a throwaway run of another vector
-  first keeps the process's one-time warm-up out of the first entry.
+  first keeps the process's one-time warm-up out of the first entry.  Besides
+  the vectors above, Dirichlet(1) vectors at n = 1e3 and 1e4, whose jump rows
+  come from the box pass.
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ def _child(src: str) -> dict:
         out["setup_s"][key] = _timed(lambda: simulate.runs(cs.SimConfig(p=p, master_seed=1)))
         config = cs.SimConfig(p=p, replicates=reps, master_seed=2)
         out["replicates_per_s"][key] = reps / _timed(lambda: simulate.runs(config))
+    for n in (1000, 10_000):
+        p = _vector(cs, "dirichlet", n)
+        config = cs.SimConfig(p=p, master_seed=1)
+        out["setup_s"][f"dirichlet_n{n}"] = _timed(lambda: simulate.runs(config))
     for family in ROUND_FAMILIES:
         for n in (1000, 10_000):
             p = _vector(cs, family, n)

@@ -15,6 +15,8 @@ from . import asymptotics, exact_chain, simulate, tail_bounds, variational
 from .distributions import (
     DistributionError,
     SolverError,
+    _finite,
+    _finite_numbers,
     _whole,
     from_descriptor,
     topheavy,
@@ -75,11 +77,14 @@ def _load_config(path: str | None) -> dict:
         raise _CliError("--config is required for this subcommand")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise _CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"malformed config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise _CliError(f"config must be a JSON object: {path}")
+    return config
 
 
 def _field(config: dict, key: str, command: str):
@@ -87,24 +92,6 @@ def _field(config: dict, key: str, command: str):
         return config[key]
     except KeyError:
         raise _CliError(f"{command} config needs {key!r}")
-
-
-def _is_finite(value) -> bool:
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _finite(value, key: str) -> float:
-    """value of field key as a float; it must be a finite, non-bool number."""
-    if _is_finite(value):
-        return float(value)
-    raise _CliError(f"{key!r} must be a finite number, got {value!r}")
-
-
-def _finite_numbers(value, key: str) -> list[float]:
-    """value of field key as floats; it must be a list of finite, non-bool numbers."""
-    if isinstance(value, list) and all(_is_finite(v) for v in value):
-        return [float(v) for v in value]
-    raise _CliError(f"{key!r} must be a list of finite numbers, got {value!r}")
 
 
 def _distribution(config: dict):
@@ -316,15 +303,9 @@ def _cmd_threshold(args) -> str:
     cfg = asymptotics.ExperimentConfig.from_dict("threshold", config, args.seed)
     if args.replicates is not None:  # validated like the config's count
         cfg = replace(cfg, replicates=args.replicates)
-    rule = cfg.c2_rule
-    if isinstance(rule, float):
-        rows = asymptotics.threshold_experiment(
-            cfg.n_values, lambda n: rule * math.log(n) ** 2, cfg.replicates, cfg.seed
-        )
-    else:
-        rows = asymptotics.threshold_experiment(
-            cfg.n_values, rule, cfg.replicates, cfg.seed
-        )
+    c2 = cfg.c2_rule  # a lambda rule's name, or a fixed rate: lambda(n) = c2 ln^2 n
+    rule = c2 if isinstance(c2, str) else lambda n: c2 * math.log(n) ** 2
+    rows = asymptotics.threshold_experiment(cfg.n_values, rule, cfg.replicates, cfg.seed)
     out_csv, out_json = _outputs(args, ".csv", ".json")
     _write_csv(
         out_csv,

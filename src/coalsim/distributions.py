@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -285,11 +286,34 @@ def _whole(value, key: str) -> int:
     raise DistributionError(f"{key!r} must be a whole number, got {value!r}")
 
 
+def _is_finite(value) -> bool:
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _finite(value, key: str) -> float:
+    """value of field key as a float; it must be a finite, non-bool number."""
+    if _is_finite(value):
+        return float(value)
+    raise DistributionError(f"{key!r} must be a finite number, got {value!r}")
+
+
+def _finite_numbers(value, key: str) -> list[float]:
+    """value of field key as floats; it must be a list of finite, non-bool numbers."""
+    if isinstance(value, list) and all(_is_finite(v) for v in value):
+        return [float(v) for v in value]
+    raise DistributionError(f"{key!r} must be a list of finite numbers, got {value!r}")
+
+
 def from_descriptor(desc: dict) -> ProbabilityVector:
     """Build a vector from a JSON-style descriptor.
 
     Schema: {"family": "uniform"|"topheavy"|"three_level"|"explicit",
-    "n": ..., "c2": ..., "c3": ..., "nu": ..., "weights": [...]}.
+    "n": ..., "c2": ..., "c3": ..., "nu": ..., "weights": [...],
+    "normalize": true|false}.
     """
     try:
         family = desc["family"]
@@ -298,14 +322,15 @@ def from_descriptor(desc: dict) -> ProbabilityVector:
     if family == "uniform":
         return uniform(_whole(desc["n"], "n"))
     if family == "topheavy":
-        return topheavy(_whole(desc["n"], "n"), float(desc["c2"]))
+        return topheavy(_whole(desc["n"], "n"), _finite(desc["c2"], "c2"))
     if family == "three_level":
         return three_level(
-            _whole(desc["n"], "n"), float(desc["c2"]), float(desc["c3"]),
+            _whole(desc["n"], "n"), _finite(desc["c2"], "c2"), _finite(desc["c3"], "c3"),
             _whole(desc["nu"], "nu"),
         )
     if family == "explicit":
-        return ProbabilityVector(
-            desc["weights"], normalize=bool(desc.get("normalize", False))
-        )
+        normalize = desc.get("normalize", False)
+        if not isinstance(normalize, bool):
+            raise DistributionError(f"'normalize' must be true or false, got {normalize!r}")
+        return ProbabilityVector(_finite_numbers(desc["weights"], "weights"), normalize=normalize)
     raise DistributionError(f"unknown distribution family {family!r}")

@@ -161,41 +161,37 @@ def _occupancy_bands(groups: list[tuple[float, int]], k_max: int):
 
 
 def _box_rows(weights, k_max: int):
-    """Yield rows 1..k_max, adding one box at a time.
+    """Yield rows 1..k_max from the product of the boxes' occupancy factors.
 
-    law[j, b] is the chance that j balls, thrown by the normalized weights of
-    the boxes added so far, occupy b of them.  A box of weight w joining boxes
-    of total weight W keeps j - i of the j balls with chance
-    Binomial(j, W/(W+w)) at i, so law'[j, b] = keep[j, j] law[j, b] +
-    sum_{i<j} keep[j, i] law[i, b-1]: one (k+1)x(k+1) matmul per box.  The
-    binomial tables come from the Pascal recurrence, run for a block of boxes
-    at once; blocks of about 2^16 floats keep it off the peak memory.  Every
-    term is a nonnegative product, so there is no cancellation and no scaling.
+    With p = w/W, sum_b P(b boxes hit by j balls) y^b = j! [t^j] prod_boxes
+    (1 + y(e^{p t} - 1)) (Feller Vol. I; Flajolet & Sedgewick ch. VIII).
+    law[b, j] holds [y^b t^j] of the product times lam^j, so a box adds
+    law[b-1] @ U to law[b], with U[i, j] = (lam p)^{j-i}/(j-i)! for j > i: one
+    matmul per box of nonnegative terms, without cancellation.  The U of a
+    block of about 2^16 floats come from one cumprod and one gather.  Column
+    j's mass is lam^j/j!: lam = (k_max+1)/e keeps it within
+    [~1/sqrt(k), e^lam], and lam = 700 from k_max = 1902 on keeps e^lam
+    finite and column k_max's mass above 1e-46 up to k_max = 2000, the
+    largest taken.
     """
     size = k_max + 1
-    w = weights[weights > 0.0]
-    total = np.cumsum(w)
-    old, new = np.concatenate(([0.0], total[:-1])) / total, w / total
+    if k_max > 2000:
+        raise ValueError(f"the box pass builds rows up to k = 2000, not {k_max}")
+    lam = min(size / math.e, 700.0)
+    x = lam / weights.sum() * weights[weights > 0.0]
     law = np.zeros((size, size))
     law[0, 0] = 1.0
+    gap = np.arange(size) - np.arange(size)[:, None] + k_max  # gap[i, j] = k_max + j - i
     block = max(1, (1 << 16) // (size * size))
-    for first in range(0, w.size, block):
-        olds, news = old[first : first + block, None], new[first : first + block, None]
-        keep = np.zeros((olds.size, size, size))  # keep[box, j, i]: i of j balls old
-        keep[:, 0, 0] = 1.0
-        for j in range(1, size):
-            keep[:, j, : j + 1] = news * keep[:, j - 1, : j + 1]
-            keep[:, j, 1 : j + 1] += olds * keep[:, j - 1, :j]
-        diagonal = np.arange(size)
-        stays = keep[:, diagonal, diagonal]
-        keep[:, diagonal, diagonal] = 0.0  # keep is now strictly lower triangular
-        for box, stay in zip(keep, stays):
-            nxt = law * stay[:, None]
-            nxt[:, 1:] += box @ law[:, :-1]
-            law = nxt
+    for xs in np.split(x[:, None], range(block, x.size, block)):
+        powers = np.zeros((xs.size, 2 * size - 1))  # powers[:, k_max + a] = xs^a/a!, a >= 1
+        powers[:, size:] = np.cumprod(xs / np.arange(1, size), axis=1)
+        for box in powers[:, gap]:  # box[i, j] = (lam p)^{j-i}/(j-i)!, 0 unless j > i
+            law[1:] += law[:-1] @ box
+    law *= np.cumprod(np.r_[1.0, np.arange(1, size) / lam])  # times j!/lam^j
     yield TransitionRow(1, np.array([0.0, 1.0]))  # absorbing, exactly
     for k in range(2, size):
-        yield TransitionRow(k, law[k, : k + 1].copy())
+        yield TransitionRow(k, law[: k + 1, k].copy())
 
 
 def _bands(p: ProbabilityVector, k_max: int):
@@ -222,14 +218,12 @@ def _rows(p: ProbabilityVector, k_max: int):
 def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
     """Exact distribution of the occupied-box count after throwing k balls.
 
-    This is the classical occupancy law of k balls landing independently by
-    p.  Vectors with few distinct weights (uniform, topheavy, three_level and
-    small explicit vectors) run the ball-by-ball occupancy recurrence up to k
-    over S joint occupied-count states, dropping the states lighter than 1e-20
-    at the ends of its window; the row is zero outside probs[lo:hi] and its
-    dropped field bounds the mass left out.  Vectors whose S is too large,
-    such as explicit vectors with all-distinct weights, take the box-by-box
-    pass, O(n * k^3), which drops nothing.
+    Vectors with few distinct weights (uniform, topheavy, three_level, small
+    explicit ones) run the ball-by-ball occupancy recurrence over S joint
+    occupied-count states, dropping states lighter than 1e-20 at the ends of
+    its window: the row is zero outside probs[lo:hi] and dropped bounds the
+    mass left out.  Others, such as all-distinct weights, multiply the boxes'
+    occupancy generating functions, O(n * k^3), and drop nothing.
     """
     n = p.n
     if not 1 <= k <= n:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coalsim
 from coalsim import cli
@@ -423,6 +428,115 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "two.json", {"n_values": [20], "lambda": 2})
         assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "two")]) == 1
         assert "collision rate 2.0 out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            # a string is not false: these weights would pass only if normalized
+            ({"family": "explicit", "weights": [2, 2], "normalize": "false"},
+             "'normalize' must be true or false"),
+            ({"family": "explicit", "weights": [2, 2], "normalize": 1},
+             "'normalize' must be true or false"),
+            ({"family": "topheavy", "n": 4, "c2": True}, "'c2' must be a finite number"),
+            ({"family": "topheavy", "n": 4, "c2": "0.3"}, "'c2' must be a finite number"),
+            ({"family": "three_level", "n": 8, "c2": 0.2, "c3": "0.05", "nu": 2},
+             "'c3' must be a finite number"),
+            ({"family": "explicit", "weights": ["0.5", "0.5"]},
+             "'weights' must be a list of finite numbers"),
+            ({"family": "explicit", "weights": [True, False]},
+             "'weights' must be a list of finite numbers"),
+            ({"family": "explicit", "weights": "0.5,0.5"},
+             "'weights' must be a list of finite numbers"),
+        ],
+    )
+    def test_descriptor_field_types(self, tmp_path, capsys, descriptor, message):
+        cfg = write_config(tmp_path, "d.json", {"distribution": descriptor})
+        assert main(["exact", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_weights_must_sum_to_one_unless_normalized(self, tmp_path):
+        for flag, code in ((None, 1), (False, 1), (True, 0)):
+            desc = {"family": "explicit", "weights": [2, 2]}
+            if flag is not None:
+                desc["normalize"] = flag
+            cfg = write_config(tmp_path, "w.json", {"distribution": desc})
+            assert main(["moments", "--config", str(cfg), "--quiet"]) == code
+
+    @pytest.mark.parametrize("payload", [[1, 2], "uniform", 3, None])
+    def test_config_must_be_an_object(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, "list.json", payload)
+        assert main(["exact", "--config", str(cfg)]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def _malformed_configs():
+    """Configs whose descriptor has at least one bad field, or that hold no
+    descriptor at all."""
+    junk = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4),
+        st.sampled_from([-3, -1, 0, 1, 0.5, -0.25, 2.5, 1e300, float("nan"), float("inf")]),
+        st.lists(st.integers(-2, 2), max_size=3), st.just({"n": 4}),
+    )
+    valid = {
+        "uniform": {"family": "uniform", "n": 4},
+        "topheavy": {"family": "topheavy", "n": 4, "c2": 0.4},
+        "three_level": {"family": "three_level", "n": 8, "c2": 0.2, "c3": 0.05, "nu": 2},
+        "explicit": {"family": "explicit", "weights": [0.5, 0.25, 0.25], "normalize": False},
+    }
+    # replacements that no field of the valid descriptors accepts
+    bad = {
+        "family": st.one_of(junk, st.just("zipf")),
+        "n": st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                       st.sampled_from([-3, 0, 1, 2.5, float("nan"), float("inf"), [4]])),
+        "c2": st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                        st.sampled_from([-0.5, 0.0, 0.1, 1.5, 1e300, float("nan"), [0.4]])),
+        "c3": st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                        st.sampled_from([-0.5, 0.0, 0.9, 1e300, float("nan"), [0.05]])),
+        "nu": st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                        st.sampled_from([-1, 0, 7, 8, 1.5, float("inf")])),
+        "weights": st.one_of(
+            st.none(), st.booleans(), st.text(max_size=4), st.just([]), st.just([1.0]),
+            st.just([0.0, 0.0]), st.just([2.0, 2.0]), st.just([[0.5], [0.5]]),
+            st.lists(st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                               st.sampled_from([-0.5, float("nan"), float("inf")])),
+                     min_size=1, max_size=3).map(lambda ws: [0.5, 0.5] + ws),
+        ),
+        "normalize": st.one_of(st.none(), st.text(max_size=5), st.integers(-1, 2),
+                               st.lists(st.booleans(), max_size=2)),
+    }
+
+    fields = [(family, key) for family in sorted(valid) for key in sorted(valid[family])]
+
+    @st.composite
+    def configs(draw):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            return draw(junk)  # not an object
+        if kind == 1:
+            return {"distribution": draw(junk), "replicates": 10}  # not a descriptor
+        family, key = draw(st.sampled_from(fields))
+        desc = dict(valid[family])
+        if draw(st.booleans()):
+            del desc[key]
+            if key == "normalize":  # optional: drop a required field instead
+                del desc["weights"]
+        else:
+            desc[key] = draw(bad[key])
+        return {"distribution": desc, "replicates": 10}
+
+    return configs()
+
+
+class TestMalformedDescriptors:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(config=_malformed_configs(), command=st.sampled_from(["exact", "simulate"]))
+    def test_exit_code_not_exception(self, config, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), "m.json", config)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--quiet"])
+        assert code in (1, 2)
 
 
 class TestThroughLibrary:
