@@ -95,10 +95,12 @@ def _field(config: dict, key: str, command: str):
 
 
 def _distribution(config: dict):
+    if "distribution" not in config:
+        raise _CliError("config needs a 'distribution' descriptor")
     try:
         return from_descriptor(config["distribution"])
-    except KeyError:
-        raise _CliError("config needs a 'distribution' descriptor")
+    except KeyError as exc:  # a field the descriptor's family requires
+        raise _CliError(f"distribution descriptor needs {exc.args[0]!r}")
 
 
 def _outputs(args, *exts: str) -> list[Path]:
@@ -125,17 +127,18 @@ def _cmd_moments(args) -> str:
 def _cmd_exact(args) -> str:
     config = _load_config(args.config)
     p = _distribution(config)
+    eps = config.get("eps")
+    eps = None if eps is None else _finite(eps, "eps")
     kernel = exact_chain.TriangularKernel(p)
     out_kernel, out_csv, out_json = _outputs(args, ".kernel.csv", ".expected.csv", ".json")
     exact_chain.write_kernel_csv(kernel, out_kernel)
     c2 = p.moments().c2
     payload = {"n": p.n, "c2": c2, "pair_bound_2n_minus_2": 2 * p.n - 2}
-    eps = config.get("eps")
     if eps is None:
         et = exact_chain.expected_coalescence_times(kernel)
     else:
-        k_star = min(max(early_threshold(c2, p.n, float(eps)), 1.0), float(p.n))
-        k_1 = min(max(late_threshold(c2, p.n, float(eps)), 1.0), k_star)
+        k_star = min(max(early_threshold(c2, p.n, eps), 1.0), float(p.n))
+        k_1 = min(max(late_threshold(c2, p.n, eps), 1.0), k_star)
         et, phases = exact_chain._times_and_phases(kernel, k_star, k_1)
         payload["phases"] = {"k_star": k_star, "k_1": k_1, **vars(phases)}
     payload["expected_T_from_n"] = et[p.n]
@@ -151,13 +154,15 @@ def _cmd_simulate(args) -> str:
     if args.replicates is not None:  # validated by SimConfig
         replicates = args.replicates
     thresholds = tuple(_finite_numbers(config.get("thresholds", []), "thresholds"))
-    b0 = config.get("b0")
+    b0, record = config.get("b0"), config.get("record", False)
+    if not isinstance(record, bool):
+        raise _CliError(f"'record' must be true or false, got {record!r}")
     sim = simulate.SimConfig(
         p=p,
         replicates=replicates,
         master_seed=args.seed,
         b0=None if b0 is None else _whole(b0, "b0"),
-        record_trajectory=bool(config.get("record", False)),
+        record_trajectory=record,
         passage_thresholds=thresholds,
     )
     results = simulate.runs(sim)

@@ -74,11 +74,7 @@ def tilt_exponent(
     """
     if z <= 0.0 or r <= 0.0:
         raise ValueError("z and r must be positive")
-    w = _weights(p)
-    n = w.size
-    a = n * r * w
-    terms = a + np.log(np.exp(-a) + z * -np.expm1(-a))
-    return float(k * math.log(k / (r * n * math.e)) - b * math.log(z) + terms.sum())
+    return float(_tilt_system(_weights(p), k, z, r, b)[5])
 
 
 def tilt_center(p: ProbabilityVector | np.ndarray, k: int) -> float:
@@ -86,70 +82,144 @@ def tilt_center(p: ProbabilityVector | np.ndarray, k: int) -> float:
     return occupancy_proxy(p, k)
 
 
-def _tilt_system(w: np.ndarray, k: int, z: float, r: float, b: float):
-    """Gradient and Hessian entries of the exponent in (z, r).
+def _total(x, cnt):
+    """sum_j cnt_j x_j over the last axis.  Unlike a matrix product's, each
+    lane's sum does not depend on the lanes batched with it, so a grid solves
+    every target as a one-point call does."""
+    return (x * cnt).sum(-1)
+
+
+def _tilt_system(w, k: int, z, r, b, cnt=1, n=None):
+    """Gradient and Hessian entries of the exponent in (z, r), and its value,
+    at points z, r, b (broadcast against each other), for every weight w, or
+    for distinct weights w held by cnt boxes each of n.
 
     Parametrized through u = exp(-n p_j r) so every ratio stays bounded:
     denominators are u + z(1-u), between min(z, 1) and max(z, 1).
     """
-    n = w.size
-    a = n * r * w
+    n = w.size if n is None else n
+    z, r, b = (np.asarray(x, dtype=float) for x in (z, r, b))
+    a = n * r[..., None] * w
     u = np.exp(-a)
     one_minus_u = -np.expm1(-a)
-    den = u + z * one_minus_u
+    den = u + z[..., None] * one_minus_u
     den2 = den * den
-    h_z = -b / z + float((one_minus_u / den).sum())
-    h_r = -k / r + z * n * float((w / den).sum())
-    h_zz = (b / z) / z - float((one_minus_u * one_minus_u / den2).sum())
-    h_rr = (k / r) / r + z * (1.0 - z) * n * n * float((w * w * u / den2).sum())
-    h_rz = n * float((w * u / den2).sum())
-    return h_z, h_r, h_zz, h_rr, h_rz
+    with np.errstate(over="ignore"):  # b/z^2 may pass the float range: +inf
+        h_zz = (b / z) / z - _total(one_minus_u * one_minus_u / den2, cnt)
+    h_z = -b / z + _total(one_minus_u / den, cnt)
+    h_r = -k / r + z * n * _total(w / den, cnt)
+    h_rr = (k / r) / r + z * (1.0 - z) * n * n * _total(w * w * u / den2, cnt)
+    h_rz = n * _total(w * u / den2, cnt)
+    h = k * np.log(k / (r * n * math.e)) - b * np.log(z) + _total(a + np.log(den), cnt)
+    return h_z, h_r, h_zz, h_rr, h_rz, h
 
 
-def _root(fun, x: float, lo: float, hi: float):
-    """Root of a rising fun on [lo, hi], where fun(x) = (f, f', ...): Newton
-    steps, bisecting whenever one leaves the bracket.  Returns x and fun(x)."""
-    x_new = min(max(x, lo), hi)
+def _root(fun, x, lo, hi):
+    """Roots of rising functions, one per lane, where fun(x, i) = (f, f', ...)
+    at x for the lanes i.  Each lane takes Newton steps, bisecting whenever one
+    leaves its bracket [lo, hi], and stops when f = 0 or when its Newton step
+    or the step it takes is at most 1e-15 max(1, |x|); only live lanes are
+    evaluated.  Returns x and fun(x)."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)  # one entry per lane
+    x_new = np.minimum(np.maximum(x, lo), hi)
+    x = x_new.copy()
+    live = np.arange(x.size)
+    vals = None
     for _ in range(200):  # a safety net: halving a bracket to 4 ulp takes fewer steps
-        x = x_new
-        val = fun(x)
-        if val[0] == 0.0:
+        xl = x[live] = x_new[live]
+        val = fun(xl, live)
+        if vals is None:
+            vals = [np.empty((x.size,) + np.shape(v)[1:]) for v in val]
+        for out, v in zip(vals, val):
+            out[live] = v
+        f, df = val[0], val[1]
+        below = f < 0.0
+        lo[live[below]] = xl[below]
+        hi[live[~below]] = xl[~below]
+        rising = df > 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite step bisects
+            newton = np.where(rising, xl - f / np.where(rising, df, 1.0), math.nan)
+        lo_l, hi_l = lo[live], hi[live]
+        step = np.where((lo_l < newton) & (newton < hi_l), newton, 0.5 * (lo_l + hi_l))
+        x_new[live] = step
+        # a Newton step that rounds back onto x has converged: bisecting it
+        # instead would throw away every digit the steps had gained
+        tol = 1e-15 * np.maximum(1.0, np.abs(xl))
+        done = (f == 0.0) | (np.abs(newton - xl) <= tol) | (np.abs(step - xl) <= tol)
+        live = live[~done]
+        if live.size == 0:
             break
-        if val[0] < 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x - val[0] / val[1] if val[1] > 0.0 else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-            break
-    return x, val
+    return x, vals
 
 
-def _on_curve(lw: np.ndarray, cnt: np.ndarray, k: int, b: float, rho: float):
+def _on_curve(lw: np.ndarray, cnt: np.ndarray, k: int, b, rho):
     """r h_r at ln r = rho on the inner curve z(r), its derivative in ln r, and
-    ln z there, for positive weights grouped as cnt_j boxes with ln(n p_j) = lw_j."""
-    t = math.log(b) - math.log(cnt.sum() - b)  # logit(b / n+)
-    la = lw + rho
+    ln z there, for positive weights grouped as cnt_j boxes with ln(n p_j) = lw_j.
+    b and rho broadcast against each other; each point is one lane of the
+    inner root."""
+    b, rho = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(rho, dtype=float))
+    shape, b, rho = b.shape, b.ravel(), rho.ravel()
+    n_pos = cnt.sum()
+    t = np.log(b) - np.log(n_pos - b)  # logit(b / n+)
+    la = lw + rho[:, None]
     a = np.exp(la)
     a_floor = np.maximum(a, 1e-300)
     m = a_floor / -np.expm1(-a_floor)  # a / (1 - e^{-a}), which tends to 1 as a -> 0
     L = a + la - np.log(m)  # ln(e^a - 1), increasing in a
 
-    def z_equation(s):  # q = expit(s + L) and its derivative v = q(1 - q)
-        e = np.exp(-np.maximum(s + L, -700.0))  # below -700, q underflows either way
+    def z_equation(s, i):  # q = expit(s + L) and its derivative v = q(1 - q)
+        e = np.exp(-np.maximum(s[:, None] + L[i], -700.0))  # below -700, q underflows either way
         q = 1.0 / (1.0 + e)
         v = q * e * q
-        return float(cnt @ q) - b, float(cnt @ v), q, v
+        return _total(q, cnt) - b[i], _total(v, cnt), q, v
 
-    s_mid = t - float(cnt @ L) / cnt.sum()
-    s, (_, _, q, v) = _root(z_equation, s_mid, t - L[-1], t - L[0])
+    s_mid = t - _total(L, cnt) / n_pos
+    s, (_, _, q, v) = _root(z_equation, s_mid, t - L[:, -1], t - L[:, 0])
     # d(r h_r)/d ln r = sum a m'(a) q plus the v-weighted spread of m: positive
     cv = cnt * v
-    m_bar = float(cv @ m) / max(float(cv.sum()), 1e-300)
-    slope = float(cnt @ (q * m * (1.0 - m * np.exp(-a)))) + float(cv @ (m - m_bar) ** 2)
-    return float(cnt @ (m * q)) - k, slope, s
+    m_bar = (cv * m).sum(-1) / np.maximum(cv.sum(-1), 1e-300)
+    slope = _total(q * m * (1.0 - m * np.exp(-a)), cnt) + (cv * (m - m_bar[:, None]) ** 2).sum(-1)
+    return tuple(x.reshape(shape)[()] for x in (_total(m * q, cnt) - k, slope, s))
+
+
+def _solve_tilts(w: np.ndarray, k: int, b) -> list:
+    """solve_tilt at every target of b together: per target its TiltPoint, or
+    the ValueError or TiltSolveError that solve_tilt raises there.  The outer
+    roots of all solvable targets are the lanes of one _root."""
+    n, b = w.size, np.asarray(b, dtype=float)
+    w_pos, cnt = np.unique(w[w > 0.0], return_counts=True)
+    lw, n_pos = np.log(n * w_pos), cnt.sum()  # ln a_j = lw_j + ln r, increasing
+    with np.errstate(divide="ignore", invalid="ignore"):  # b outside (0, k) is refused below
+        rho_lo = np.log(k - b) - np.log(b) - lw[-1]
+        rho_hi = math.log(k) + math.log(n_pos) - np.log(b) - math.log(n)
+    # Past rho_hi + max lw = 300, max a >= (k - b)/b > e^300/n+ at the root, so
+    # ln z is far below -_LOG_RANGE: such a target reports z = 0.
+    lanes = np.flatnonzero((b > 0.0) & (b < min(k, n_pos)) & (rho_hi + lw[-1] <= 300.0))
+
+    def curve(x, i):  # r h_r along the inner curve for the lanes i
+        return _on_curve(lw, cnt, k, b[lanes[i]], x)
+
+    rho, (_, _, s) = _root(curve, math.log(k / n), rho_lo[lanes], rho_hi[lanes])
+    z, r = np.where(b < min(k, n_pos), 0.0, 1.0), np.full(b.size, k / n)
+    z[lanes], r[lanes] = np.exp(np.minimum(s, 709.0)), np.exp(np.minimum(rho, 709.0))
+    fit = np.zeros(b.size, dtype=bool)
+    fit[lanes] = (np.abs(s) <= _LOG_RANGE) & (np.abs(rho) <= _LOG_RANGE)
+    # the residuals at the solved point where it is in range, else at the
+    # centre (1, k/n), where they are always finite
+    res = np.empty((2, b.size))
+    res[:, fit] = _tilt_system(w_pos, k, z[fit], r[fit], b[fit], cnt, n)[:2]
+    if not fit.all():
+        with np.errstate(invalid="ignore"):  # the exponent, unread, is NaN at b = +-inf
+            res[:, ~fit] = np.broadcast_arrays(*_tilt_system(w, k, 1.0, k / n, b[~fit])[:2])
+    out: list = []
+    for bi, zi, ri, res_z, res_r, ok in zip(*np.vstack((b, z, r, res)).tolist(), fit):
+        if not bi > 0.0:
+            out.append(ValueError("b must be positive"))
+        elif ok and abs(zi * res_z) <= _RTOL * max(bi, 1.0) and abs(ri * res_r) <= _RTOL * k:
+            out.append(TiltPoint(bi, zi, ri, res_z, res_r))
+        else:
+            out.append(TiltSolveError(bi, zi, ri, res_z, res_r))
+    return out
 
 
 def solve_tilt(p: ProbabilityVector | np.ndarray, k: int, b: float) -> TiltPoint:
@@ -170,31 +240,10 @@ def solve_tilt(p: ProbabilityVector | np.ndarray, k: int, b: float) -> TiltPoint
     when b >= min(k, n+), where no stationary point exists, when z or r would
     leave the float range, or when the solved point misses the rule above.
     """
-    w = _weights(p)
-    n = w.size
-    if not b > 0.0:
-        raise ValueError("b must be positive")
-
-    def unsolvable(z, r):  # with the residuals at the centre (1, k/n), always finite
-        return TiltSolveError(b, z, r, *_tilt_system(w, k, 1.0, k / n, b)[:2])
-
-    w_pos, counts = np.unique(w[w > 0.0], return_counts=True)
-    lw, cnt = np.log(n * w_pos), counts.astype(float)  # ln a_j = lw_j + ln r, increasing
-    if b >= min(k, cnt.sum()):
-        raise unsolvable(1.0, k / n)
-    rho_lo = math.log(k - b) - math.log(b) - lw[-1]
-    rho_hi = math.log(k) + math.log(cnt.sum()) - math.log(b) - math.log(n)
-    if rho_hi + lw[-1] > 300.0:
-        # max a >= (k - b)/b > e^300/n+ at the root: ln z is far below -_LOG_RANGE
-        raise unsolvable(0.0, k / n)
-    rho, (_, _, s) = _root(lambda x: _on_curve(lw, cnt, k, b, x), math.log(k / n), rho_lo, rho_hi)
-    if not (abs(s) <= _LOG_RANGE and abs(rho) <= _LOG_RANGE):
-        raise unsolvable(math.exp(min(s, 709.0)), math.exp(min(rho, 709.0)))
-    z, r = math.exp(s), math.exp(rho)
-    h_z, h_r = _tilt_system(w, k, z, r, b)[:2]
-    if abs(z * h_z) > _RTOL * max(b, 1.0) or abs(r * h_r) > _RTOL * k:
-        raise TiltSolveError(b, z, r, h_z, h_r)
-    return TiltPoint(b=b, z=z, r=r, residual_z=h_z, residual_r=h_r)
+    (pt,) = _solve_tilts(_weights(p), k, [b])
+    if isinstance(pt, Exception):
+        raise pt
+    return pt
 
 
 def _chernoff_exponent(p, k: int, b: float, upper: bool) -> float:
@@ -267,41 +316,43 @@ def curvature_report(p: ProbabilityVector | np.ndarray, k: int, b_grid) -> Curva
     0.004*min(b, k - b) near the ends, where the exponent bends faster:
     small enough that truncation stays inside the slope tolerance at every
     scale tested.  Points within 1e-9*k of an end are skipped, since a step
-    that short is below the solver's precision.
+    that short is below the solver's precision.  The targets b and b +- step
+    of every other point are solved as one batch, and the exponent and
+    Hessian are evaluated over the distinct weights, batched across points.
     """
     w = _weights(p)
-    points: list[CurvaturePoint] = []
+    grid = [float(b) for b in b_grid]
+    gaps = [min(b, k - b) for b in grid]
+    at_end = [0.0 <= gap < _FD_MIN_GAP * k for gap in gaps]
+    steps = [min(_FD_STEP * k, _FD_END * gap) for gap in gaps]
+    targets = [x for b, h, end in zip(grid, steps, at_end) if not end for x in (b, b - h, b + h)]
+    solved = iter(_solve_tilts(w, k, targets))
     skipped: list[tuple[float, str]] = []
-    for b in b_grid:
-        b = float(b)
-        gap = min(b, k - b)
-        if 0.0 <= gap < _FD_MIN_GAP * k:
+    kept, fd_step = [], []  # the solved points of every kept trio, in order
+    for b, h, end in zip(grid, steps, at_end):
+        if end:
             skipped.append((b, f"b within {_FD_MIN_GAP:g}*k of an end: difference step too short"))
             continue
-        fd_step = min(_FD_STEP * k, _FD_END * gap)
-        try:
-            center, lo, hi = (solve_tilt(w, k, x) for x in (b, b - fd_step, b + fd_step))
-        except (TiltSolveError, ValueError) as exc:
-            skipped.append((b, str(exc)))
+        trio = [next(solved) for _ in range(3)]  # at b, b - h and b + h
+        failed = next((pt for pt in trio if isinstance(pt, Exception)), None)
+        if failed is not None:
+            skipped.append((b, str(failed)))
             continue
-        h_mid, h_lo, h_hi = (tilt_exponent(w, k, pt.z, pt.r, pt.b) for pt in (center, lo, hi))
-        slope_fd = (h_hi - h_lo) / (2.0 * fd_step)
-        slope_an = -math.log(center.z)
-        curv_fd = (h_hi - 2.0 * h_mid + h_lo) / (fd_step * fd_step)
-        _, _, h_zz, h_rr, h_rz = _tilt_system(w, k, center.z, center.r, b)
-        chi = h_zz * h_rr - h_rz * h_rz
-        points.append(
-            CurvaturePoint(
-                b=b, z=center.z, r=center.r, h=h_mid,
-                slope_analytic=slope_an,
-                slope_fd=slope_fd,
-                curvature_fd=curv_fd,
-                hessian_det=chi,
-                slope_ok=abs(slope_fd - slope_an) <= _SLOPE_RTOL * max(abs(slope_an), 1e-2),
-                curvature_ok=curv_fd <= -1.0 / k + _CURVATURE_SLACK,
-                hessian_ok=chi > 0.0,
-            )
-        )
+        kept += trio
+        fd_step.append(h)
+    z, r, b3 = (np.reshape([getattr(pt, f) for pt in kept], (-1, 3)) for f in "zrb")
+    w_pos, cnt = np.unique(w[w > 0.0], return_counts=True)
+    # columns b, b - step and b + step
+    _, _, h_zz, h_rr, h_rz, h = _tilt_system(w_pos, k, z, r, b3, cnt, w.size)
+    fd_step = np.array(fd_step)
+    slope_fd = (h[:, 2] - h[:, 1]) / (2.0 * fd_step)
+    slope_an = -np.log(z[:, 0])
+    curv_fd = (h[:, 2] - 2.0 * h[:, 0] + h[:, 1]) / (fd_step * fd_step)
+    chi = h_zz[:, 0] * h_rr[:, 0] - h_rz[:, 0] * h_rz[:, 0]
+    slope_ok = np.abs(slope_fd - slope_an) <= _SLOPE_RTOL * np.maximum(np.abs(slope_an), 1e-2)
+    columns = (b3[:, 0], z[:, 0], r[:, 0], h[:, 0], slope_an, slope_fd, curv_fd, chi,
+               slope_ok, curv_fd <= -1.0 / k + _CURVATURE_SLACK, chi > 0.0)
+    points = [CurvaturePoint(*row) for row in zip(*(c.tolist() for c in columns))]
     return CurvatureReport(points, skipped)
 
 

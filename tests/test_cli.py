@@ -185,10 +185,13 @@ class TestVariationalCommand:
         # keeps one block of them
         cfg = write_config(tmp_path, "var.json", {"n": 200, "c2": 0.02, "k": 200})
         script = f"""if True:
-            import json, resource
+            import json
             from coalsim.cli import main
             code = main(["variational", "--config", {str(cfg)!r}, "--seed", "1", "--quiet"])
-            print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+            # this process's own peak, not the test runner's that ru_maxrss keeps
+            with open("/proc/self/status") as fh:
+                rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            print(json.dumps([code, rss]))
         """
         src = str(Path(coalsim.__file__).resolve().parent.parent)
         child = subprocess.run(
@@ -199,7 +202,7 @@ class TestVariationalCommand:
         code, rss = json.loads(child.stdout)
         assert code == 0
         assert json.loads((tmp_path / "var.out.json").read_text())["budget"] == 100_000
-        assert rss < 150 * 1024  # ru_maxrss is in KiB on Linux
+        assert rss < 150 * 1024  # VmHWM is in KiB
 
 
 class TestBoundsCommand:
@@ -388,6 +391,22 @@ class TestErrorPaths:
              "'k' must be a finite number"),
             ("variational", {"n": 30, "c2": True, "k": 30}, "'c2' must be a finite number"),
             ("threshold", {"n_values": [1]}, "n must be at least 2"),
+            # a string is not false: recording would be switched on
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "record": "false"},
+             "'record' must be true or false"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "record": 0},
+             "'record' must be true or false"),
+            ("exact", {"distribution": {"family": "uniform", "n": 5}, "eps": "0.0625"},
+             "'eps' must be a finite number"),
+            ("exact", {"distribution": {"family": "uniform", "n": 5}, "eps": True},
+             "'eps' must be a finite number"),
+            ("exact", {"distribution": {"family": "uniform"}},
+             "distribution descriptor needs 'n'"),
+            ("simulate", {"distribution": {"family": "topheavy", "n": 5}},
+             "distribution descriptor needs 'c2'"),
+            ("exact", {"distribution": {"family": "explicit"}},
+             "distribution descriptor needs 'weights'"),
+            ("exact", {"eps": 0.1}, "config needs a 'distribution' descriptor"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):

@@ -437,13 +437,16 @@ class TestExpectedTimes:
         # a kernel at n = 1e4 would cache 5e7 floats (400 MB); a vector's rows
         # are streamed, one at a time
         script = """if True:
-            import json, math, resource
+            import json, math
             from coalsim import expected_coalescence_times, topheavy, uniform
             n = 10_000
             c2 = 1.0 / math.log(n)
             flat = expected_coalescence_times(uniform(n))[n] / n
             heavy = expected_coalescence_times(topheavy(n, c2))[n] * c2
-            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            # the peak of this process's own memory: ru_maxrss would also count
+            # the test runner's pages, which the child shares until it execs
+            with open("/proc/self/status") as fh:
+                rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
             print(json.dumps([flat, heavy, rss]))
         """
         src = str(Path(coalsim.__file__).resolve().parent.parent)
@@ -455,7 +458,7 @@ class TestExpectedTimes:
         flat, heavy, rss = json.loads(child.stdout)
         assert 1.9989 < flat < 2.0  # still rising toward 2 past n = 4000
         assert heavy > 3.41  # still climbing past n = 4000
-        assert rss < 150 * 1024  # ru_maxrss is in KiB on Linux
+        assert rss < 150 * 1024  # VmHWM is in KiB
 
 
 class TestSelfLoopMonotonicity:

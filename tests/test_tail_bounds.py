@@ -19,7 +19,7 @@ from coalsim.tail_bounds import (
     tilt_center,
     tilt_exponent,
 )
-from coalsim.tail_bounds import _on_curve, _tilt_system
+from coalsim.tail_bounds import TiltPoint, _on_curve, _root, _solve_tilts, _tilt_system
 
 
 def random_vector(rng, n):
@@ -142,7 +142,7 @@ class TestSolveTilt:
             assert math.isfinite(err.value.residual_r)
 
     def test_nonpositive_target_rejected(self):
-        for b in (0.0, -1.0, math.nan):
+        for b in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 solve_tilt(uniform(20), 10, b)
 
@@ -217,6 +217,173 @@ class TestNestedRoots:
             return
         assert 0.0 < pt.z < math.inf and 0.0 < pt.r < math.inf
         assert_within_rule(pt, k)
+
+
+def scalar_root_reference(fun, x, lo, hi):
+    """The one-lane safeguarded Newton that solved one target at a time:
+    Newton steps, bisecting whenever one leaves the bracket, until f = 0 or
+    the step taken is at most 1e-15 max(1, |x|)."""
+    x_new = min(max(x, lo), hi)
+    for _ in range(200):
+        x = x_new
+        val = fun(x)
+        if val[0] == 0.0:
+            break
+        if val[0] < 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - val[0] / val[1] if val[1] > 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+            break
+    return x, val
+
+
+def scalar_solve_reference(p, k, b):
+    """(z, r) at target b by scalar nested roots, one target at a time."""
+    n = p.n
+    w_pos, counts = np.unique(p.weights[p.weights > 0.0], return_counts=True)
+    lw, cnt = np.log(n * w_pos), counts.astype(float)
+    t = math.log(b) - math.log(cnt.sum() - b)
+
+    def on_curve(rho):
+        la = lw + rho
+        a = np.exp(la)
+        m = np.maximum(a, 1e-300) / -np.expm1(-np.maximum(a, 1e-300))
+        L = a + la - np.log(m)
+
+        def z_equation(s):
+            e = np.exp(-np.maximum(s + L, -700.0))
+            q = 1.0 / (1.0 + e)
+            return float(cnt @ q) - b, float(cnt @ (q * e * q)), q, q * e * q
+
+        s_mid = t - float(cnt @ L) / cnt.sum()
+        s, (_, _, q, v) = scalar_root_reference(z_equation, s_mid, t - L[-1], t - L[0])
+        cv = cnt * v
+        m_bar = float(cv @ m) / max(float(cv.sum()), 1e-300)
+        slope = float(cnt @ (q * m * (1.0 - m * np.exp(-a)))) + float(cv @ (m - m_bar) ** 2)
+        return float(cnt @ (m * q)) - k, slope, s
+
+    rho_lo = math.log(k - b) - math.log(b) - lw[-1]
+    rho_hi = math.log(k) + math.log(cnt.sum()) - math.log(b) - math.log(n)
+    rho, (_, _, s) = scalar_root_reference(on_curve, math.log(k / n), rho_lo, rho_hi)
+    return math.exp(s), math.exp(rho)
+
+
+class TestBatchedSolve:
+    """A grid's targets are the lanes of one batched nested root; each target
+    comes out as its one-point solve and, within rounding, as the scalar
+    solver's."""
+
+    def test_lanes_stop_on_their_own(self):
+        # roots of expit(s) + expit(s + 2.1) = c in [-40, 10] from s = 0, an
+        # inner z-equation with two levels.  At c = 0.1 Newton comes from above
+        # and never moves the lower end; its last step rounds back onto s, and
+        # the scalar solver, bisecting that step, took 24 evaluations.  The
+        # last lane sits on its root at the start.
+        L = np.array([0.0, 2.1])
+        at_start = float((1.0 / (1.0 + np.exp(-L))).sum())
+        c = np.array([0.1, 0.3, 1.5, at_start])
+        calls = np.zeros(c.size, dtype=int)
+
+        def z_equation(s, i):
+            np.add.at(calls, i, 1)
+            q = 1.0 / (1.0 + np.exp(-(s[:, None] + L)))
+            return q.sum(-1) - c[i], (q * (1.0 - q)).sum(-1)
+
+        s, (f, _) = _root(z_equation, 0.0, np.full(c.size, -40.0), np.full(c.size, 10.0))
+        assert calls[-1] == 1 and s[-1] == 0.0
+        assert calls.max() <= 10
+        assert np.all(np.abs(f) <= 1e-15)
+        for lane in range(c.size):
+            def scalar(x):
+                return tuple(float(v[0]) for v in z_equation(np.array([x]), np.array([lane])))
+
+            want = scalar_root_reference(scalar, 0.0, -40.0, 10.0)[0]
+            assert s[lane] == pytest.approx(want, abs=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["uniform", "topheavy", "dirichlet"]),
+        n=st.integers(min_value=2, max_value=60),
+        spread=st.floats(min_value=0.0, max_value=0.99),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        b_fracs=st.lists(
+            st.one_of(
+                st.floats(min_value=-0.1, max_value=1.1),
+                st.sampled_from([0.0, 1e-10, 1.0 - 1e-10, 1.0]),
+            ),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_grid_matches_one_point_solves(self, family, n, spread, k_frac, b_fracs):
+        p = descriptor_vector(family, n, spread)
+        k = 1 + round(k_frac * (n - 1))
+        top = min(k, int((p.weights > 0.0).sum()))
+        grid = [f * top for f in b_fracs]
+        for b, got in zip(grid, _solve_tilts(p.weights, k, grid)):
+            try:
+                one = solve_tilt(p, k, b)
+            except (ValueError, TiltSolveError) as err:
+                assert type(got) is type(err)
+                if isinstance(err, TiltSolveError):
+                    assert got.b == err.b
+                    assert math.isfinite(got.residual_z) and math.isfinite(got.residual_r)
+                continue
+            assert isinstance(got, TiltPoint)
+            assert_within_rule(got, k)
+            assert got.z == pytest.approx(one.z, rel=1e-12)
+            assert got.r == pytest.approx(one.r, rel=1e-12)
+            # the scalar solver stops by another rule; rounding in its last steps
+            # is amplified near the end of the range, where 1 - q_j ~ 1/z
+            z, r = scalar_solve_reference(p, k, b)
+            assert got.z == pytest.approx(z, rel=1e-12 * top / (top - b))
+            assert got.r == pytest.approx(r, rel=1e-12 * top / (top - b))
+
+    @pytest.mark.parametrize(
+        "p, k, grid, solved, skipped",
+        [
+            # n+ = 4 positive weights under k = 6: targets from 4 up have no
+            # stationary point, and 3.999 + step does not either
+            (
+                ProbabilityVector([0.3, 0.3, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0]), 6,
+                [-1.0, 0.0, 1e-10, 0.5, 2.0, 3.9, 3.999, 4.0, 4.5, 6.0, 6 - 1e-10, 7.0],
+                [0.5, 2.0, 3.9],
+                [
+                    (-1.0, "b must be positive"),
+                    (0.0, "b within 1e-09*k of an end: difference step too short"),
+                    (1e-10, "b within 1e-09*k of an end: difference step too short"),
+                    (3.999, "no stationary point at b=4.0002; last (z, r)=(1, 0.75), "
+                            "residuals (-9.332e-01, 0.000e+00)"),
+                    (4.0, "no stationary point at b=4; last (z, r)=(1, 0.75), "
+                          "residuals (-9.330e-01, 0.000e+00)"),
+                    (4.5, "no stationary point at b=4.5; last (z, r)=(1, 0.75), "
+                          "residuals (-1.433e+00, 0.000e+00)"),
+                    (6.0, "b within 1e-09*k of an end: difference step too short"),
+                    (6 - 1e-10, "b within 1e-09*k of an end: difference step too short"),
+                    (7.0, "no stationary point at b=7; last (z, r)=(1, 0.75), "
+                          "residuals (-3.933e+00, 0.000e+00)"),
+                ],
+            ),
+            # at b = 1, ln z is below -350: out of the float range's margin
+            (
+                uniform(1000), 500, [1.0, 2.0, 3.0, 50.0], [2.0, 3.0, 50.0],
+                [(1.0, "no stationary point at b=1; last (z, r)=(7.13171e-221, 500), "
+                       "residuals (3.925e+02, -6.821e-13)")],
+            ),
+        ],
+    )
+    def test_mixed_grid_reports_as_point_by_point(self, p, k, grid, solved, skipped):
+        report = curvature_report(p, k, grid)
+        assert [pt.b for pt in report.points] == solved
+        assert report.skipped == skipped
+        assert report.all_ok
+        for pt in report.points:
+            one = solve_tilt(p, k, pt.b)
+            assert pt.z == pytest.approx(one.z, rel=1e-12)
+            assert pt.r == pytest.approx(one.r, rel=1e-12)
 
 
 class TestChernoffBounds:
