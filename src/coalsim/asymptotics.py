@@ -243,6 +243,8 @@ class ExperimentConfig:
                 f"choose from {', '.join(LAMBDA_RULES)}"
             )
 
+    KEYS = frozenset({"n_values", "n", "replicates", "lambda", "c2", "K"})  # from_dict reads
+
     @classmethod
     def from_dict(cls, kind: str, payload: dict, seed: int):
         field = "n_values" if payload.get("n_values") else "n"

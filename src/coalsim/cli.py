@@ -72,7 +72,8 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys) -> dict:
+    """The config at path, which may hold only the keys its subcommand reads."""
     if path is None:
         raise _CliError("--config is required for this subcommand")
     try:
@@ -84,6 +85,9 @@ def _load_config(path: str | None) -> dict:
         raise _CliError(f"malformed config {path}: {exc}")
     if not isinstance(config, dict):
         raise _CliError(f"config must be a JSON object: {path}")
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise _CliError(f"unknown config key {unknown[0]!r}; expected among {sorted(keys)}")
     return config
 
 
@@ -116,7 +120,7 @@ def _outputs(args, *exts: str) -> list[Path]:
 
 
 def _cmd_moments(args) -> str:
-    config = _load_config(args.config)
+    config = _load_config(args.config, {"distribution"})
     p = _distribution(config)
     m = p.moments()
     payload = {"n": p.n, "c2": m.c2, "c3": m.c3}
@@ -125,7 +129,7 @@ def _cmd_moments(args) -> str:
 
 
 def _cmd_exact(args) -> str:
-    config = _load_config(args.config)
+    config = _load_config(args.config, {"distribution", "eps"})
     p = _distribution(config)
     eps = config.get("eps")
     eps = None if eps is None else _finite(eps, "eps")
@@ -148,7 +152,8 @@ def _cmd_exact(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    config = _load_config(args.config)
+    keys = {"distribution", "replicates", "thresholds", "b0", "record"}
+    config = _load_config(args.config, keys)
     p = _distribution(config)
     replicates = _whole(config.get("replicates", 1000), "replicates")
     if args.replicates is not None:  # validated by SimConfig
@@ -195,7 +200,7 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_dynamics(args) -> str:
-    config = _load_config(args.config)
+    config = _load_config(args.config, {"distribution", "k_values", "k_max"})
     p = _distribution(config)
     ks = config.get("k_values")
     if ks is None:
@@ -219,13 +224,17 @@ def _cmd_dynamics(args) -> str:
 
 
 def _cmd_variational(args) -> str:
-    config = _load_config(args.config)
+    config = _load_config(args.config, {"n", "c2", "k", "budget"})
     n = _whole(_field(config, "n", "variational"), "n")
     c2 = _finite(_field(config, "c2", "variational"), "c2")
     k = _finite(_field(config, "k", "variational"), "k")
     budget = _whole(config.get("budget", 100_000), "budget")
+    if budget < 1:
+        raise _CliError(f"'budget'={budget} must be at least 1")
+    q_best, f_best = variational.minimize_proxy_fixed_c2(n, c2, k)
+    # the independent check: the lowest proxy of budget // 2 random slice samples
     rng = np.random.default_rng(args.seed)
-    q_best, f_best = variational.minimize_proxy_fixed_c2(n, c2, k, budget, rng)
+    f_sampled = variational.sampled_proxy_min(n, c2, k, rng, max(budget // 2, 1))
     f_top = empty_boxes_proxy(topheavy(n, c2), k)
     payload = {
         "n": n,
@@ -234,6 +243,8 @@ def _cmd_variational(args) -> str:
         "budget": budget,
         "best_weights": [float(v) for v in q_best.sorted_desc()],
         "f_best": f_best,
+        "f_sampled": f_sampled,
+        "shapes": n * (n - 1) // 2,  # the (zeros, heavy count) pairs the scan covers
         "f_topheavy": f_top,
         "gap": f_best - f_top,
         "distinct_levels_at_1e-6": variational.level_count(q_best.weights),
@@ -243,7 +254,7 @@ def _cmd_variational(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    config = _load_config(args.config)
+    config = _load_config(args.config, {"distribution", "k", "b_values", "b_offsets"})
     p = _distribution(config)
     k = _whole(_field(config, "k", "bounds"), "k")
     if not 1 <= k <= p.n:
@@ -279,7 +290,7 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_limit(args) -> str:
-    config = _load_config(args.config)
+    config = _load_config(args.config, asymptotics.ExperimentConfig.KEYS)
     cfg = asymptotics.ExperimentConfig.from_dict("limit", config, args.seed)
     if args.replicates is not None:  # validated like the config's count
         cfg = replace(cfg, replicates=args.replicates)
@@ -304,7 +315,7 @@ def _cmd_limit(args) -> str:
 
 
 def _cmd_threshold(args) -> str:
-    config = _load_config(args.config)
+    config = _load_config(args.config, asymptotics.ExperimentConfig.KEYS)
     cfg = asymptotics.ExperimentConfig.from_dict("threshold", config, args.seed)
     if args.replicates is not None:  # validated like the config's count
         cfg = replace(cfg, replicates=args.replicates)

@@ -124,10 +124,14 @@ def uniform(n: int) -> ProbabilityVector:
 def _two_level(heavy: int, light: int, s: float, q: float) -> tuple[float, float]:
     """(top, bottom) of the vector with `heavy` entries top and `light` entries
     bottom, sum s and sum of squares q, top >= bottom; a slightly negative
-    variance from rounding counts as zero."""
+    variance from rounding counts as zero.  The counts may be integer arrays,
+    one shape per entry; scalars keep to math, which is faster on one shape."""
     m = heavy + light
     radicand = light * (q * m - s * s) / heavy
-    top = (s + math.sqrt(max(radicand, 0.0))) / m
+    if isinstance(radicand, np.ndarray):
+        top = (s + np.sqrt(np.maximum(radicand, 0.0))) / m
+    else:
+        top = (s + math.sqrt(max(radicand, 0.0))) / m
     return top, (s - heavy * top) / light
 
 

@@ -213,7 +213,9 @@ def _solve_tilts(w: np.ndarray, k: int, b) -> list:
             res[:, ~fit] = np.broadcast_arrays(*_tilt_system(w, k, 1.0, k / n, b[~fit])[:2])
     out: list = []
     for bi, zi, ri, res_z, res_r, ok in zip(*np.vstack((b, z, r, res)).tolist(), fit):
-        if not bi > 0.0:
+        if not math.isfinite(bi):
+            out.append(ValueError("b must be finite and positive"))
+        elif not bi > 0.0:
             out.append(ValueError("b must be positive"))
         elif ok and abs(zi * res_z) <= _RTOL * max(bi, 1.0) and abs(ri * res_r) <= _RTOL * k:
             out.append(TiltPoint(bi, zi, ri, res_z, res_r))
@@ -236,9 +238,10 @@ def solve_tilt(p: ProbabilityVector | np.ndarray, k: int, b: float) -> TiltPoint
     back to bisection.  A solve stands when |z h_z| <= 1e-12 max(b, 1) and
     |r h_r| <= 1e-12 k.
 
-    Raises ValueError for b <= 0, and TiltSolveError (with finite residuals)
-    when b >= min(k, n+), where no stationary point exists, when z or r would
-    leave the float range, or when the solved point misses the rule above.
+    Raises ValueError for b <= 0 or a non-finite b, and TiltSolveError (with
+    finite residuals) when b >= min(k, n+), where no stationary point exists,
+    when z or r would leave the float range, or when the solved point misses
+    the rule above.
     """
     (pt,) = _solve_tilts(_weights(p), k, [b])
     if isinstance(pt, Exception):

@@ -178,6 +178,29 @@ class TestVariationalCommand:
         report = json.loads((tmp_path / "var.json").read_text())
         assert report["f_best"] >= report["f_topheavy"] - 1e-9
         assert report["distinct_levels_at_1e-6"] >= 1
+        assert report["shapes"] == 6
+        assert report["f_sampled"] >= report["f_best"] - 1e-12
+
+    def test_exact_minimum_ignores_the_seed_and_samples_do_not(self, tmp_path):
+        cfg = write_config(tmp_path, "var.json", {"n": 30, "c2": 0.1, "k": 30, "budget": 30_000})
+        reports = []
+        for seed in ("5", "6"):
+            out = tmp_path / f"var{seed}"
+            argv = ["variational", "--config", str(cfg), "--seed", seed, "--out", str(out)]
+            assert main(argv + ["--quiet"]) == 0
+            reports.append(json.loads((tmp_path / f"var{seed}.json").read_text()))
+        a, b = reports
+        assert a["best_weights"] == b["best_weights"] and a["f_best"] == b["f_best"]
+        assert a["f_best"] == a["f_topheavy"] and a["distinct_levels_at_1e-6"] == 2
+        # the lowest of the 15 000 slice samples that earlier versions drew at
+        # seed 5 before refining them
+        assert a["f_sampled"] == 14.656741947043445
+        assert b["f_sampled"] != a["f_sampled"]
+
+    def test_budget_below_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "var.json", {"n": 30, "c2": 0.1, "k": 30, "budget": 0})
+        assert main(["variational", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+        assert "'budget'=0 must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_search_streams_its_samples(self, tmp_path):
@@ -251,6 +274,15 @@ class TestExperimentsCommands:
 
 
 class TestErrorPaths:
+    def test_unknown_key_named(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"distribution": {"family": "uniform", "n": 5}, "replicatez": 5},
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 1
+        assert "unknown config key 'replicatez'" in capsys.readouterr().err
+        assert not (tmp_path / "sim.json").exists()
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
@@ -424,11 +456,12 @@ class TestErrorPaths:
         ],
     )
     def test_zero_replicates_flag_rejected(self, tmp_path, capsys, command, message):
-        cfg = write_config(
-            tmp_path, "exp.json",
-            {"distribution": {"family": "uniform", "n": 5}, "n_values": [20],
-             "replicates": 150},
-        )
+        # each subcommand's own keys: a key it does not read exits 1 by itself
+        if command == "simulate":
+            config = {"distribution": {"family": "uniform", "n": 5}, "replicates": 150}
+        else:
+            config = {"n_values": [20], "replicates": 150}
+        cfg = write_config(tmp_path, "exp.json", config)
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "exp"), "--replicates", "0"]
         assert main(argv) == 1
         assert message in capsys.readouterr().err

@@ -146,6 +146,13 @@ class TestSolveTilt:
             with pytest.raises(ValueError):
                 solve_tilt(uniform(20), 10, b)
 
+    def test_nonfinite_target_rejected(self):
+        # +inf once reached the solver and raised TiltSolveError with an
+        # infinite residual
+        for b in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="b must be finite and positive"):
+                solve_tilt(uniform(20), 10, b)
+
 
 def assert_within_rule(pt, k):
     assert abs(pt.z * pt.residual_z) <= 1e-12 * max(pt.b, 1.0)

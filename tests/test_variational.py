@@ -1,6 +1,4 @@
-import itertools
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -18,10 +16,6 @@ from coalsim.distributions import (
 from coalsim.dynamics import empty_boxes_proxy
 from coalsim.variational import (
     _SAMPLE_BLOCK,
-    _descend,
-    _distinct_indices,
-    _sample_seeds,
-    _turns,
     distinct_four_determinant,
     level_count,
     middle_pair_excess,
@@ -29,6 +23,7 @@ from coalsim.variational import (
     minimize_proxy_fixed_c2_c3,
     proxy_ordering,
     proxy_rows,
+    sampled_proxy_min,
 )
 
 
@@ -127,32 +122,28 @@ class TestMiddlePairCertificate:
 
 class TestMinimizeFixedC2:
     def test_degenerate_slice_returns_uniform(self):
-        rng = np.random.default_rng(0)
-        q, f = minimize_proxy_fixed_c2(6, 1.0 / 6.0, 4.0, 1000, rng)
+        q, f = minimize_proxy_fixed_c2(6, 1.0 / 6.0, 4.0)
         assert f == pytest.approx(6 * math.exp(-4.0 / 6.0), abs=1e-12)
 
     def test_c2_below_one_over_n_rejected(self):
         with pytest.raises(DistributionError, match=r"c2=0.1 outside \[1/n, 1\]"):
-            minimize_proxy_fixed_c2(6, 0.1, 4.0, 1000, np.random.default_rng(0))
+            minimize_proxy_fixed_c2(6, 0.1, 4.0)
 
     def test_finds_topheavy_floor(self):
-        rng = np.random.default_rng(1)
-        q, f = minimize_proxy_fixed_c2(4, 0.3, 5.0, 100_000, rng)
+        q, f = minimize_proxy_fixed_c2(4, 0.3, 5.0)
         f_top = empty_boxes_proxy(topheavy(4, 0.3), 5.0)
         assert f >= f_top - 1e-9
         assert f <= 1.05 * f_top
 
     def test_best_shape_is_two_level(self):
-        rng = np.random.default_rng(2)
-        q, f = minimize_proxy_fixed_c2(5, 0.35, 4.0, 100_000, rng)
+        q, f = minimize_proxy_fixed_c2(5, 0.35, 4.0)
         w = q.sorted_desc()
         # one dominant head, near-flat tail
         assert w[0] - w[1] > 10.0 * (w[1] - w[-1])
 
     def test_search_never_beats_certificate(self):
-        rng = np.random.default_rng(3)
         for n, c2, k in ((4, 0.35, 2.0), (6, 0.25, 7.0)):
-            _, f = minimize_proxy_fixed_c2(n, c2, k, 20_000, rng)
+            _, f = minimize_proxy_fixed_c2(n, c2, k)
             assert f >= empty_boxes_proxy(topheavy(n, c2), k) - 1e-9
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -160,34 +151,50 @@ class TestMinimizeFixedC2:
         n=st.integers(3, 300),
         frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         k=st.floats(1e-3, 1e3),
-        seed=st.integers(0, 2**32 - 1),
     )
-    def test_result_on_slice_with_its_proxy(self, n, frac, k, seed):
+    def test_result_on_slice_with_its_proxy(self, n, frac, k):
         c2 = 1.0 / n + frac * (1.0 - 1.0 / n)
         assume(c2 < 1.0)
-        q, f = minimize_proxy_fixed_c2(n, c2, k, 20_000, np.random.default_rng(seed))
+        q, f = minimize_proxy_fixed_c2(n, c2, k)
         assert abs(q.moments().c2 - c2) <= 1e-12 * c2
         assert abs(empty_boxes_proxy(q, k) - f) <= 1e-12 * f
         assert f - empty_boxes_proxy(topheavy(n, c2), k) >= -1e-9
 
     def test_two_boxes_return_a_slice_point(self):
-        # no triple move exists; the best sample is already optimal
-        q, f = minimize_proxy_fixed_c2(2, 5 / 8, 4.0, 1000, np.random.default_rng(0))
+        # the two-box slice is two mirror points of one shape
+        q, f = minimize_proxy_fixed_c2(2, 5 / 8, 4.0)
         assert q.sorted_desc() == pytest.approx([0.75, 0.25], abs=1e-12)
         assert f == pytest.approx(math.exp(-3.0) + math.exp(-1.0), rel=1e-12)
+
+    def test_no_slice_sample_beats_the_scan(self):
+        rng = np.random.default_rng(26)
+        for n in (3, 4, 5, 6):
+            for c2 in (1.2 / n, 0.5 * (1.0 / n + 1.0), 0.95):
+                for k in (0.5, 4.0, 20.0):
+                    _, f = minimize_proxy_fixed_c2(n, c2, k)
+                    samples = sample_fixed_c2_batch(n, c2, rng, 100_000)
+                    assert proxy_rows(samples, k).min() >= f - 1e-12
+
+    @pytest.mark.parametrize(
+        "n, c2, expected",
+        [(50, 0.05, 21.4728016), (200, 0.02, 82.7717361), (1000, 0.005, 391.518191)],
+    )
+    def test_minimum_is_topheavy_at_the_measured_points(self, n, c2, expected):
+        q, f = minimize_proxy_fixed_c2(n, c2, float(n))
+        f_top = empty_boxes_proxy(topheavy(n, c2), float(n))
+        assert abs(f - f_top) <= 1e-12 * f_top
+        assert f == pytest.approx(expected, rel=1e-8)
+        assert level_count(q.weights) == 2
 
 
 class TestSearchInternals:
     def test_blocked_sampling_matches_one_draw(self):
         n, c2, k = 20, 0.15, 12.0
         size = 2 * _SAMPLE_BLOCK + 123
-        rows, values = _sample_seeds(n, c2, k, np.random.default_rng(7), size)
-        rng = np.random.default_rng(7)
-        full = sample_fixed_c2_batch(n, c2, rng, size)
-        full_values = proxy_rows(full, k)
-        order = np.argsort(full_values, kind="stable")[:8]
-        assert np.array_equal(rows, full[order])
-        assert np.array_equal(values, full_values[order])
+        got = sampled_proxy_min(n, c2, k, np.random.default_rng(7), size)
+        full = sample_fixed_c2_batch(n, c2, np.random.default_rng(7), size)
+        assert got == proxy_rows(full, k).min()
+        assert sampled_proxy_min(n, c2, k, np.random.default_rng(7), 0) == math.inf
 
     def test_sampler_matches_mask_copy_reference(self):
         blends = set()  # which way the rows were slid, over all cases
@@ -200,78 +207,14 @@ class TestSearchInternals:
             blends.update(np.where(c0 > c2, "uniform", "point mass"))
         assert blends == {"uniform", "point mass"}
 
-    def test_lockstep_rows_keep_their_slices(self):
-        n, k = 30, 30.0
-        rng = np.random.default_rng(24)
-        start = rng.dirichlet(np.ones(n), size=8)
-        q = start.copy()
-        f = _descend(q, k, 4000, partial(_turns, rng, q))
-        assert f.shape == (8,)
-        assert np.all(np.abs(f - proxy_rows(q, k)) <= 1e-12 * f)
-        assert np.abs(q.sum(axis=1) - start.sum(axis=1)).max() <= 1e-12
-        assert np.abs((q * q).sum(axis=1) - (start * start).sum(axis=1)).max() <= 1e-12
-        assert np.all(f <= proxy_rows(start, k))
-
-    def test_optimum_row_stays_while_the_others_descend(self):
-        n, k = 30, 30.0
-        rng = np.random.default_rng(25)
-        start = np.vstack((topheavy(n, 0.1).weights, rng.dirichlet(np.ones(n), size=7)))
-        q = start.copy()
-        sigmas = []
-
-        def propose(m, sigma):
-            sigmas.append(sigma.copy())
-            return _turns(rng, q, m, sigma)
-
-        f = _descend(q, k, 200 * 32, propose)
-        assert np.array_equal(q[0], start[0])
-        assert np.all(f[1:] < proxy_rows(start[1:], k))
-        # the optimum's own step falls to the floor; the others stay live to the end
-        sigmas = np.array(sigmas)
-        assert len(sigmas) == 200
-        assert sigmas[100, 0] <= 1e-10
-        assert sigmas[-1, 1:].min() > 1e-10
-
-    def test_triples_distinct(self):
-        for r in (3, 4):
-            for n in (r, r + 1, 7, 100):
-                idx = _distinct_indices(np.random.default_rng(n), n, 5000, r)
-                assert idx.shape == (5000, r)
-                assert idx.min() >= 0 and idx.max() < n
-                srt = np.sort(idx, axis=1)
-                assert np.all(np.diff(srt, axis=1) > 0)
-        # triples are the fixed-c2 search's stream: three integers per row, shifted
-        rng = np.random.default_rng(3)
-        a, b, c = rng.integers(0, (9, 8, 7), size=(5000, 3)).T
-        b = b + (b >= a)
-        c = c + (c >= np.minimum(a, b))
-        c = c + (c >= np.maximum(a, b))
-        idx = _distinct_indices(np.random.default_rng(3), 9, 5000, 3)
-        assert np.array_equal(idx, np.column_stack((a, b, c)))
-
-    def test_triples_uniform_over_ordered_triples(self):
-        n, m = 5, 60_000
-        # Wilson-Hilferty upper 1e-5 quantiles with 59 and 119 degrees of freedom
-        for r, seed in ((3, 8), (4, 9)):
-            idx = _distinct_indices(np.random.default_rng(seed), n, m, r)
-            cells = list(itertools.permutations(range(n), r))
-            digits = n ** np.arange(r - 1, -1, -1)  # a tuple's code in base n
-            counts = np.bincount(idx @ digits, minlength=n**r)[np.array(cells) @ digits]
-            assert counts.sum() == m
-            expected = m / len(cells)
-            chi2 = float(((counts - expected) ** 2 / expected).sum())
-            dof, z = len(cells) - 1, 4.265
-            limit = dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
-            assert chi2 < limit
-
-    @pytest.mark.parametrize("k, budget", [(math.nan, 100), (math.inf, 100), (0.0, 100), (4.0, 0)])
-    def test_k_and_budget_checked_for_both_searches(self, k, budget):
-        start = np.array([0.4, 0.3, 0.2, 0.1])
-        c2, c3 = float(start @ start), float((start**3).sum())
-        with pytest.raises(ValueError, match="finite k > 0 and budget >= 1"):
-            minimize_proxy_fixed_c2(4, c2, k, budget, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="finite k > 0 and budget >= 1"):
-            minimize_proxy_fixed_c2_c3(4, c2, c3, k, budget, np.random.default_rng(0), start)
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0])
+    def test_k_checked_for_both_searches(self, k):
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        c2, c3 = float(w @ w), float((w**3).sum())
+        with pytest.raises(ValueError, match="finite k > 0"):
+            minimize_proxy_fixed_c2(4, c2, k)
+        with pytest.raises(ValueError, match="finite k > 0"):
+            minimize_proxy_fixed_c2_c3(4, c2, c3, k)
 
 
 class TestUniformGlobalFloor:
@@ -299,46 +242,60 @@ class TestMinimizeFixedC2C3:
                 best = f if best is None else min(best, f)
             if best is None:
                 continue
-            _, f_walk = minimize_proxy_fixed_c2_c3(n, m.c2, m.c3, 4.0, 20_000, rng)
+            _, f_walk = minimize_proxy_fixed_c2_c3(n, m.c2, m.c3, 4.0)
             assert f_walk >= best * (1.0 - 1e-3)
 
     def test_walker_stays_on_slice(self):
-        rng = np.random.default_rng(6)
         base = ProbabilityVector([0.35, 0.25, 0.2, 0.12, 0.08])
         m = base.moments()
-        w, _ = minimize_proxy_fixed_c2_c3(5, m.c2, m.c3, 4.0, 5_000, rng)
+        w, _ = minimize_proxy_fixed_c2_c3(5, m.c2, m.c3, 4.0)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
         assert (w**2).sum() == pytest.approx(m.c2, abs=1e-10)
         assert (w**3).sum() == pytest.approx(m.c3, abs=1e-10)
         assert w.min() >= -1e-15
 
-    def test_walker_leaves_a_grouped_start(self):
-        # every four-block of this start holds a repeated value
-        start = np.array([0.4, 0.2, 0.2, 0.1, 0.1])
-        c2, c3 = float(start @ start), float((start**3).sum())
-        best = _best_three_level(5, c2, c3, 4.0)
-        assert best == pytest.approx(2.4402827881, rel=1e-10)
-        rng = np.random.default_rng(12)
-        _, f = minimize_proxy_fixed_c2_c3(5, c2, c3, 4.0, 20_000, rng, start)
-        assert abs(f - best) <= 1e-9 * best
-        assert f >= best * (1.0 - 1e-12)
+    def test_at_most_every_matched_three_level(self):
+        rng = np.random.default_rng(27)
+        for n in (4, 5, 6, 12, 30):
+            for _ in range(5):
+                p = ProbabilityVector(rng.dirichlet(np.full(n, 0.7)), normalize=True)
+                m = p.moments()
+                w, f = minimize_proxy_fixed_c2_c3(n, m.c2, m.c3, 5.0)
+                assert f == empty_boxes_proxy(w, 5.0)
+                rep = proxy_ordering(p, 5.0)
+                assert rep.f_three
+                assert all(f <= v for v in rep.f_three.values())
+                assert f <= rep.f_value + 1e-12 * rep.f_value
 
-    def test_three_boxes_return_the_start(self):
-        start = np.array([0.5, 0.3, 0.2])
-        c2, c3 = float(start @ start), float((start**3).sum())
-        q, f = minimize_proxy_fixed_c2_c3(3, c2, c3, 4.0, 1000, np.random.default_rng(0), start)
-        assert np.array_equal(q, start)
-        assert f == float(np.exp(-4.0 * start).sum())
+    @pytest.mark.parametrize(
+        "w, k, walk",
+        [
+            # the proxies where the random four-coordinate walk of earlier
+            # versions ended, from these vectors (it needed about 20 000 and
+            # 100 000 moves); the scan ties the first to rounding
+            (np.array([0.4, 0.2, 0.2, 0.1, 0.1]), 4.0, 2.4402827881076545),
+            (np.random.default_rng(13).dirichlet(np.full(50, 2.0)), 50.0, 22.252456067914718),
+        ],
+        ids=["grouped_n5", "dirichlet_n50"],
+    )
+    def test_at_most_the_walk_value(self, w, k, walk):
+        c2, c3 = float(w @ w), float((w**3).sum())
+        q, f = minimize_proxy_fixed_c2_c3(w.size, c2, c3, k)
+        assert f <= walk * (1.0 + 1e-14)
+        assert f >= _best_three_level(w.size, c2, c3, k) * (1.0 - 1e-12)
+        assert abs(q @ q - c2) <= 1e-12 * c2
+        assert abs((q**3).sum() - c3) <= 1e-12 * c3
 
-    def test_walker_descends_from_fifty_distinct_values(self):
-        rng = np.random.default_rng(13)
-        start = rng.dirichlet(np.full(50, 2.0))
-        c2, c3 = float(start @ start), float((start**3).sum())
-        best = _best_three_level(50, c2, c3, 50.0)
-        w, f = minimize_proxy_fixed_c2_c3(50, c2, c3, 50.0, 100_000, rng, start)
-        assert abs(f - best) <= 1e-4 * best
-        assert abs(w @ w - c2) <= 1e-12 * c2
-        assert abs((w**3).sum() - c3) <= 1e-12 * c3
+    def test_three_boxes_return_their_one_shape(self):
+        w = np.array([0.5, 0.3, 0.2])
+        c2, c3 = float(w @ w), float((w**3).sum())
+        q, f = minimize_proxy_fixed_c2_c3(3, c2, c3, 4.0)
+        assert q == pytest.approx(w, abs=1e-12)
+        assert f == empty_boxes_proxy(q, 4.0)
+
+    def test_no_feasible_shape_raises(self):
+        with pytest.raises(DistributionError, match="no feasible three-level shape"):
+            minimize_proxy_fixed_c2_c3(2, 0.5, 0.125, 4.0)
 
 
 class TestProxyOrdering:
