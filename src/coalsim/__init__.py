@@ -78,7 +78,6 @@ from .variational import (
 )
 from .asymptotics import (
     EarlyPhaseResult,
-    ExperimentConfig,
     LimitLawResult,
     ThresholdRow,
     early_phase_experiment,

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import ProbabilityVector, _whole, topheavy, uniform
+from .distributions import ProbabilityVector, topheavy, uniform
 from .dynamics import early_threshold, late_threshold
 from .simulate import SimConfig, first_passages, replicate_rng, runs
 
@@ -26,7 +26,6 @@ __all__ = [
     "threshold_experiment",
     "EarlyPhaseResult",
     "early_phase_experiment",
-    "ExperimentConfig",
     "LAMBDA_RULES",
 ]
 
@@ -92,10 +91,7 @@ def limit_law_experiment(
     """
     ts = _coalescence_samples(uniform(n), replicates, _child_seed(seed, 0))
     mean_t = float(ts.mean())
-    limit_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(1,))
-    )
-    reference = kingman_limit_samples(limit_rng, truncation, replicates)
+    reference = kingman_limit_samples(replicate_rng(seed, 1), truncation, replicates)
     return LimitLawResult(
         n=n,
         replicates=replicates,
@@ -180,19 +176,10 @@ def early_phase_experiment(
     k_1 = late_threshold(c2, n, eps)
     taus_star = np.empty(replicates)
     taus_mid = np.empty(replicates)
-    if k_star >= n:
-        taus_star.fill(0.0)
-        if k_1 >= n:
-            taus_mid.fill(0.0)
-        else:
-            for i in range(replicates):
-                passages = first_passages(p, (k_1,), replicate_rng(seed, i))
-                taus_mid[i] = passages[k_1]
-    else:
-        for i in range(replicates):
-            passages = first_passages(p, (k_star, k_1), replicate_rng(seed, i))
-            taus_star[i] = passages[k_star]
-            taus_mid[i] = passages[k_1] - passages[k_star]
+    for i in range(replicates):  # k_star = n ln(n)^-eps < n for every n >= 3
+        passages = first_passages(p, (k_star, k_1), replicate_rng(seed, i))
+        taus_star[i] = passages[k_star]
+        taus_mid[i] = passages[k_1] - passages[k_star]
     mean_star = float(taus_star.mean())
     mean_mid = float(taus_mid.mean())
     return EarlyPhaseResult(
@@ -206,58 +193,3 @@ def early_phase_experiment(
         mean_middle=mean_mid,
         middle_ratio=mean_mid * c2,
     )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Declarative experiment description consumed by the command line."""
-
-    kind: str                      # "limit" | "threshold" | "early_phase"
-    n_values: tuple[int, ...]
-    replicates: int
-    seed: int
-    c2_rule: str | float = "ln"    # lambda name, or a fixed collision rate
-    truncation: int = 1000
-
-    def __post_init__(self):
-        rule = self.c2_rule
-        if isinstance(rule, bool) or not isinstance(rule, (str, int, float)):
-            raise ValueError(
-                f"'lambda' must be a rule name or a collision rate, got {rule!r}"
-            )
-        if isinstance(rule, int):
-            object.__setattr__(self, "c2_rule", float(rule))
-        if self.truncation < 2:
-            raise ValueError("truncation must be at least 2")
-        if self.kind in ("limit",) and self.replicates < 100:
-            raise ValueError("distributional experiments need at least 100 replicates")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        if not self.n_values:
-            raise ValueError("need at least one n")
-        if min(self.n_values) < 2:
-            raise ValueError("n must be at least 2")
-        if isinstance(self.c2_rule, str) and self.c2_rule not in LAMBDA_RULES:
-            raise ValueError(
-                f"unknown 'lambda' rule {self.c2_rule!r}; "
-                f"choose from {', '.join(LAMBDA_RULES)}"
-            )
-
-    KEYS = frozenset({"n_values", "n", "replicates", "lambda", "c2", "K"})  # from_dict reads
-
-    @classmethod
-    def from_dict(cls, kind: str, payload: dict, seed: int):
-        field = "n_values" if payload.get("n_values") else "n"
-        ns = payload.get("n_values") or [payload.get("n")]
-        if ns == [None]:
-            raise ValueError(f"{kind} config needs 'n_values' or 'n'")
-        if not isinstance(ns, (list, tuple)):
-            raise ValueError(f"'n_values' must be a list of whole numbers, got {ns!r}")
-        return cls(
-            kind=kind,
-            n_values=tuple(_whole(v, field) for v in ns),
-            replicates=_whole(payload.get("replicates", 1000), "replicates"),
-            seed=seed,
-            c2_rule=payload.get("lambda", payload.get("c2", "ln")),
-            truncation=_whole(payload.get("K", 1000), "K"),
-        )

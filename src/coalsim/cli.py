@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ from . import asymptotics, exact_chain, simulate, tail_bounds, variational
 from .distributions import (
     DistributionError,
     SolverError,
+    _bool,
     _finite,
     _finite_numbers,
     _whole,
@@ -72,39 +72,125 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str | None, keys) -> dict:
-    """The config at path, which may hold only the keys its subcommand reads."""
-    if path is None:
-        raise _CliError("--config is required for this subcommand")
+def _descriptor(value, key: str):
     try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise _CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed config {path}: {exc}")
-    if not isinstance(config, dict):
-        raise _CliError(f"config must be a JSON object: {path}")
-    unknown = sorted(set(config) - set(keys))
-    if unknown:
-        raise _CliError(f"unknown config key {unknown[0]!r}; expected among {sorted(keys)}")
-    return config
-
-
-def _field(config: dict, key: str, command: str):
-    try:
-        return config[key]
-    except KeyError:
-        raise _CliError(f"{command} config needs {key!r}")
-
-
-def _distribution(config: dict):
-    if "distribution" not in config:
-        raise _CliError("config needs a 'distribution' descriptor")
-    try:
-        return from_descriptor(config["distribution"])
+        return from_descriptor(value)
     except KeyError as exc:  # a field the descriptor's family requires
         raise _CliError(f"distribution descriptor needs {exc.args[0]!r}")
+
+
+def _at_least(least: int, unit: str = ""):
+    def parse(value, key: str) -> int:
+        whole = _whole(value, key)
+        if whole < least:
+            raise _CliError(f"{key!r}={whole} must be at least {least}{unit}")
+        return whole
+
+    return parse
+
+
+def _sizes(value, key: str) -> list[int]:
+    """The n list of limit and threshold: whole numbers, each at least 2."""
+    if not isinstance(value, list):
+        raise _CliError(f"{key!r} must be a list of whole numbers, got {value!r}")
+    ns = [_whole(v, key) for v in value]
+    if not ns or min(ns) < 2:
+        raise _CliError(f"{key!r}={value!r}: give 'n_values' or 'n'; each n must be at least 2")
+    return ns
+
+
+def _lambda_rule(value, key: str) -> str | float:
+    """A rule name of LAMBDA_RULES, or a fixed collision rate c2: lambda(n) = c2 ln^2 n."""
+    if isinstance(value, str) and value not in asymptotics.LAMBDA_RULES:
+        rules = ", ".join(asymptotics.LAMBDA_RULES)
+        raise _CliError(f"unknown {key!r} rule {value!r}; choose from {rules}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise _CliError(f"{key!r} must be a rule name or a collision rate, got {value!r}")
+    return value if isinstance(value, str) else float(value)
+
+
+_DISTRIBUTION = {"distribution": (_descriptor, ...)}
+_N_LIST = {"n_values": (_sizes, ...), "n": (_whole, ...)}  # a lone n < 2 fails before it runs
+# Each subcommand's config keys: key -> (parser, default).  A default of ...
+# marks a required key; a key whose default is None reads null as absent.
+_KEYS = {
+    "moments": _DISTRIBUTION,
+    "exact": {**_DISTRIBUTION, "eps": (_finite, None)},
+    "simulate": {
+        **_DISTRIBUTION,
+        "replicates": (_whole, 1000),
+        "thresholds": (_finite_numbers, ()),
+        "b0": (_whole, None),
+        "record": (_bool, False),
+    },
+    "dynamics": {
+        **_DISTRIBUTION,
+        "k_values": (_finite_numbers, None),
+        "k_max": (_at_least(0), None),  # None: the distribution's n
+    },
+    "variational": {
+        "n": (_whole, ...),
+        "c2": (_finite, ...),
+        "k": (_finite, ...),
+        "budget": (_at_least(1), 100_000),
+    },
+    "bounds": {
+        **_DISTRIBUTION,
+        "k": (_whole, ...),
+        "b_values": (_finite_numbers, None),
+        "b_offsets": (_finite_numbers, (-2.0, -1.0, 0.0, 1.0, 2.0)),
+    },
+    "limit": {
+        **_N_LIST,
+        # the KS distance of fewer than 100 draws says nothing of the limit law
+        "replicates": (_at_least(100, " replicates"), 1000),
+        "K": (_at_least(2), 1000),
+    },
+    "threshold": {
+        **_N_LIST,
+        "replicates": (_whole, 1000),
+        "lambda": (_lambda_rule, "ln"),
+        "c2": (_lambda_rule, "ln"),
+    },
+}
+# Either/or keys: a config gives at most one of a pair, and the other reads None.
+_PAIRS = (("n_values", "n"), ("lambda", "c2"), ("k_values", "k_max"), ("b_values", "b_offsets"))
+_PARTNER = {a: b for pair in _PAIRS for a, b in (pair, pair[::-1])}
+
+
+def _load_config(args) -> dict:
+    """The parsed config of args.command: each key of its table parsed, or
+    its default when absent, and --replicates in place of the config's count."""
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise _CliError(f"malformed config {args.config}: {exc}")
+    if not isinstance(config, dict):
+        raise _CliError(f"config must be a JSON object: {args.config}")
+    table = _KEYS[args.command]
+    unknown = sorted(set(config) - set(table))
+    if unknown:
+        raise _CliError(f"unknown config key {unknown[0]!r}; expected among {sorted(table)}")
+    config = {k: v for k, v in config.items() if v is not None or table[k][1] is not None}
+    parsed = {}
+    for key, (parse, default) in table.items():
+        partner = _PARTNER.get(key)
+        if key in config and partner in config:
+            raise _CliError(f"config gives both {key!r} and {partner!r}; give one")
+        if key in config:
+            parsed[key] = parse(config[key], key)
+        elif partner in config:
+            parsed[key] = None
+        elif default is ...:
+            need = " or ".join(repr(k) for k in (key, partner) if k in table)
+            need = f"a {need} descriptor" if parse is _descriptor else need
+            raise _CliError(f"{args.command} config needs {need}")
+        else:
+            parsed[key] = default
+    if getattr(args, "replicates", None) is not None:  # the flag, parsed like the key
+        parsed["replicates"] = table["replicates"][0](args.replicates, "replicates")
+    return parsed
 
 
 def _outputs(args, *exts: str) -> list[Path]:
@@ -119,20 +205,16 @@ def _outputs(args, *exts: str) -> list[Path]:
     return paths
 
 
-def _cmd_moments(args) -> str:
-    config = _load_config(args.config, {"distribution"})
-    p = _distribution(config)
+def _cmd_moments(args, cfg: dict) -> str:
+    p = cfg["distribution"]
     m = p.moments()
     payload = {"n": p.n, "c2": m.c2, "c3": m.c3}
     _write_json(_outputs(args, ".json")[0], payload)
     return f"moments: n={p.n} c2={m.c2:.12g} c3={m.c3:.12g}"
 
 
-def _cmd_exact(args) -> str:
-    config = _load_config(args.config, {"distribution", "eps"})
-    p = _distribution(config)
-    eps = config.get("eps")
-    eps = None if eps is None else _finite(eps, "eps")
+def _cmd_exact(args, cfg: dict) -> str:
+    p, eps = cfg["distribution"], cfg["eps"]
     kernel = exact_chain.TriangularKernel(p)
     out_kernel, out_csv, out_json = _outputs(args, ".kernel.csv", ".expected.csv", ".json")
     exact_chain.write_kernel_csv(kernel, out_kernel)
@@ -151,23 +233,14 @@ def _cmd_exact(args) -> str:
     return f"exact: n={p.n} expected_T={et[p.n]:.12g}"
 
 
-def _cmd_simulate(args) -> str:
-    keys = {"distribution", "replicates", "thresholds", "b0", "record"}
-    config = _load_config(args.config, keys)
-    p = _distribution(config)
-    replicates = _whole(config.get("replicates", 1000), "replicates")
-    if args.replicates is not None:  # validated by SimConfig
-        replicates = args.replicates
-    thresholds = tuple(_finite_numbers(config.get("thresholds", []), "thresholds"))
-    b0, record = config.get("b0"), config.get("record", False)
-    if not isinstance(record, bool):
-        raise _CliError(f"'record' must be true or false, got {record!r}")
-    sim = simulate.SimConfig(
-        p=p,
+def _cmd_simulate(args, cfg: dict) -> str:
+    replicates, thresholds = cfg["replicates"], tuple(cfg["thresholds"])
+    sim = simulate.SimConfig(  # checks the counts against n
+        p=cfg["distribution"],
         replicates=replicates,
         master_seed=args.seed,
-        b0=None if b0 is None else _whole(b0, "b0"),
-        record_trajectory=record,
+        b0=cfg["b0"],
+        record_trajectory=cfg["record"],
         passage_thresholds=thresholds,
     )
     results = simulate.runs(sim)
@@ -199,17 +272,10 @@ def _cmd_simulate(args) -> str:
     )
 
 
-def _cmd_dynamics(args) -> str:
-    config = _load_config(args.config, {"distribution", "k_values", "k_max"})
-    p = _distribution(config)
-    ks = config.get("k_values")
+def _cmd_dynamics(args, cfg: dict) -> str:
+    p, ks = cfg["distribution"], cfg["k_values"]
     if ks is None:
-        k_max = _whole(config.get("k_max", p.n), "k_max")
-        if k_max < 0:
-            raise _CliError(f"'k_max'={k_max} must be at least 0")
-        ks = range(k_max + 1)
-    else:
-        ks = _finite_numbers(ks, "k_values")
+        ks = range((p.n if cfg["k_max"] is None else cfg["k_max"]) + 1)
     ks = np.array(ks, dtype=float)
     margin = np.zeros_like(ks)  # the margin's limit at k = 0
     margin[ks > 0] = envelope_margin(p, ks[ks > 0])
@@ -223,14 +289,8 @@ def _cmd_dynamics(args) -> str:
     return f"dynamics: wrote {len(rows)} rows"
 
 
-def _cmd_variational(args) -> str:
-    config = _load_config(args.config, {"n", "c2", "k", "budget"})
-    n = _whole(_field(config, "n", "variational"), "n")
-    c2 = _finite(_field(config, "c2", "variational"), "c2")
-    k = _finite(_field(config, "k", "variational"), "k")
-    budget = _whole(config.get("budget", 100_000), "budget")
-    if budget < 1:
-        raise _CliError(f"'budget'={budget} must be at least 1")
+def _cmd_variational(args, cfg: dict) -> str:
+    n, c2, k, budget = cfg["n"], cfg["c2"], cfg["k"], cfg["budget"]
     q_best, f_best = variational.minimize_proxy_fixed_c2(n, c2, k)
     # the independent check: the lowest proxy of budget // 2 random slice samples
     rng = np.random.default_rng(args.seed)
@@ -253,19 +313,13 @@ def _cmd_variational(args) -> str:
     return f"variational: f_best={f_best:.12g} gap={f_best - f_top:.3e}"
 
 
-def _cmd_bounds(args) -> str:
-    config = _load_config(args.config, {"distribution", "k", "b_values", "b_offsets"})
-    p = _distribution(config)
-    k = _whole(_field(config, "k", "bounds"), "k")
+def _cmd_bounds(args, cfg: dict) -> str:
+    p, k, b_values = cfg["distribution"], cfg["k"], cfg["b_values"]
     if not 1 <= k <= p.n:
         raise _CliError(f"'k'={k} outside [1, n={p.n}]")
     center = tail_bounds.tilt_center(p, k)
-    b_values = config.get("b_values")
     if b_values is None:
-        offsets = _finite_numbers(config.get("b_offsets", [-2, -1, 0, 1, 2]), "b_offsets")
-        b_values = [center + o for o in offsets]
-    else:
-        b_values = _finite_numbers(b_values, "b_values")
+        b_values = [center + o for o in cfg["b_offsets"]]
     b_values = [b for b in b_values if 0.0 < b <= k]
     report = tail_bounds.curvature_report(p, k, b_values)
     rows = [
@@ -289,14 +343,10 @@ def _cmd_bounds(args) -> str:
     return f"bounds: solved {len(report.points)} points, all_ok={report.all_ok}"
 
 
-def _cmd_limit(args) -> str:
-    config = _load_config(args.config, asymptotics.ExperimentConfig.KEYS)
-    cfg = asymptotics.ExperimentConfig.from_dict("limit", config, args.seed)
-    if args.replicates is not None:  # validated like the config's count
-        cfg = replace(cfg, replicates=args.replicates)
+def _cmd_limit(args, cfg: dict) -> str:
     rows = [
-        asymptotics.limit_law_experiment(n, cfg.replicates, cfg.seed, cfg.truncation)
-        for n in cfg.n_values
+        asymptotics.limit_law_experiment(n, cfg["replicates"], args.seed, cfg["K"])
+        for n in cfg["n_values"] or [cfg["n"]]
     ]
     out_csv, out_json = _outputs(args, ".csv", ".json")
     _write_csv(
@@ -314,14 +364,11 @@ def _cmd_limit(args) -> str:
     return "limit: " + " ".join(f"n={r.n} ks={r.ks_distance:.4f}" for r in rows)
 
 
-def _cmd_threshold(args) -> str:
-    config = _load_config(args.config, asymptotics.ExperimentConfig.KEYS)
-    cfg = asymptotics.ExperimentConfig.from_dict("threshold", config, args.seed)
-    if args.replicates is not None:  # validated like the config's count
-        cfg = replace(cfg, replicates=args.replicates)
-    c2 = cfg.c2_rule  # a lambda rule's name, or a fixed rate: lambda(n) = c2 ln^2 n
+def _cmd_threshold(args, cfg: dict) -> str:
+    c2 = cfg["c2"] if cfg["lambda"] is None else cfg["lambda"]
     rule = c2 if isinstance(c2, str) else lambda n: c2 * math.log(n) ** 2
-    rows = asymptotics.threshold_experiment(cfg.n_values, rule, cfg.replicates, cfg.seed)
+    ns = cfg["n_values"] or [cfg["n"]]
+    rows = asymptotics.threshold_experiment(ns, rule, cfg["replicates"], args.seed)
     out_csv, out_json = _outputs(args, ".csv", ".json")
     _write_csv(
         out_csv,
@@ -363,10 +410,11 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="JSON experiment config")
+        cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         cmd.add_argument("--out", default=None, help="output base path")
-        cmd.add_argument("--replicates", type=int, default=None)
+        if "replicates" in _KEYS[name]:
+            cmd.add_argument("--replicates", type=int, default=None)
         cmd.add_argument("--quiet", action="store_true")
     return parser
 
@@ -374,7 +422,7 @@ def _build_parser() -> _ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        summary = _HANDLERS[args.command](args)
+        summary = _HANDLERS[args.command](args, _load_config(args))
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -312,6 +312,13 @@ def _finite_numbers(value, key: str) -> list[float]:
     raise DistributionError(f"{key!r} must be a list of finite numbers, got {value!r}")
 
 
+def _bool(value, key: str) -> bool:
+    """value of field key; a string such as "false" or a number is an error."""
+    if not isinstance(value, bool):
+        raise DistributionError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def from_descriptor(desc: dict) -> ProbabilityVector:
     """Build a vector from a JSON-style descriptor.
 
@@ -333,8 +340,6 @@ def from_descriptor(desc: dict) -> ProbabilityVector:
             _whole(desc["nu"], "nu"),
         )
     if family == "explicit":
-        normalize = desc.get("normalize", False)
-        if not isinstance(normalize, bool):
-            raise DistributionError(f"'normalize' must be true or false, got {normalize!r}")
+        normalize = _bool(desc.get("normalize", False), "normalize")
         return ProbabilityVector(_finite_numbers(desc["weights"], "weights"), normalize=normalize)
     raise DistributionError(f"unknown distribution family {family!r}")

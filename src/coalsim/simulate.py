@@ -284,10 +284,6 @@ class RunningStats:
         xs = [int(x) for x in xs]
         return cls(len(xs), sum(xs), sum(x * x for x in xs))
 
-    def add(self, x: int) -> "RunningStats":
-        x = int(x)
-        return RunningStats(self.count + 1, self.total + x, self.total_sq + x * x)
-
     def merge(self, other: "RunningStats") -> "RunningStats":
         return RunningStats(
             self.count + other.count,

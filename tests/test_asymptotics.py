@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from coalsim import asymptotics, cli
 from coalsim.asymptotics import (
-    ExperimentConfig,
+    LimitLawResult,
     early_phase_experiment,
     kingman_limit_samples,
     ks_two_sample,
@@ -121,41 +123,67 @@ class TestEarlyPhaseExperiment:
 
 
 class TestExperimentConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="limit", n_values=(100,), replicates=10, seed=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                kind="threshold", n_values=(100,), replicates=10, seed=0, truncation=1
-            )
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="threshold", n_values=(), replicates=10, seed=0)
+    """The limit and threshold configs, as the command line parses them."""
 
-    def test_from_dict(self):
-        cfg = ExperimentConfig.from_dict(
-            "limit", {"n_values": [100, 1000], "replicates": 500, "K": 64}, 7
-        )
-        assert cfg.n_values == (100, 1000)
-        assert cfg.truncation == 64
-        assert cfg.seed == 7
+    @staticmethod
+    def run(tmp_path, command, payload, seed=0):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(payload))
+        argv = [command, "--config", str(path), "--seed", str(seed), "--quiet"]
+        return cli.main(argv + ["--out", str(tmp_path / "run")])
 
-    def test_sizes_must_be_whole_numbers(self):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The limit-law experiments the command line asks for, none of them run."""
+        calls = []
+
+        def record(n, replicates, seed, truncation):
+            calls.append((n, replicates, seed, truncation))
+            return LimitLawResult(n, replicates, 2.0 * n, 1.0, 0.0)
+
+        monkeypatch.setattr(asymptotics, "limit_law_experiment", record)
+        return calls
+
+    def test_validation(self, tmp_path, calls, monkeypatch):
+        monkeypatch.setattr(asymptotics, "threshold_experiment", lambda *a: calls.append(a))
+        for command, payload in (
+            ("limit", {"n_values": [100], "replicates": 10}),
+            ("threshold", {"n_values": [100], "replicates": 10, "K": 1}),
+            ("limit", {"n_values": [100], "replicates": 100, "K": 1}),
+            ("threshold", {"n_values": [], "replicates": 10}),
+        ):
+            assert self.run(tmp_path, command, payload) == 1
+        assert calls == []
+
+    def test_from_dict(self, tmp_path, calls):
+        payload = {"n_values": [100, 1000], "replicates": 500, "K": 64}
+        assert self.run(tmp_path, "limit", payload, seed=7) == 0
+        assert calls == [(100, 500, 7, 64), (1000, 500, 7, 64)]
+
+    def test_sizes_must_be_whole_numbers(self, tmp_path, calls, capsys):
         for payload, field in (
             ({"n_values": [50.7]}, "'n_values'"),
             ({"n": 30.5}, "'n'"),
             ({"n": 50, "replicates": 150.9}, "'replicates'"),
             ({"n": 50, "K": 1000.5}, "'K'"),
         ):
-            with pytest.raises(ValueError, match=field):
-                ExperimentConfig.from_dict("threshold", payload, 0)
-        cfg = ExperimentConfig.from_dict(
-            "threshold", {"n_values": [50.0], "replicates": 150.0, "K": 64.0}, 0
-        )
-        assert (cfg.n_values, cfg.replicates, cfg.truncation) == ((50,), 150, 64)
+            assert self.run(tmp_path, "limit", payload) == 1
+            assert field in capsys.readouterr().err
+        payload = {"n_values": [50.0], "replicates": 150.0, "K": 64.0}
+        assert self.run(tmp_path, "limit", payload) == 0
+        assert calls == [(50, 150, 0, 64)]
+        assert all(type(v) is int for v in calls[0])
 
-    def test_numeric_lambda_is_a_collision_rate(self):
-        cfg = ExperimentConfig.from_dict("threshold", {"n": 50, "lambda": 1}, 0)
-        assert cfg.c2_rule == 1.0 and isinstance(cfg.c2_rule, float)
+    def test_numeric_lambda_is_a_collision_rate(self, tmp_path, capsys, monkeypatch):
+        rules = []
+
+        def record(ns, rule, replicates, seed):
+            rules.append(rule)
+            return []
+
+        monkeypatch.setattr(asymptotics, "threshold_experiment", record)
+        assert self.run(tmp_path, "threshold", {"n": 50, "lambda": 1}) == 0
+        assert rules[0](50) == math.log(50) ** 2  # c2 = lambda(n) / ln^2 n = 1.0
         for rule in (True, None, [1]):
-            with pytest.raises(ValueError, match="'lambda'"):
-                ExperimentConfig.from_dict("threshold", {"n": 50, "lambda": rule}, 0)
+            assert self.run(tmp_path, "threshold", {"n": 50, "lambda": rule}) == 1
+            assert "'lambda'" in capsys.readouterr().err

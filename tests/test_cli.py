@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +21,7 @@ from coalsim.distributions import SolverError, topheavy
 from coalsim.exact_chain import TriangularKernel, expected_coalescence_times
 from coalsim.simulate import SimConfig, batch, run
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -360,7 +363,7 @@ class TestErrorPaths:
             ("limit", {"replicates": 200}, "'n_values' or 'n'"),
             ("threshold", {"n_values": [], "replicates": 10}, "'n_values' or 'n'"),
             ("threshold", {"n_values": [50], "lambda": "zz"}, "'lambda' rule 'zz'"),
-            ("limit", {"n": 50, "lambda": "zz"}, "'lambda' rule 'zz'"),
+            ("limit", {"n": 50, "lambda": "zz"}, "unknown config key 'lambda'"),
             ("threshold", {"n_values": [20], "lambda": True}, "'lambda' must be a rule"),
             ("threshold", {"n_values": [20], "lambda": [1]}, "'lambda' must be a rule"),
             ("threshold", {"n_values": [50.7]}, "'n_values' must be a whole number"),
@@ -439,6 +442,16 @@ class TestErrorPaths:
             ("exact", {"distribution": {"family": "explicit"}},
              "distribution descriptor needs 'weights'"),
             ("exact", {"eps": 0.1}, "config needs a 'distribution' descriptor"),
+            ("limit", {"n": 50, "lambda": "sqrt_ln"}, "unknown config key 'lambda'"),
+            ("limit", {"n": 50, "c2": 0.5}, "unknown config key 'c2'"),
+            ("threshold", {"n_values": [50], "K": 1000}, "unknown config key 'K'"),
+            # either/or pairs: the second key of each would be ignored
+            ("limit", {"n_values": [50], "n": 60}, "both 'n_values' and 'n'"),
+            ("threshold", {"n": 50, "lambda": "ln", "c2": 0.5}, "both 'lambda' and 'c2'"),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 5}, "k_values": [1],
+                          "k_max": 3}, "both 'k_values' and 'k_max'"),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 10,
+                        "b_values": [5.0], "b_offsets": [0]}, "both 'b_values' and 'b_offsets'"),
         ],
     )
     def test_experiment_config_names_bad_field(self, tmp_path, capsys, command, payload, field):
@@ -465,6 +478,23 @@ class TestErrorPaths:
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "exp"), "--replicates", "0"]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("moments", {"distribution": {"family": "uniform", "n": 4}}),
+            ("exact", {"distribution": {"family": "uniform", "n": 4}}),
+            ("dynamics", {"distribution": {"family": "uniform", "n": 4}}),
+            ("variational", {"n": 4, "c2": 0.3, "k": 5, "budget": 100}),
+            ("bounds", {"distribution": {"family": "uniform", "n": 20}, "k": 10}),
+        ],
+    )
+    def test_replicates_flag_only_where_read(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "exp.json", payload)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "exp")]
+        assert main(argv + ["--replicates", "-4"]) == 1
+        assert "unrecognized arguments: --replicates" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_integer_lambda_is_a_collision_rate(self, tmp_path, capsys):
         outs = []
@@ -564,9 +594,9 @@ def _malformed_configs():
     def configs(draw):
         kind = draw(st.integers(0, 7))
         if kind == 0:
-            return draw(junk)  # not an object
+            return draw(junk.filter(lambda v: not isinstance(v, dict)))  # not an object
         if kind == 1:
-            return {"distribution": draw(junk), "replicates": 10}  # not a descriptor
+            return {"distribution": draw(junk)}  # not a descriptor
         family, key = draw(st.sampled_from(fields))
         desc = dict(valid[family])
         if draw(st.booleans()):
@@ -575,20 +605,54 @@ def _malformed_configs():
                 del desc["weights"]
         else:
             desc[key] = draw(bad[key])
-        return {"distribution": desc, "replicates": 10}
+        return {"distribution": desc}
 
     return configs()
+
+
+class TestKnownConfigs:
+    """The configs the benchmark and the README run all pass the key table."""
+
+    @staticmethod
+    def parse(argv):
+        return cli._load_config(cli._build_parser().parse_args(argv))
+
+    def test_perfbench_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for workload in workloads.WORKLOADS:
+            for seed in (1, 2, 3):
+                jobs = workloads.build(workload, seed)
+                paths = workloads.write_configs(jobs, tmp_path / f"{workload}{seed}")
+                for job in jobs:
+                    self.parse(job.argv(paths[job.name], tmp_path / "out"))
+
+    def test_readme_examples(self, tmp_path):
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"Examples:\s*```bash\n(.*?)```", text, re.S).group(1)
+        echoes = re.findall(r"echo '(.*)' > (\S+)", block)
+        configs = {name: json.loads(body) for body, name in echoes}
+        runs = [line.split()[1:] for line in block.splitlines() if line.startswith("coalsim ")]
+        assert {argv[0] for argv in runs} == set(cli._KEYS) - {"moments"}
+        for argv in runs:
+            at = argv.index("--config") + 1
+            argv[at] = str(write_config(tmp_path, argv[at], configs[argv[at]]))
+            self.parse(argv)
 
 
 class TestMalformedDescriptors:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(config=_malformed_configs(), command=st.sampled_from(["exact", "simulate"]))
     def test_exit_code_not_exception(self, config, command):
+        if command == "simulate" and isinstance(config, dict):
+            config = {**config, "replicates": 10}  # only simulate reads a count
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), "m.json", config)
-            with contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main([command, "--config", str(cfg), "--quiet"])
         assert code in (1, 2)
+        # each example reaches the descriptor, not the key check
+        assert "unknown config key" not in err.getvalue()
 
 
 class TestThroughLibrary:
