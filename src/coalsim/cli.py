@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -14,7 +15,6 @@ from . import asymptotics, exact_chain, simulate, tail_bounds, variational
 from .distributions import (
     DistributionError,
     SolverError,
-    _bool,
     _finite,
     _finite_numbers,
     _whole,
@@ -66,10 +66,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(line % row)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write(path: Path, content) -> None:
+    """Write one output file: a JSON payload (dict), a CSV (header, rows) or
+    a TriangularKernel, whose rows go to write_kernel_csv."""
+    if isinstance(content, exact_chain.TriangularKernel):
+        exact_chain.write_kernel_csv(content, path)
+    elif isinstance(content, dict):
+        with open(path, "w") as fh:
+            json.dump(content, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        _write_csv(path, *content)
+
+
+def _table(cls, rows) -> tuple[list[str], object]:
+    """The CSV of dataclass rows: the class's field names, then each row's values."""
+    return [f.name for f in dataclasses.fields(cls)], map(dataclasses.astuple, rows)
 
 
 def _descriptor(value, key: str):
@@ -121,7 +133,6 @@ _KEYS = {
         "replicates": (_whole, 1000),
         "thresholds": (_finite_numbers, ()),
         "b0": (_whole, None),
-        "record": (_bool, False),
     },
     "dynamics": {
         **_DISTRIBUTION,
@@ -205,19 +216,16 @@ def _outputs(args, *exts: str) -> list[Path]:
     return paths
 
 
-def _cmd_moments(args, cfg: dict) -> str:
+def _cmd_moments(args, cfg: dict) -> tuple[str, list]:
     p = cfg["distribution"]
     m = p.moments()
     payload = {"n": p.n, "c2": m.c2, "c3": m.c3}
-    _write_json(_outputs(args, ".json")[0], payload)
-    return f"moments: n={p.n} c2={m.c2:.12g} c3={m.c3:.12g}"
+    return f"moments: n={p.n} c2={m.c2:.12g} c3={m.c3:.12g}", [payload]
 
 
-def _cmd_exact(args, cfg: dict) -> str:
+def _cmd_exact(args, cfg: dict) -> tuple[str, list]:
     p, eps = cfg["distribution"], cfg["eps"]
     kernel = exact_chain.TriangularKernel(p)
-    out_kernel, out_csv, out_json = _outputs(args, ".kernel.csv", ".expected.csv", ".json")
-    exact_chain.write_kernel_csv(kernel, out_kernel)
     c2 = p.moments().c2
     payload = {"n": p.n, "c2": c2, "pair_bound_2n_minus_2": 2 * p.n - 2}
     if eps is None:
@@ -228,32 +236,25 @@ def _cmd_exact(args, cfg: dict) -> str:
         et, phases = exact_chain._times_and_phases(kernel, k_star, k_1)
         payload["phases"] = {"k_star": k_star, "k_1": k_1, **vars(phases)}
     payload["expected_T_from_n"] = et[p.n]
-    _write_csv(out_csv, ["m", "expected_T"], enumerate(et[1:], start=1))
-    _write_json(out_json, payload)
-    return f"exact: n={p.n} expected_T={et[p.n]:.12g}"
+    expected = (["m", "expected_T"], enumerate(et[1:], start=1))
+    return f"exact: n={p.n} expected_T={et[p.n]:.12g}", [kernel, expected, payload]
 
 
-def _cmd_simulate(args, cfg: dict) -> str:
+def _cmd_simulate(args, cfg: dict) -> tuple[str, list]:
     replicates, thresholds = cfg["replicates"], tuple(cfg["thresholds"])
     sim = simulate.SimConfig(  # checks the counts against n
         p=cfg["distribution"],
         replicates=replicates,
         master_seed=args.seed,
         b0=cfg["b0"],
-        record_trajectory=cfg["record"],
         passage_thresholds=thresholds,
     )
     results = simulate.runs(sim)
     summary = simulate.BatchSummary.from_runs(results, thresholds)
-    out_csv, out_json = _outputs(args, ".replicates.csv", ".json")
     header = ["replicate", "T"] + [f"tau_at_{_fmt(t)}" for t in thresholds]
-    _write_csv(
-        out_csv,
-        header,
-        (
-            [i, r.T] + [r.passages[t] for t in thresholds]
-            for i, r in enumerate(results)
-        ),
+    rows = (
+        [i, r.T] + [r.passages[t] for t in thresholds]
+        for i, r in enumerate(results)
     )
     stats = summary.t
     payload = {
@@ -264,15 +265,14 @@ def _cmd_simulate(args, cfg: dict) -> str:
         "variance_T": stats.variance,
         "passages": {_fmt(t): s.mean for t, s in summary.passages.items()},
     }
-    _write_json(out_json, payload)
     se = stats.stderr
     return (
         f"simulate: mean T={stats.mean:.12g}"
         + (f" stderr={se:.4g}" if se is not None else "")
-    )
+    ), [(header, rows), payload]
 
 
-def _cmd_dynamics(args, cfg: dict) -> str:
+def _cmd_dynamics(args, cfg: dict) -> tuple[str, list]:
     p, ks = cfg["distribution"], cfg["k_values"]
     if ks is None:
         ks = range((p.n if cfg["k_max"] is None else cfg["k_max"]) + 1)
@@ -281,15 +281,11 @@ def _cmd_dynamics(args, cfg: dict) -> str:
     margin[ks > 0] = envelope_margin(p, ks[ks > 0])
     columns = (empty_boxes_proxy(p, ks), occupancy_proxy(p, ks), one_step_envelope(p, ks))
     rows = np.column_stack((ks, *columns, margin)).tolist()
-    _write_csv(
-        _outputs(args, ".csv")[0],
-        ["k", "empty_proxy", "occupancy_proxy", "envelope", "margin"],
-        rows,
-    )
-    return f"dynamics: wrote {len(rows)} rows"
+    header = ["k", "empty_proxy", "occupancy_proxy", "envelope", "margin"]
+    return f"dynamics: wrote {len(rows)} rows", [(header, rows)]
 
 
-def _cmd_variational(args, cfg: dict) -> str:
+def _cmd_variational(args, cfg: dict) -> tuple[str, list]:
     n, c2, k, budget = cfg["n"], cfg["c2"], cfg["k"], cfg["budget"]
     q_best, f_best = variational.minimize_proxy_fixed_c2(n, c2, k)
     # the independent check: the lowest proxy of budget // 2 random slice samples
@@ -309,11 +305,10 @@ def _cmd_variational(args, cfg: dict) -> str:
         "gap": f_best - f_top,
         "distinct_levels_at_1e-6": variational.level_count(q_best.weights),
     }
-    _write_json(_outputs(args, ".json")[0], payload)
-    return f"variational: f_best={f_best:.12g} gap={f_best - f_top:.3e}"
+    return f"variational: f_best={f_best:.12g} gap={f_best - f_top:.3e}", [payload]
 
 
-def _cmd_bounds(args, cfg: dict) -> str:
+def _cmd_bounds(args, cfg: dict) -> tuple[str, list]:
     p, k, b_values = cfg["distribution"], cfg["k"], cfg["b_values"]
     if not 1 <= k <= p.n:
         raise _CliError(f"'k'={k} outside [1, n={p.n}]")
@@ -326,12 +321,7 @@ def _cmd_bounds(args, cfg: dict) -> str:
         (pt.b, pt.z, pt.r, pt.h, pt.curvature_fd, pt.hessian_det)
         for pt in report.points
     ]
-    out_csv, out_json = _outputs(args, ".csv", ".json")
-    _write_csv(
-        out_csv,
-        ["b", "z", "r", "h", "h_second_fd", "hessian_det"],
-        rows,
-    )
+    header = ["b", "z", "r", "h", "h_second_fd", "hessian_det"]
     payload = {
         "k": k,
         "center": center,
@@ -339,45 +329,30 @@ def _cmd_bounds(args, cfg: dict) -> str:
         "solved_points": len(report.points),
         "skipped": [{"b": b, "reason": reason} for b, reason in report.skipped],
     }
-    _write_json(out_json, payload)
-    return f"bounds: solved {len(report.points)} points, all_ok={report.all_ok}"
+    summary = f"bounds: solved {len(report.points)} points, all_ok={report.all_ok}"
+    return summary, [(header, rows), payload]
 
 
-def _cmd_limit(args, cfg: dict) -> str:
+def _cmd_limit(args, cfg: dict) -> tuple[str, list]:
     rows = [
         asymptotics.limit_law_experiment(n, cfg["replicates"], args.seed, cfg["K"])
         for n in cfg["n_values"] or [cfg["n"]]
     ]
-    out_csv, out_json = _outputs(args, ".csv", ".json")
-    _write_csv(
-        out_csv,
-        ["n", "replicates", "mean_T", "mean_ratio", "ks_distance"],
-        ((r.n, r.replicates, r.mean_T, r.mean_ratio, r.ks_distance) for r in rows),
-    )
     ks = [r.ks_distance for r in rows]
     payload = {
         "rows": [vars(r) for r in rows],
         "ks_nonincreasing_in_n": all(a >= b for a, b in zip(ks, ks[1:])),
         "note": "finite-n proxy bands; the underlying statements are limits",
     }
-    _write_json(out_json, payload)
-    return "limit: " + " ".join(f"n={r.n} ks={r.ks_distance:.4f}" for r in rows)
+    summary = "limit: " + " ".join(f"n={r.n} ks={r.ks_distance:.4f}" for r in rows)
+    return summary, [_table(asymptotics.LimitLawResult, rows), payload]
 
 
-def _cmd_threshold(args, cfg: dict) -> str:
+def _cmd_threshold(args, cfg: dict) -> tuple[str, list]:
     c2 = cfg["c2"] if cfg["lambda"] is None else cfg["lambda"]
     rule = c2 if isinstance(c2, str) else lambda n: c2 * math.log(n) ** 2
     ns = cfg["n_values"] or [cfg["n"]]
     rows = asymptotics.threshold_experiment(ns, rule, cfg["replicates"], args.seed)
-    out_csv, out_json = _outputs(args, ".csv", ".json")
-    _write_csv(
-        out_csv,
-        ["n", "c2", "scaled_mean_top", "slow_fraction", "scaled_mean_uniform"],
-        (
-            (r.n, r.c2, r.scaled_mean_top, r.slow_fraction, r.scaled_mean_uniform)
-            for r in rows
-        ),
-    )
     tops = [r.scaled_mean_top for r in rows]
     payload = {
         "rows": [vars(r) for r in rows],
@@ -386,19 +361,20 @@ def _cmd_threshold(args, cfg: dict) -> str:
         ),
         "note": "finite-n proxy bands; the underlying statements are limits",
     }
-    _write_json(out_json, payload)
-    return "threshold: " + " ".join(f"n={r.n} scaled={r.scaled_mean_top:.3f}" for r in rows)
+    summary = "threshold: " + " ".join(f"n={r.n} scaled={r.scaled_mean_top:.3f}" for r in rows)
+    return summary, [_table(asymptotics.ThresholdRow, rows), payload]
 
 
+# Each subcommand's handler, then its output extensions in the order of its contents.
 _HANDLERS = {
-    "moments": _cmd_moments,
-    "exact": _cmd_exact,
-    "simulate": _cmd_simulate,
-    "dynamics": _cmd_dynamics,
-    "variational": _cmd_variational,
-    "bounds": _cmd_bounds,
-    "limit": _cmd_limit,
-    "threshold": _cmd_threshold,
+    "moments": (_cmd_moments, ".json"),
+    "exact": (_cmd_exact, ".kernel.csv", ".expected.csv", ".json"),
+    "simulate": (_cmd_simulate, ".replicates.csv", ".json"),
+    "dynamics": (_cmd_dynamics, ".csv"),
+    "variational": (_cmd_variational, ".json"),
+    "bounds": (_cmd_bounds, ".csv", ".json"),
+    "limit": (_cmd_limit, ".csv", ".json"),
+    "threshold": (_cmd_threshold, ".csv", ".json"),
 }
 
 
@@ -422,7 +398,12 @@ def _build_parser() -> _ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        summary = _HANDLERS[args.command](args, _load_config(args))
+        handler, *exts = _HANDLERS[args.command]
+        cfg = _load_config(args)
+        paths = _outputs(args, *exts)  # a colliding --out fails before any work
+        summary, contents = handler(args, cfg)
+        for path, content in zip(paths, contents, strict=True):
+            _write(path, content)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Seeded Monte Carlo engine for the coalescing allocation process:
-single-round sampling, full trajectories, first passages, and exactly
-mergeable batch statistics."""
+single-round sampling, full trajectories, first passages, and exact
+integer batch statistics."""
 
 from __future__ import annotations
 
@@ -271,8 +271,8 @@ def first_passages(
 class RunningStats:
     """Count/sum/sum-of-squares over integer samples.
 
-    All fields are exact integers, so merging two accumulators equals
-    accumulating the concatenated samples, in any order.
+    All fields are exact integers, so the statistics do not depend on the
+    order in which the samples are given.
     """
 
     count: int = 0
@@ -283,13 +283,6 @@ class RunningStats:
     def from_samples(cls, xs) -> "RunningStats":
         xs = [int(x) for x in xs]
         return cls(len(xs), sum(xs), sum(x * x for x in xs))
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        return RunningStats(
-            self.count + other.count,
-            self.total + other.total,
-            self.total_sq + other.total_sq,
-        )
 
     @property
     def mean(self) -> float:
@@ -323,7 +316,7 @@ class RunningStats:
 
 @dataclass(frozen=True)
 class BatchSummary:
-    """Merged statistics of a batch: coalescence times plus per-threshold passages."""
+    """Statistics of a batch: coalescence times plus per-threshold passages."""
 
     t: RunningStats
     passages: dict[float, RunningStats] = field(default_factory=dict)
@@ -341,15 +334,6 @@ class BatchSummary:
             },
         )
 
-    def merge(self, other: "BatchSummary") -> "BatchSummary":
-        keys = set(self.passages) | set(other.passages)
-        empty = RunningStats()
-        merged = {
-            th: self.passages.get(th, empty).merge(other.passages.get(th, empty))
-            for th in keys
-        }
-        return BatchSummary(self.t.merge(other.t), merged)
-
 
 def runs(config: SimConfig) -> list[RunResult]:
     """Every replicate of the batch, in index order."""
@@ -357,11 +341,11 @@ def runs(config: SimConfig) -> list[RunResult]:
 
 
 def batch(config: SimConfig) -> BatchSummary:
-    """Run all replicates and merge their statistics.
+    """Run all replicates and summarize their statistics.
 
     The result depends only on (config, master_seed): replicate streams are
-    index-derived and the integer accumulators merge exactly, so neither
-    scheduling nor replicate order changes it.
+    index-derived and the accumulators are exact integers, so replicate
+    order does not change it.
     """
     return BatchSummary.from_runs(runs(config), config.passage_thresholds)
 

@@ -426,11 +426,11 @@ class TestErrorPaths:
              "'k' must be a finite number"),
             ("variational", {"n": 30, "c2": True, "k": 30}, "'c2' must be a finite number"),
             ("threshold", {"n_values": [1]}, "n must be at least 2"),
-            # a string is not false: recording would be switched on
+            # simulate writes no trajectories, so it reads no switch for them
             ("simulate", {"distribution": {"family": "uniform", "n": 5}, "record": "false"},
-             "'record' must be true or false"),
-            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "record": 0},
-             "'record' must be true or false"),
+             "unknown config key 'record'"),
+            ("simulate", {"distribution": {"family": "uniform", "n": 5}, "record": True},
+             "unknown config key 'record'"),
             ("exact", {"distribution": {"family": "uniform", "n": 5}, "eps": "0.0625"},
              "'eps' must be a finite number"),
             ("exact", {"distribution": {"family": "uniform", "n": 5}, "eps": True},
@@ -475,7 +475,7 @@ class TestErrorPaths:
         else:
             config = {"n_values": [20], "replicates": 150}
         cfg = write_config(tmp_path, "exp.json", config)
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "exp"), "--replicates", "0"]
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "zero"), "--replicates", "0"]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
@@ -508,7 +508,7 @@ class TestErrorPaths:
         assert outs[0] == outs[1]
         assert outs[0].decode().splitlines()[1].startswith("20,1,1,")  # T = 1 always
         cfg = write_config(tmp_path, "two.json", {"n_values": [20], "lambda": 2})
-        assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "two")]) == 1
+        assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "th_two")]) == 1
         assert "collision rate 2.0 out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -627,6 +627,18 @@ class TestKnownConfigs:
                 for job in jobs:
                     self.parse(job.argv(paths[job.name], tmp_path / "out"))
 
+    def test_readme_key_lists(self):
+        # README's list of each subcommand's keys, defaults and notes in
+        # parentheses dropped, names the keys of the table
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"Config keys of each subcommand.*?\n\n(.*?)\n\n", text, re.S).group(1)
+        items = re.findall(r"^- `(\w+)`: (.*?)(?=^- |\Z)", block, re.M | re.S)
+        listed = {
+            command: set(re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", body)))
+            for command, body in items
+        }
+        assert listed == {command: set(keys) for command, keys in cli._KEYS.items()}
+
     def test_readme_examples(self, tmp_path):
         text = (ROOT / "README.md").read_text()
         block = re.search(r"Examples:\s*```bash\n(.*?)```", text, re.S).group(1)
@@ -696,7 +708,51 @@ class TestThroughLibrary:
         assert main(args + ["--threads", "2"]) == 1
 
 
+# a small config of each subcommand
+_TINY = {
+    "moments": {"distribution": {"family": "uniform", "n": 4}},
+    "exact": {"distribution": {"family": "uniform", "n": 4}},
+    "simulate": {"distribution": {"family": "uniform", "n": 4}, "replicates": 10},
+    "dynamics": {"distribution": {"family": "uniform", "n": 4}},
+    "variational": {"n": 4, "c2": 0.3, "k": 5, "budget": 100},
+    "bounds": {"distribution": {"family": "uniform", "n": 20}, "k": 10},
+    "limit": {"n": 20, "replicates": 100, "K": 10},
+    "threshold": {"n": 20, "replicates": 5},
+}
+# the library call each subcommand starts its work with
+_ENTRY = {
+    "moments": (coalsim.distributions.ProbabilityVector, "moments"),
+    "exact": (cli.exact_chain, "TriangularKernel"),
+    "simulate": (cli.simulate, "runs"),
+    "variational": (cli.variational, "minimize_proxy_fixed_c2"),
+    "bounds": (cli.tail_bounds, "tilt_center"),
+    "limit": (cli.asymptotics, "limit_law_experiment"),
+    "threshold": (cli.asymptotics, "threshold_experiment"),
+}
+
+
 class TestOutputPaths:
+    @pytest.mark.parametrize("command", sorted(_ENTRY))
+    def test_overwrite_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def boom(*args, **kwargs):
+            raise AssertionError(f"{command} started its work")
+
+        monkeypatch.setattr(*_ENTRY[command], boom)
+        cfg = write_config(tmp_path, "b1.json", _TINY[command])
+        before = cfg.read_text()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "b1")]) == 1
+        assert "would overwrite the config" in capsys.readouterr().err
+        assert cfg.read_text() == before
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", sorted(_TINY))
+    def test_writes_exactly_its_table_files(self, tmp_path, command):
+        cfg = write_config(tmp_path, "cfg.json", _TINY[command])
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        _, *exts = cli._HANDLERS[command]
+        written = {p.name for p in tmp_path.iterdir()} - {cfg.name}
+        assert written == {"o" + ext for ext in exts}
+
     @pytest.mark.parametrize(
         "command, payload, written",
         [

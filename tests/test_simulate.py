@@ -310,18 +310,6 @@ class TestLevelRound:
 
 
 class TestRunningStats:
-    def test_merge_equals_concatenation(self):
-        xs, ys = [3, 5, 5, 9], [2, 2, 7]
-        merged = RunningStats.from_samples(xs).merge(RunningStats.from_samples(ys))
-        assert merged == RunningStats.from_samples(xs + ys)
-
-    def test_merge_order_free(self):
-        parts = [[1, 4], [2], [9, 9, 3]]
-        stats = [RunningStats.from_samples(p) for p in parts]
-        a = stats[0].merge(stats[1]).merge(stats[2])
-        b = stats[2].merge(stats[0].merge(stats[1]))
-        assert a == b
-
     def test_moment_values(self):
         s = RunningStats.from_samples([1, 2, 3, 4])
         assert s.mean == pytest.approx(2.5)
