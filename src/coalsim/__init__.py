@@ -49,7 +49,6 @@ from .simulate import (
     SimConfig,
     batch,
     delta_audit,
-    first_passages,
     replicate_rng,
     run,
     runs,

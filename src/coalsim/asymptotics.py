@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import ProbabilityVector, topheavy, uniform
 from .dynamics import early_threshold, late_threshold
-from .simulate import SimConfig, first_passages, replicate_rng, runs
+from .simulate import SimConfig, replicate_rng, runs
 
 __all__ = [
     "ks_two_sample",
@@ -170,18 +170,13 @@ def early_phase_experiment(
     n: int, eps: float, replicates: int, seed: int
 ) -> EarlyPhaseResult:
     """Passage statistics to the early and late thresholds under equal weights."""
-    p = uniform(n)
     c2 = 1.0 / n
     k_star = early_threshold(c2, n, eps)
     k_1 = late_threshold(c2, n, eps)
-    taus_star = np.empty(replicates)
-    taus_mid = np.empty(replicates)
-    for i in range(replicates):  # k_star = n ln(n)^-eps < n for every n >= 3
-        passages = first_passages(p, (k_star, k_1), replicate_rng(seed, i))
-        taus_star[i] = passages[k_star]
-        taus_mid[i] = passages[k_1] - passages[k_star]
-    mean_star = float(taus_star.mean())
-    mean_mid = float(taus_mid.mean())
+    config = SimConfig(uniform(n), replicates, master_seed=seed, passage_thresholds=(k_star, k_1))
+    passages = [r.passages for r in runs(config)]
+    mean_star = float(np.array([tau[k_star] for tau in passages], dtype=float).mean())
+    mean_mid = float(np.array([tau[k_1] - tau[k_star] for tau in passages], dtype=float).mean())
     return EarlyPhaseResult(
         n=n,
         eps=eps,

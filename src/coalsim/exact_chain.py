@@ -308,12 +308,19 @@ class TriangularKernel:
         return row
 
 
+def _leave(m: int, lo: int, band: np.ndarray):
+    """(start, down, leave(m)): row m's band at counts start = max(lo, 1) to m - 1,
+    and its sum P(m -> j < m), since 1 - P(stay) loses it to rounding."""
+    start = max(lo, 1)
+    down = band[start - lo : m - lo]
+    return start, down, float(down.sum())
+
+
 def _back_substitute(source: TriangularKernel | ProbabilityVector, reward: np.ndarray):
     """First-step analysis down the chain, reading rows in increasing count.
 
     e[m] = (reward[m] + sum_{j<m} P(m->j) e[j]) / leave(m), e[1] = 0, per reward
-    column, summed over the row's band below m only.  leave(m) = sum_{j<m}
-    P(m->j) is summed off the row, since 1 - P(stay) loses it to rounding.  A
+    column, summed over the row's band below m only, as _leave gives it.  A
     kernel serves its cached rows; a vector streams the bands of _bands(p, n)
     and holds none, in O(n) memory, and costs O(n * w) for bands of width w;
     the bands are the same, bit for bit.
@@ -326,12 +333,10 @@ def _back_substitute(source: TriangularKernel | ProbabilityVector, reward: np.nd
     next(bands)  # row 1 is absorbing: e[1] = 0
     e = np.zeros(reward.shape)
     for m, (lo, band) in enumerate(bands, start=2):
-        start, stop = max(lo, 1), min(lo + band.size, m)
-        down = band[start - lo : stop - lo]
-        leave = float(down.sum())
+        start, down, leave = _leave(m, lo, band)
         if not leave > 0.0:
             raise ArithmeticError(f"no way down from state {m}; kernel corrupted")
-        e[m] = (reward[m] + down @ e[start:stop]) / leave
+        e[m] = (reward[m] + down @ e[start : start + down.size]) / leave
     return e
 
 

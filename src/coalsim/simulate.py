@@ -1,6 +1,7 @@
 """Seeded Monte Carlo engine for the coalescing allocation process:
-single-round sampling, full trajectories, first passages, and exact
-integer batch statistics."""
+single-round sampling, full trajectories with their first passages (from
+run, the one loop over a replicate's rounds), and exact integer batch
+statistics."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ __all__ = [
     "run",
     "runs",
     "batch",
-    "first_passages",
     "delta_audit",
     "replicate_rng",
 ]
@@ -121,8 +121,8 @@ def _jump_rows(p: ProbabilityVector) -> list:
     """Entry k of 2..min(n, 63): (log(1 - leave), first count, cumulative jump
     law from that count) at k.
 
-    leave is summed off row k's band below k; 1 - P(stay) would lose it to
-    rounding.  Counts below the band have chance 0, so the law starts there.
+    leave = P(k -> j < k), summed by exact_chain._leave.  Counts below the
+    band have chance 0, so the law starts there.
     """
     rows = _jump_cache.get(p)
     if rows is None:
@@ -130,9 +130,7 @@ def _jump_rows(p: ProbabilityVector) -> list:
         bands = exact_chain._bands(p, min(p.n, _VECTOR_MIN - 1))
         next(bands)  # row 1 is absorbing
         for k, (lo, band, _) in enumerate(bands, start=2):
-            first = max(lo, 1)
-            down = band[first - lo : k - lo]
-            leave = float(down.sum())
+            first, down, leave = exact_chain._leave(k, lo, band)
             rate = math.log1p(-leave) if leave < 1.0 else -math.inf
             cum = np.cumsum(down)
             rows.append((rate, first, (cum / cum[-1]).tolist()))
@@ -239,32 +237,6 @@ def run(config: SimConfig, replicate_index: int) -> RunResult:
         trajectory=np.array(traj, dtype=np.int64) if config.record_trajectory else None,
         passages=passages,
     )
-
-
-def first_passages(
-    p: ProbabilityVector,
-    thresholds: tuple[float, ...],
-    rng: np.random.Generator,
-    b0: int | None = None,
-) -> dict[float, int]:
-    """First times the count falls to each threshold, stopping at the lowest.
-
-    Cheaper than a full run when only early passages matter; on the same
-    stream they equal the passages of run().
-    """
-    if not thresholds or any(th < 1.0 for th in thresholds):
-        raise ValueError("need thresholds, all at least 1")
-    b = p.n if b0 is None else b0
-    if not 1 <= b <= p.n:
-        raise ValueError(f"b0={b} outside [1, n={p.n}]")
-    jumps = _jumps(p, b, rng)
-    t, b = next(jumps)  # the start, at t = 0
-    passages: dict[float, int] = {}
-    for th in sorted(set(thresholds), reverse=True):
-        while b > th:
-            t, b = next(jumps)
-        passages[th] = t
-    return passages
 
 
 @dataclass(frozen=True)

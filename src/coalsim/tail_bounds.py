@@ -152,13 +152,11 @@ def _root(fun, x, lo, hi):
     return x, vals
 
 
-def _on_curve(lw: np.ndarray, cnt: np.ndarray, k: int, b, rho):
-    """r h_r at ln r = rho on the inner curve z(r), its derivative in ln r, and
-    ln z there, for positive weights grouped as cnt_j boxes with ln(n p_j) = lw_j.
-    b and rho broadcast against each other; each point is one lane of the
-    inner root."""
-    b, rho = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(rho, dtype=float))
-    shape, b, rho = b.shape, b.ravel(), rho.ravel()
+def _on_curve(lw: np.ndarray, cnt: np.ndarray, k: int, b: np.ndarray, rho: np.ndarray):
+    """Arrays of r h_r at ln r = rho on the inner curve z(r), its derivative in
+    ln r, and ln z there, for positive weights grouped as cnt_j boxes with
+    ln(n p_j) = lw_j.  b and rho are 1-D of one length; each (b, rho) pair is
+    one lane of the inner root."""
     n_pos = cnt.sum()
     t = np.log(b) - np.log(n_pos - b)  # logit(b / n+)
     la = lw + rho[:, None]
@@ -179,7 +177,7 @@ def _on_curve(lw: np.ndarray, cnt: np.ndarray, k: int, b, rho):
     cv = cnt * v
     m_bar = (cv * m).sum(-1) / np.maximum(cv.sum(-1), 1e-300)
     slope = _total(q * m * (1.0 - m * np.exp(-a)), cnt) + (cv * (m - m_bar[:, None]) ** 2).sum(-1)
-    return tuple(x.reshape(shape)[()] for x in (_total(m * q, cnt) - k, slope, s))
+    return _total(m * q, cnt) - k, slope, s
 
 
 def _solve_tilts(w: np.ndarray, k: int, b) -> list:

@@ -121,6 +121,13 @@ class TestEarlyPhaseExperiment:
         b = early_phase_experiment(200, 0.2, 20, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_no_replicates_rejected(self, replicates):
+        # a mean over no replicates is not a result: rejected, as the limit
+        # and threshold experiments reject it, rather than reported as NaN
+        with pytest.raises(ValueError, match="replicates must be at least 1"):
+            early_phase_experiment(50, 0.2, replicates, seed=1)
+
 
 class TestExperimentConfig:
     """The limit and threshold configs, as the command line parses them."""

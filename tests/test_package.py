@@ -1,5 +1,6 @@
 """Package-level checks: every exported name resolves, the package imports
-no scipy, and the README's distribution descriptors build."""
+no scipy, the README's distribution descriptors build, and every name in its
+module table exists."""
 
 import ast
 import importlib
@@ -75,3 +76,36 @@ def test_readme_descriptors_build():
             assert p.moments().c2 == pytest.approx(descriptor["c2"], abs=1e-12)
         if "c3" in descriptor:
             assert p.moments().c3 == pytest.approx(descriptor["c3"], abs=1e-12)
+
+
+def test_readme_module_table_names_exist():
+    # every identifier-shaped backticked token in a row of "Key operations by
+    # module" is a public name of that row's module or a package export; a
+    # dotted name resolves attribute by attribute
+    text = README.read_text()
+    table = re.search(r"Key operations by module:\n\n(.*?)\n\n", text, re.S).group(1)
+    rows = [
+        (row.group(1), re.findall(r"`([^`]+)`", row.group(2)))
+        for row in re.finditer(r"^\| `(\w+)`\s*\|(.*)\|$", table, re.M)
+    ]
+    assert sorted(module for module, _ in rows) == sorted(set(MODULES) - {"cli"})
+    stale = []
+    for module_name, tokens in rows:
+        module = importlib.import_module(f"coalsim.{module_name}")
+        for token in tokens:
+            if not re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", token):
+                continue  # a formula such as `O(n k^3)`
+            head, *attrs = token.split(".")
+            if head in module.__all__:
+                obj = getattr(module, head)
+            elif not head.startswith("_") and hasattr(coalsim, head):
+                obj = getattr(coalsim, head)
+            else:
+                stale.append((module_name, token))
+                continue
+            for attr in attrs:
+                if not hasattr(obj, attr):
+                    stale.append((module_name, token))
+                    break
+                obj = getattr(obj, attr)
+    assert stale == []

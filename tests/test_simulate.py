@@ -19,7 +19,6 @@ from coalsim.simulate import (
     _distinct,
     batch,
     delta_audit,
-    first_passages,
     replicate_rng,
     run,
     step,
@@ -220,23 +219,30 @@ class TestJumpChain:
         [uniform(200), ProbabilityVector(np.random.default_rng(8).dirichlet(np.ones(200)))],
         ids=["uniform200", "dirichlet200"],
     )
-    def test_first_passages_equal_run_passages(self, p):
+    def test_run_passages_equal_first_index_at_or_below(self, p):
+        # thresholds straddle the 64-ball cutoff between throwing every ball
+        # and the jump chain
         thresholds = (150.0, 64.0, 63.5, 40.0, 2.0)
-        cfg = SimConfig(p=p, master_seed=11, passage_thresholds=thresholds)
+        cfg = SimConfig(
+            p=p, master_seed=11, record_trajectory=True, passage_thresholds=thresholds
+        )
         for i in range(20):
-            got = first_passages(p, thresholds, replicate_rng(11, i))
-            assert got == run(cfg, i).passages
+            res = run(cfg, i)
+            assert res.passages == {
+                th: int(np.argmax(res.trajectory <= th)) for th in thresholds
+            }
 
     def test_step_loop_matches_first_passage_above_cutoff(self):
         p = topheavy(300, 0.02)
         for th in (64.0, 100.0):
+            cfg = SimConfig(p=p, master_seed=13, passage_thresholds=(th,))
             for i in range(5):
                 rng = replicate_rng(13, i)
                 b, t = p.n, 0
                 while b > th:
                     b = step(p, b, rng)
                     t += 1
-                assert first_passages(p, (th,), replicate_rng(13, i))[th] == t
+                assert run(cfg, i).passages[th] == t
 
 
 def merged_chi_square(observed, expected):
@@ -320,21 +326,19 @@ class TestRunningStats:
 
 class TestFirstPassages:
     def test_threshold_at_start(self):
-        rng = replicate_rng(1, 0)
-        got = first_passages(uniform(10), (10.0, 12.0), rng)
+        cfg = SimConfig(p=uniform(10), master_seed=1, passage_thresholds=(10.0, 12.0))
+        got = run(cfg, 0).passages
         assert got[10.0] == 0
         assert got[12.0] == 0
 
     def test_monotone_in_threshold(self):
-        rng = replicate_rng(2, 0)
-        got = first_passages(uniform(100), (50.0, 20.0, 5.0), rng)
+        cfg = SimConfig(p=uniform(100), master_seed=2, passage_thresholds=(50.0, 20.0, 5.0))
+        got = run(cfg, 0).passages
         assert got[50.0] <= got[20.0] <= got[5.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            first_passages(uniform(5), (), replicate_rng(0, 0))
-        with pytest.raises(ValueError):
-            first_passages(uniform(5), (0.2,), replicate_rng(0, 0))
+            SimConfig(p=uniform(5), passage_thresholds=(0.2,))
 
 
 class TestDeltaAudit:
@@ -370,10 +374,9 @@ class TestDeltaAudit:
         bound = 5.0 * math.sqrt(n) * math.log(n)
         hits = 0
         trials = 100
-        p = uniform(n)
+        cfg = SimConfig(p=uniform(n), master_seed=123, passage_thresholds=(k_star,))
         for i in range(trials):
-            tau = first_passages(p, (k_star,), replicate_rng(123, i))[k_star]
-            hits += tau <= bound
+            hits += run(cfg, i).passages[k_star] <= bound
         assert hits >= 0.99 * trials
 
     def test_violation_rule_matches_ceiling_convention(self):

@@ -12,7 +12,9 @@ from coalsim.exact_chain import TriangularKernel, expected_coalescence_times, tr
 from coalsim.tail_bounds import (
     TiltSolveError,
     chernoff_lower_tail,
+    chernoff_lower_tail_log,
     chernoff_upper_tail,
+    chernoff_upper_tail_log,
     coalescence_time_lower_bound,
     curvature_report,
     solve_tilt,
@@ -191,13 +193,13 @@ class TestNestedRoots:
         # the solver's bracket, widened by one unit of ln r each side
         rho_lo = math.log((k - b) / b) - lw[-1] - 1.0
         rho_hi = math.log(k * cnt.sum() / (b * n)) + 1.0
-        curve = [_on_curve(lw, cnt, k, b, rho) for rho in np.linspace(rho_lo, rho_hi, 25)]
-        g = np.array([c[0] for c in curve])
+        rhos = np.linspace(rho_lo, rho_hi, 25)
+        g, slope, ln_z = _on_curve(lw, cnt, k, np.full(rhos.size, b), rhos)
         assert g[0] < 0.0 < g[-1]
         assert np.all(np.diff(g) > 0.0)
-        assert all(c[1] > 0.0 for c in curve)
+        assert np.all(slope > 0.0)
         # the curve's r h_r is the system's own, wherever z is comfortably in range
-        for rho, (g_rho, _, s) in zip(np.linspace(rho_lo, rho_hi, 25), curve):
+        for rho, g_rho, s in zip(rhos, g, ln_z):
             if abs(s) < 30.0:
                 z, r = math.exp(s), math.exp(rho)
                 h_z, h_r = _tilt_system(p.weights, k, z, r, b)[:2]
@@ -436,6 +438,45 @@ class TestChernoffBounds:
                         assert lo <= chernoff_lower_tail(p, k, b) + 1e-12
                     if b >= center:
                         assert hi <= chernoff_upper_tail(p, k, b) + 1e-12
+
+
+class TestChernoffLogCaps:
+    """The log forms of the caps, which stay finite where the caps underflow."""
+
+    POINTS = [  # (vector, k, b below the centre, b above it)
+        (uniform(9), 5, 2.0, 4.5),
+        (uniform(10), 10, 3.0, 9.0),
+        (topheavy(40, 0.1), 25, 5.0, 20.0),
+        (uniform(10**4), 10**4, 6000.0, 6500.0),
+    ]
+
+    def test_closed_form(self):
+        for p, k, below, above in self.POINTS:
+            center = tilt_center(p, k)
+            head = math.log(3.0) + 0.5 * math.log(k)
+            lower = head - (center - below) ** 2 / (2.0 * k)
+            upper = head - (above - center) ** 2 / (2.0 * k)
+            assert chernoff_lower_tail_log(p, k, below) == pytest.approx(lower, rel=1e-12)
+            assert chernoff_upper_tail_log(p, k, above) == pytest.approx(upper, rel=1e-12)
+
+    def test_finite_where_the_cap_underflows(self):
+        n = k = 10**4
+        p = uniform(n)
+        assert chernoff_lower_tail(p, k, 0.0) == 0.0
+        log_cap = chernoff_lower_tail_log(p, k, 0.0)
+        assert math.isfinite(log_cap)
+        assert log_cap == pytest.approx(-1992.18, abs=0.01)
+        n = k = 2 * 10**4  # the centre is 0.632 k, so b = k is 0.368 k above it
+        p = uniform(n)
+        assert chernoff_upper_tail(p, k, k) == 0.0
+        assert math.isfinite(chernoff_upper_tail_log(p, k, k))
+
+    def test_exp_equals_the_cap(self):
+        for p, k, below, above in self.POINTS:
+            lower, upper = chernoff_lower_tail(p, k, below), chernoff_upper_tail(p, k, above)
+            assert lower > 0.0 and upper > 0.0
+            assert math.exp(chernoff_lower_tail_log(p, k, below)) == lower
+            assert math.exp(chernoff_upper_tail_log(p, k, above)) == upper
 
 
 class TestCurvatureReport:
