@@ -387,7 +387,7 @@ def _build_parser() -> _ArgumentParser:
     for name in _HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON experiment config")
-        cmd.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+        cmd.add_argument("--seed", type=int, default=0, help="master seed, any integer >= 0")
         cmd.add_argument("--out", default=None, help="output base path")
         if "replicates" in _KEYS[name]:
             cmd.add_argument("--replicates", type=int, default=None)
@@ -398,6 +398,8 @@ def _build_parser() -> _ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.seed < 0:  # numpy's SeedSequence takes any non-negative integer
+            raise _CliError(f"--seed must be a non-negative integer, got {args.seed}")
         handler, *exts = _HANDLERS[args.command]
         cfg = _load_config(args)
         paths = _outputs(args, *exts)  # a colliding --out fails before any work

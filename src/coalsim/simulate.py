@@ -1,11 +1,10 @@
-"""Seeded Monte Carlo engine for the coalescing allocation process:
-single-round sampling, full trajectories with their first passages (from
-run, the one loop over a replicate's rounds), and exact integer batch
-statistics."""
+"""Seeded Monte Carlo engine for the coalescing allocation process: single
+rounds, trajectories with their first passages, and exact batch statistics.
+Replicates run as lanes on replicate_rng(seed, i)'s PCG64 streams: rounds
+from 64 balls up one lane at a time, then the jump chains below in lockstep."""
 
 from __future__ import annotations
 
-import bisect
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -43,6 +42,12 @@ _VECTOR_MIN = 64
 # alias draws, while uniform, topheavy and three_level with nu = 1 ran
 # 12-37% faster (BENCH_simulate.json).  More levels were not measured.
 _MAX_LEVELS = 3
+_LANE_BLOCK = 1 << 16  # jump-chain uniforms per block of lanes, as variational's blocks
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 class AliasTable:
@@ -117,24 +122,26 @@ def _round(p: ProbabilityVector):
 _jump_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _jump_rows(p: ProbabilityVector) -> list:
-    """Entry k of 2..min(n, 63): (log(1 - leave), first count, cumulative jump
-    law from that count) at k.
+def _jump_rows(p: ProbabilityVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rate, first, cum) at k = 2..min(n, 63) of 0..63: log(1 - leave), first
+    count, and cumulative jump law from that count, padded with +inf.
 
     leave = P(k -> j < k), summed by exact_chain._leave.  Counts below the
     band have chance 0, so the law starts there.
     """
     rows = _jump_cache.get(p)
     if rows is None:
-        rows = [None, None]
+        rate = np.full(_VECTOR_MIN, -math.inf)
+        first = np.zeros(_VECTOR_MIN, dtype=np.int64)
+        cum = np.full((_VECTOR_MIN, _VECTOR_MIN - 1), math.inf)
         bands = exact_chain._bands(p, min(p.n, _VECTOR_MIN - 1))
         next(bands)  # row 1 is absorbing
         for k, (lo, band, _) in enumerate(bands, start=2):
-            first, down, leave = exact_chain._leave(k, lo, band)
-            rate = math.log1p(-leave) if leave < 1.0 else -math.inf
-            cum = np.cumsum(down)
-            rows.append((rate, first, (cum / cum[-1]).tolist()))
-        _jump_cache[p] = rows
+            first[k], down, leave = exact_chain._leave(k, lo, band)
+            rate[k] = math.log1p(-leave) if leave < 1.0 else -math.inf
+            total = np.cumsum(down)
+            cum[k, : total.size] = total / total[-1]
+        rows = _jump_cache[p] = (rate, first, cum)
     return rows
 
 
@@ -151,39 +158,53 @@ def step(p: ProbabilityVector, k: int, rng: np.random.Generator) -> int:
     return _round(p)(rng, k)
 
 
-def _jumps(p: ProbabilityVector, b: int, rng: np.random.Generator):
-    """Yield (0, b), then (t, b) at each round t that lowers the count, to 1.
+def _holding(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Holding times 1 + int(math.log1p(-u) / rate) per lane.  numpy's log1p
+    can differ from math.log1p by an ulp, which moves the truncation only
+    where the quotient lies next to an integer: those lanes use math.log1p."""
+    q = np.log1p(-u) / rate
+    near = np.flatnonzero(np.abs(q - np.rint(q)) <= 1e-9 * q)
+    q[near] = [math.log1p(-x) / r for x, r in zip(u[near].tolist(), rate[near].tolist())]
+    return 1 + q.astype(np.int64)
 
-    From _VECTOR_MIN balls up every round throws every ball, as in step().
-    Below, the count runs as the jump chain of the exact kernel: at k balls
-    the holding time is Geometric(leave) and the jump follows row k without
-    its self-loop, both read off one block of uniforms per replicate.
-    """
-    t, throw = 0, _round(p)
-    yield t, b
-    while b >= _VECTOR_MIN:
-        t += 1
-        nxt = throw(rng, b)
-        if nxt < b:
-            b = nxt
-            yield t, b
-    rows = _jump_rows(p)
-    uniforms = iter(rng.random(2 * (b - 1)).tolist())  # two per jump at most
-    while b > 1:
-        rate, first, cum = rows[b]
-        t += 1 + int(math.log1p(-next(uniforms)) / rate)
-        b = bisect.bisect_right(cum, next(uniforms)) + first
-        yield t, b
+
+def _hash(value: np.ndarray, h: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash of uint32 value by count successive constants from
+    h, one per row: xor with a constant, times the next, high half folded in."""
+    c = np.array([h * pow(mult, j, 1 << 32) & _MASK32 for j in range(count + 1)], np.uint32)
+    x = (value ^ c[:-1, None]) * c[1:, None]
+    return x ^ x >> 16
+
+
+def _seed_states(master_seed: int, indices) -> list[dict]:
+    """numpy's PCG64 state when seeded by SeedSequence(entropy=master_seed,
+    spawn_key=(i,)), for each i in indices, by uint32 lane arithmetic: the
+    pool of SeedSequence(master_seed) is the spawned one's before its last
+    entropy word, the index, is mixed in, and gives PCG64's seeding words."""
+    index = np.asarray(indices)
+    if index.size and not 0 <= index.min() <= index.max() <= _MASK32:
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    pool = np.random.SeedSequence(master_seed).pool[:, None]
+    done = 16 + 4 * max(0, -(-int(master_seed).bit_length() // 32) - 4)  # hashes so far
+    x = pool * _MIX_L - _hash(index.astype(np.uint32), _INIT_A * _MULT_A**done, _MULT_A, 4) * _MIX_R
+    # x is SeedSequence's mix of each pool word with the index's hash: fold it, then draw
+    words = _hash((x ^ x >> 16)[[0, 1, 2, 3] * 2], _INIT_B, _MULT_B, 8).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    incs = [(c << 65 | d << 1 | 1) & _MASK128 for c, d in zip(i_hi, i_lo)]
+    return [
+        {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+         "state": {"state": ((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}}
+        for a, b, inc in zip(s_hi, s_lo, incs)
+    ]
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one replicate.
-
-    Streams depend only on (master_seed, replicate_index), so results are
-    identical whatever the order in which replicates are run.
-    """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate_index,))
-    return np.random.default_rng(ss)
+    """Independent, reproducible stream for one replicate (index below 2**32):
+    numpy's PCG64 seeded by SeedSequence(master_seed, spawn_key=(index,)), so
+    results are identical whatever the order in which replicates are run."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = _seed_states(master_seed, [replicate_index])[0]
+    return rng
 
 
 @dataclass(frozen=True)
@@ -220,23 +241,57 @@ class RunResult:
     passages: dict[float, int]
 
 
+def _lanes(config: SimConfig, indices: range) -> list[RunResult]:
+    """The replicates of indices, lane i on replicate_rng(seed, i)'s stream:
+    each lane throws its rounds from _VECTOR_MIN balls up as step() does and
+    draws one block of uniforms, two per jump at most; then the jump chains
+    run in lockstep, Geometric(leave) holding at k, then a jump by row k."""
+    p, b0, lanes = config.p, config.start_count, len(indices)
+    throw, (rate, first, cum) = _round(p), _jump_rows(p)
+    track = bool(config.passage_thresholds) or config.record_trajectory
+    rng = np.random.Generator(np.random.PCG64(0))
+    u = np.empty((lanes, 2 * (min(b0, _VECTOR_MIN - 1) - 1)))
+    t, b = np.zeros(lanes, dtype=np.int64), np.full(lanes, b0)
+    above = []  # per lane: (0, b0), then if tracked (t, b) at each change from 64 balls up
+    for i, state in enumerate(_seed_states(config.master_seed, indices)):
+        rng.bit_generator.state = state
+        ti, bi, changes = 0, b0, [(0, b0)]
+        while bi >= _VECTOR_MIN:
+            ti += 1
+            nxt = throw(rng, bi)
+            if nxt < bi:
+                bi = nxt
+                changes += [(ti, bi)] * track
+        rng.random(out=u[i, : 2 * (bi - 1)])
+        t[i], b[i] = ti, bi
+        above.append(changes)
+    steps = [np.stack([t, b], axis=1)]
+    for col in range(0, u.shape[1], 2):
+        live = np.flatnonzero(b > 1)
+        if not live.size:
+            break
+        k = b[live]
+        t[live] += _holding(u[live, col], rate[k])
+        b[live] = (cum[:, : k.max() - 1][k] <= u[live, col + 1, None]).sum(1) + first[k]
+        steps.append(np.stack([t, b], axis=1))
+    if not track:
+        return [RunResult(T, None, {}) for T in t.tolist()]
+    width = max(map(len, above))  # each lane's (t, b) history, its start repeated ahead
+    seq = np.array([c[:1] * (width - len(c)) + c for c in above])
+    seq = np.concatenate([seq, np.stack(steps, axis=1)], axis=1)
+    ths = sorted(set(config.passage_thresholds), reverse=True)
+    at = [seq[np.arange(lanes), (seq[..., 1] <= th).argmax(1), 0].tolist() for th in ths]
+    return [
+        RunResult(T, np.repeat(seq[i, :, 1], np.diff(seq[i, :, 0], append=T + 1))
+                  if config.record_trajectory else None, {th: a[i] for th, a in zip(ths, at)})
+        for i, T in enumerate(t.tolist())
+    ]
+
+
 def run(config: SimConfig, replicate_index: int) -> RunResult:
     """Simulate one replicate to absorption at a single ball; a recorded
     trajectory repeats the count through each holding segment."""
-    rng = replicate_rng(config.master_seed, replicate_index)
-    pending = sorted(set(config.passage_thresholds), reverse=True)
-    passages: dict[float, int] = {}
-    traj: list[int] = []
-    for t, b in _jumps(config.p, config.start_count, rng):
-        if config.record_trajectory:
-            traj += traj[-1:] * (t - len(traj)) + [b]
-        while pending and b <= pending[0]:
-            passages[pending.pop(0)] = t
-    return RunResult(
-        T=t,
-        trajectory=np.array(traj, dtype=np.int64) if config.record_trajectory else None,
-        passages=passages,
-    )
+    return _lanes(config, range(replicate_index, replicate_index + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -308,8 +363,11 @@ class BatchSummary:
 
 
 def runs(config: SimConfig) -> list[RunResult]:
-    """Every replicate of the batch, in index order."""
-    return [run(config, i) for i in range(config.replicates)]
+    """Every replicate of the batch, in index order, run as lanes in blocks
+    of about _LANE_BLOCK jump-chain uniforms."""
+    n = config.replicates
+    size = _LANE_BLOCK // max(2 * (min(config.start_count, _VECTOR_MIN - 1) - 1), 1)
+    return [r for lo in range(0, n, size) for r in _lanes(config, range(lo, min(lo + size, n)))]
 
 
 def batch(config: SimConfig) -> BatchSummary:

@@ -286,6 +286,22 @@ class TestErrorPaths:
         assert "unknown config key 'replicatez'" in capsys.readouterr().err
         assert not (tmp_path / "sim.json").exists()
 
+    def test_seed_is_any_non_negative_integer(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"distribution": {"family": "uniform", "n": 5}, "replicates": 3}
+        )
+        argv = ["simulate", "--config", str(cfg), "--quiet", "--out"]
+        assert main(argv + [str(tmp_path / "big"), "--seed", str(2**200)]) == 0
+        assert json.loads((tmp_path / "big.json").read_text())["seed"] == 2**200
+        for seed in (-1, -7):
+            assert main(argv + [str(tmp_path / "bad"), "--seed", str(seed)]) == 1
+            err = capsys.readouterr().err
+            assert f"--seed must be a non-negative integer, got {seed}" in err
+        assert not (tmp_path / "bad.json").exists()
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "master seed, any integer >= 0" in capsys.readouterr().out
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 

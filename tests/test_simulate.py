@@ -1,8 +1,11 @@
+import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coalsim import exact_chain
 from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
 from coalsim.dynamics import early_threshold, one_step_envelope
 from coalsim.exact_chain import (
@@ -17,10 +20,14 @@ from coalsim.simulate import (
     RunningStats,
     SimConfig,
     _distinct,
+    _holding,
+    _round,
+    _seed_states,
     batch,
     delta_audit,
     replicate_rng,
     run,
+    runs,
     step,
 )
 
@@ -180,7 +187,7 @@ class TestJumpChain:
     )
     def test_time_law_matches_exact_cdf(self, p):
         cfg = SimConfig(p=p, replicates=20_000, master_seed=3)
-        ts = np.sort([run(cfg, i).T for i in range(cfg.replicates)])
+        ts = np.sort([r.T for r in runs(cfg)])
         grid = np.arange(ts[-1] + 1)
         exact = coalescence_time_cdf(TriangularKernel(p), p.n, int(ts[-1]))
         empirical = np.searchsorted(ts, grid, side="right") / ts.size
@@ -190,7 +197,7 @@ class TestJumpChain:
         # four balls on two live boxes always collide: row 4 has no self-loop
         p = ProbabilityVector([0.5, 0.5, 0.0, 0.0])
         cfg = SimConfig(p=p, b0=4, replicates=4000, master_seed=6, record_trajectory=True)
-        results = [run(cfg, i) for i in range(cfg.replicates)]
+        results = runs(cfg)
         assert all(r.trajectory[1] < 4 for r in results)
         stats = RunningStats.from_samples(r.T for r in results)
         exact = expected_coalescence_times(TriangularKernel(p))[4]
@@ -392,3 +399,129 @@ class TestDeltaAudit:
                 via_ceiling = traj[t + 1] >= math.ceil(cap) and cap != math.floor(cap)
                 if cap != math.floor(cap):  # non-integer envelope
                     assert direct == via_ceiling
+
+
+# The per-replicate loop that the lanes replaced, kept as their reference:
+# _jump_rows, _jumps and run as they were, over replicate_rng's streams.
+
+
+def reference_jump_rows(p: ProbabilityVector) -> list:
+    rows = [None, None]
+    bands = exact_chain._bands(p, min(p.n, 63))
+    next(bands)  # row 1 is absorbing
+    for k, (lo, band, _) in enumerate(bands, start=2):
+        first, down, leave = exact_chain._leave(k, lo, band)
+        rate = math.log1p(-leave) if leave < 1.0 else -math.inf
+        cum = np.cumsum(down)
+        rows.append((rate, first, (cum / cum[-1]).tolist()))
+    return rows
+
+
+def reference_jumps(p: ProbabilityVector, b: int, rng: np.random.Generator):
+    t, throw = 0, _round(p)
+    yield t, b
+    while b >= 64:
+        t += 1
+        nxt = throw(rng, b)
+        if nxt < b:
+            b = nxt
+            yield t, b
+    rows = reference_jump_rows(p)
+    uniforms = iter(rng.random(2 * (b - 1)).tolist())  # two per jump at most
+    while b > 1:
+        rate, first, cum = rows[b]
+        t += 1 + int(math.log1p(-next(uniforms)) / rate)
+        b = bisect.bisect_right(cum, next(uniforms)) + first
+        yield t, b
+
+
+def reference_run(config: SimConfig, replicate_index: int):
+    rng = replicate_rng(config.master_seed, replicate_index)
+    pending = sorted(set(config.passage_thresholds), reverse=True)
+    passages: dict[float, int] = {}
+    traj: list[int] = []
+    for t, b in reference_jumps(config.p, config.start_count, rng):
+        if config.record_trajectory:
+            traj += traj[-1:] * (t - len(traj)) + [b]
+        while pending and b <= pending[0]:
+            passages[pending.pop(0)] = t
+    return t, np.array(traj, dtype=np.int64), passages
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**64 - 1, 2**200]
+INDICES = [0, 1, 2**31, 2**32 - 1]
+
+
+class TestSeedStates:
+    """Replicate streams are numpy's own: PCG64 seeded by a spawned SeedSequence."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equal_numpy_seeding(self, seed):
+        want = [
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            .bit_generator.state
+            for i in INDICES
+        ]
+        assert _seed_states(seed, INDICES) == want
+        assert [replicate_rng(seed, i).bit_generator.state for i in INDICES] == want
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            replicate_rng(-1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            run(SimConfig(p=uniform(5), master_seed=-3), 0)
+
+    @pytest.mark.parametrize("index", [-1, 2**32, 2**40])
+    def test_index_outside_32_bits_rejected(self, index):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            replicate_rng(0, index)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            run(SimConfig(p=uniform(5)), index)
+
+
+class TestLanes:
+    """Lanes reproduce the per-replicate loop replicate by replicate."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(uniform(12), 300, master_seed=4),
+            SimConfig(topheavy(40, 0.1), 300, master_seed=5, passage_thresholds=(30.0, 3.0)),
+            SimConfig(ProbabilityVector(np.random.default_rng(6).dirichlet(np.ones(40))), 300),
+            SimConfig(
+                uniform(100), 200, master_seed=7, passage_thresholds=(80.0, 64.0, 63.5, 30.0, 2.0)
+            ),
+            SimConfig(
+                three_level_vector(120, nu=3), 100, master_seed=8, passage_thresholds=(100.0, 10.0)
+            ),
+            SimConfig(topheavy(300, 0.02), 60, master_seed=9, b0=150, passage_thresholds=(64.0,)),
+            SimConfig(uniform(50), 300, master_seed=10, b0=20, passage_thresholds=(20.0, 5.0)),
+            SimConfig(ProbabilityVector([0.5, 0.5, 0.0, 0.0]), 300, master_seed=11),
+            # more lanes than one block holds (65536 uniforms, 124 per lane)
+            SimConfig(uniform(70), 1100, master_seed=12, passage_thresholds=(64.0, 2.0)),
+        ],
+        ids=["uniform12", "topheavy40", "dirichlet40", "uniform100", "three_level120",
+             "topheavy300_b150", "uniform50_b20", "two_live_boxes", "uniform70_blocks"],
+    )
+    def test_equal_reference_loop(self, config):
+        want = [reference_run(replace(config, record_trajectory=True), i)
+                for i in range(config.replicates)]
+        traced = runs(replace(config, record_trajectory=True))
+        assert [r.T for r in runs(config)] == [T for T, _, _ in want]
+        assert [r.T for r in traced] == [T for T, _, _ in want]
+        assert [r.passages for r in traced] == [passages for _, _, passages in want]
+        for r, (_, traj, _) in zip(traced, want):
+            assert np.array_equal(r.trajectory, traj)
+        assert run(config, config.replicates - 1) == runs(config)[-1]
+
+    def test_holding_times_follow_math_log1p(self):
+        # uniforms where numpy's log1p and math.log1p differ, with rates that
+        # put the quotient next to an integer
+        u = np.random.default_rng(0).random(20_000)
+        u = u[np.log1p(-u) != [math.log1p(-x) for x in u]]
+        u = np.repeat(u, 30)
+        rate = np.array([math.log1p(-x) for x in u]) / np.tile(np.arange(1, 31), u.size // 30)
+        want = [1 + int(math.log1p(-x) / r) for x, r in zip(u, rate)]
+        assert np.any(1 + np.trunc(np.log1p(-u) / rate) != want)  # plain numpy misses some
+        assert _holding(u, rate).tolist() == want
+        assert _holding(np.array([0.0, 0.5]), np.array([-math.inf, -math.inf])).tolist() == [1, 1]
