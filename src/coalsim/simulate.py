@@ -6,6 +6,7 @@ from 64 balls up one lane at a time, then the jump chains below in lockstep."""
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ _VECTOR_MIN = 64
 # 12-37% faster (BENCH_simulate.json).  More levels were not measured.
 _MAX_LEVELS = 3
 _LANE_BLOCK = 1 << 16  # jump-chain uniforms per block of lanes, as variational's blocks
+_local = threading.local()  # .rng: this thread's generator, which takes each lane's state
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -124,7 +126,8 @@ _jump_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _jump_rows(p: ProbabilityVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rate, first, cum) at k = 2..min(n, 63) of 0..63: log(1 - leave), first
-    count, and cumulative jump law from that count, padded with +inf.
+    count, and cumulative jump law from that count, padded with +inf; row 1
+    (first 1, cum all +inf) keeps a finished chain at one ball.
 
     leave = P(k -> j < k), summed by exact_chain._leave.  Counts below the
     band have chance 0, so the law starts there.
@@ -132,7 +135,7 @@ def _jump_rows(p: ProbabilityVector) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rows = _jump_cache.get(p)
     if rows is None:
         rate = np.full(_VECTOR_MIN, -math.inf)
-        first = np.zeros(_VECTOR_MIN, dtype=np.int64)
+        first = np.ones(_VECTOR_MIN, dtype=np.int64)
         cum = np.full((_VECTOR_MIN, _VECTOR_MIN - 1), math.inf)
         bands = exact_chain._bands(p, min(p.n, _VECTOR_MIN - 1))
         next(bands)  # row 1 is absorbing
@@ -163,7 +166,7 @@ def _holding(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
     can differ from math.log1p by an ulp, which moves the truncation only
     where the quotient lies next to an integer: those lanes use math.log1p."""
     q = np.log1p(-u) / rate
-    near = np.flatnonzero(np.abs(q - np.rint(q)) <= 1e-9 * q)
+    near = np.abs(q - np.rint(q)) < 1e-9 * q  # q = 0 is exact either way
     q[near] = [math.log1p(-x) / r for x, r in zip(u[near].tolist(), rate[near].tolist())]
     return 1 + q.astype(np.int64)
 
@@ -199,12 +202,13 @@ def _seed_states(master_seed: int, indices) -> list[dict]:
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one replicate (index below 2**32):
-    numpy's PCG64 seeded by SeedSequence(master_seed, spawn_key=(index,)), so
-    results are identical whatever the order in which replicates are run."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = _seed_states(master_seed, [replicate_index])[0]
-    return rng
+    """Independent, reproducible stream for one replicate.
+
+    Streams depend only on (master_seed, replicate_index), so results are
+    identical whatever the order in which replicates are run.
+    """
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate_index,))
+    return np.random.default_rng(ss)
 
 
 @dataclass(frozen=True)
@@ -245,12 +249,15 @@ def _lanes(config: SimConfig, indices: range) -> list[RunResult]:
     """The replicates of indices, lane i on replicate_rng(seed, i)'s stream:
     each lane throws its rounds from _VECTOR_MIN balls up as step() does and
     draws one block of uniforms, two per jump at most; then the jump chains
-    run in lockstep, Geometric(leave) holding at k, then a jump by row k."""
+    run in lockstep by row k, and their Geometric(leave) holding times at k
+    follow from the counts visited, all at once."""
     p, b0, lanes = config.p, config.start_count, len(indices)
     throw, (rate, first, cum) = _round(p), _jump_rows(p)
     track = bool(config.passage_thresholds) or config.record_trajectory
-    rng = np.random.Generator(np.random.PCG64(0))
-    u = np.empty((lanes, 2 * (min(b0, _VECTOR_MIN - 1) - 1)))
+    if not hasattr(_local, "rng"):
+        _local.rng = np.random.Generator(np.random.PCG64(0))
+    rng, jumps = _local.rng, min(b0, _VECTOR_MIN - 1) - 1
+    u = np.zeros((lanes, 2 * jumps))  # a finished lane reads zeros, which row 1 ignores
     t, b = np.zeros(lanes, dtype=np.int64), np.full(lanes, b0)
     above = []  # per lane: (0, b0), then if tracked (t, b) at each change from 64 balls up
     for i, state in enumerate(_seed_states(config.master_seed, indices)):
@@ -265,32 +272,36 @@ def _lanes(config: SimConfig, indices: range) -> list[RunResult]:
         rng.random(out=u[i, : 2 * (bi - 1)])
         t[i], b[i] = ti, bi
         above.append(changes)
-    steps = [np.stack([t, b], axis=1)]
-    for col in range(0, u.shape[1], 2):
-        live = np.flatnonzero(b > 1)
-        if not live.size:
+    ks = np.ones((lanes, jumps + 1), dtype=np.int64)  # count before each jump, then 1
+    for col in range(jumps):
+        if (top := b.max()) == 1:
             break
-        k = b[live]
-        t[live] += _holding(u[live, col], rate[k])
-        b[live] = (cum[:, : k.max() - 1][k] <= u[live, col + 1, None]).sum(1) + first[k]
-        steps.append(np.stack([t, b], axis=1))
+        ks[:, col] = b
+        b = (cum[b, : top - 1] <= u[:, 2 * col + 1, None]).sum(1) + first[b]  # row 1 keeps 1
+    hold = np.where(ks[:, :-1] > 1, _holding(u[:, 0::2], rate[ks[:, :-1]]), 0)
     if not track:
-        return [RunResult(T, None, {}) for T in t.tolist()]
+        return [RunResult(T, None, {}) for T in (t + hold.sum(1)).tolist()]
     width = max(map(len, above))  # each lane's (t, b) history, its start repeated ahead
     seq = np.array([c[:1] * (width - len(c)) + c for c in above])
-    seq = np.concatenate([seq, np.stack(steps, axis=1)], axis=1)
+    reached = np.cumsum(np.c_[t, hold], axis=1)  # when each count of ks is reached
+    seq = np.concatenate([seq, np.stack([reached, ks], axis=2)], axis=1)
     ths = sorted(set(config.passage_thresholds), reverse=True)
     at = [seq[np.arange(lanes), (seq[..., 1] <= th).argmax(1), 0].tolist() for th in ths]
     return [
         RunResult(T, np.repeat(seq[i, :, 1], np.diff(seq[i, :, 0], append=T + 1))
                   if config.record_trajectory else None, {th: a[i] for th, a in zip(ths, at)})
-        for i, T in enumerate(t.tolist())
+        for i, T in enumerate(seq[:, -1, 0].tolist())
     ]
 
 
-def run(config: SimConfig, replicate_index: int) -> RunResult:
+def run(config: SimConfig, replicate_index: int, *, _batch=None) -> RunResult:
     """Simulate one replicate to absorption at a single ball; a recorded
-    trajectory repeats the count through each holding segment."""
+    trajectory repeats the count through each holding segment.  runs()
+    passes its iterator over the batch's lanes as _batch, so each replicate
+    still comes out of one run call, as a wrapper of run expects; the call
+    that reaches a new block of lanes simulates the whole block."""
+    if _batch is not None:
+        return next(_batch)
     return _lanes(config, range(replicate_index, replicate_index + 1))[0]
 
 
@@ -363,11 +374,12 @@ class BatchSummary:
 
 
 def runs(config: SimConfig) -> list[RunResult]:
-    """Every replicate of the batch, in index order, run as lanes in blocks
-    of about _LANE_BLOCK jump-chain uniforms."""
+    """Every replicate of the batch, in index order, one run call each; the
+    lanes run in blocks of about _LANE_BLOCK jump-chain uniforms."""
     n = config.replicates
     size = _LANE_BLOCK // max(2 * (min(config.start_count, _VECTOR_MIN - 1) - 1), 1)
-    return [r for lo in range(0, n, size) for r in _lanes(config, range(lo, min(lo + size, n)))]
+    lanes = (r for lo in range(0, n, size) for r in _lanes(config, range(lo, min(lo + size, n))))
+    return [run(config, i, _batch=lanes) for i in range(n)]
 
 
 def batch(config: SimConfig) -> BatchSummary:

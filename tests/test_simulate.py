@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coalsim import exact_chain
+from coalsim import exact_chain, simulate
 from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
 from coalsim.dynamics import early_threshold, one_step_envelope
 from coalsim.exact_chain import (
@@ -473,10 +473,16 @@ class TestSeedStates:
 
     @pytest.mark.parametrize("index", [-1, 2**32, 2**40])
     def test_index_outside_32_bits_rejected(self, index):
+        # lanes seed indices below 2**32 only; replicate_rng is numpy's, any index >= 0
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            replicate_rng(0, index)
+            _seed_states(0, [index])
         with pytest.raises(ValueError, match="2\\*\\*32"):
             run(SimConfig(p=uniform(5)), index)
+        if index > 0:
+            ss = np.random.SeedSequence(entropy=0, spawn_key=(index,))
+            assert replicate_rng(0, index).random(3).tolist() == (
+                np.random.default_rng(ss).random(3).tolist()
+            )
 
 
 class TestLanes:
@@ -513,6 +519,20 @@ class TestLanes:
         for r, (_, traj, _) in zip(traced, want):
             assert np.array_equal(r.trajectory, traj)
         assert run(config, config.replicates - 1) == runs(config)[-1]
+
+    def test_runs_hands_out_each_replicate_through_run(self, monkeypatch):
+        # a wrapper of run sees every replicate of a batch, block after block
+        config = SimConfig(uniform(70), 1100, master_seed=12)
+        want = runs(config)
+        seen = []
+
+        def counted(cfg, i, **kwargs):
+            seen.append(i)
+            return run(cfg, i, **kwargs)
+
+        monkeypatch.setattr(simulate, "run", counted)
+        assert runs(config) == want
+        assert seen == list(range(config.replicates))
 
     def test_holding_times_follow_math_log1p(self):
         # uniforms where numpy's log1p and math.log1p differ, with rates that
