@@ -21,6 +21,8 @@ Every rate is taken with the per-vector caches warm:
   and 1e4 and for a Dirichlet(1) vector, whose weights are all distinct;
 - ``jump_chain_runs_per_s``: whole runs from b0 = 63 balls, which only take
   jump-chain steps;
+- ``run_call_per_s``: lone ``simulate.run`` calls, each a block of one lane,
+  for uniform vectors at n = 12 and n = 1000 (as a loop over ``run`` makes);
 - ``setup_s``: one one-replicate run of a new vector, which builds what the
   vector's rounds and jump chain reuse; a throwaway run of another vector
   first keeps the process's one-time warm-up out of the first entry.  Besides
@@ -99,6 +101,12 @@ def _child(src: str) -> dict:
     simulate.runs(cs.SimConfig(p=p, master_seed=1, b0=63))
     secs = _timed(lambda: simulate.runs(config))
     out["jump_chain_runs_per_s"] = {"uniform_n1000_b63": config.replicates / secs}
+    out["run_call_per_s"] = {}
+    for n, calls in ((12, 2000), (1000, 200)):
+        config = cs.SimConfig(p=cs.uniform(n), master_seed=5)
+        simulate.run(config, 0)
+        secs = _timed(lambda: [simulate.run(config, i) for i in range(calls)])
+        out["run_call_per_s"][f"uniform_n{n}"] = calls / secs
     return out
 
 

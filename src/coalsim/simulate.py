@@ -1,10 +1,14 @@
 """Seeded Monte Carlo engine for the coalescing allocation process: single
 rounds, trajectories with their first passages, and exact batch statistics.
 Replicates run as lanes on replicate_rng(seed, i)'s PCG64 streams: rounds
-from 64 balls up one lane at a time, then the jump chains below in lockstep."""
+from 64 balls up one lane at a time, then the jump chains below in lockstep.
+A lane over equal boxes takes its rounds after the first from one block of
+box indices, then rewinds and redraws the values used; level and alias rounds
+cannot, as their multinomial or double draws sit between the integer draws."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 import weakref
@@ -43,6 +47,12 @@ _VECTOR_MIN = 64
 # alias draws, while uniform, topheavy and three_level with nu = 1 ran
 # 12-37% faster (BENCH_simulate.json).  More levels were not measured.
 _MAX_LEVELS = 3
+# Equal boxes: a lane left with _BLOCK_ROUNDS rounds or more (by the mean
+# recursion) takes them from one block of box indices; blocks from three or
+# two rounds made uniform n = 200 2% or 10% slower.  A round of b balls counts
+# its boxes with a stamp array when b * _SPARSE < m, else by bincount
+# (crossover b ~ 600-1000 at m = 1e4, none at 1e3).
+_BLOCK_ROUNDS, _SPARSE = 4, 16
 _LANE_BLOCK = 1 << 16  # jump-chain uniforms per block of lanes, as variational's blocks
 _local = threading.local()  # .rng: this thread's generator, which takes each lane's state
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -104,21 +114,66 @@ def _level_round(levels: list[tuple[float, int]]):
 _round_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _round(p: ProbabilityVector):
-    """The function (rng, b) -> number of distinct boxes hit by b balls
-    thrown by p, picked once per vector and shared read-only: level by level
-    for at most _MAX_LEVELS distinct positive weights with at most one of them
-    on several boxes, else by alias draws."""
-    throw = _round_cache.get(p)
-    if throw is None:
+def _route(p: ProbabilityVector):
+    """(throw, m), picked once per vector and shared read-only: the function
+    (rng, b) -> number of distinct boxes hit by b balls thrown by p, level by
+    level for at most _MAX_LEVELS distinct positive weights with at most one of
+    them on several boxes, else by alias draws; m when the positive weights are
+    m > 1 equal boxes, else 0."""
+    route = _round_cache.get(p)
+    if route is None:
         levels = [(w, m) for w, m in p.grouped() if w > 0.0]
         if len(levels) <= _MAX_LEVELS and sum(m > 1 for _, m in levels) <= 1:
             throw = _level_round(levels)
         else:
             table = AliasTable(p.weights)
             throw = lambda rng, b: _distinct(table.draw(rng, b))
-        _round_cache[p] = throw
-    return throw
+        equal = levels[0][1] if len(levels) == 1 and levels[0][1] > 1 else 0
+        route = _round_cache[p] = (throw, equal)
+    return route
+
+
+def _block_rounds(m: int, b0: int):
+    """For m equal boxes and lanes from b0 balls: (rounds, least), where
+    rounds(rng, b) gives the counts after each round from b balls down to the
+    first below _VECTOR_MIN, for b >= least, the fewest balls from which the
+    mean recursion b <- m(1 - (1 - 1/m)^b) expects _BLOCK_ROUNDS rounds.  The
+    rounds take their boxes from one block of rng.integers(m, size=.), sized
+    by that recursion plus 5% and grown when short, at most 4 * b0 values at a
+    time; then rng is rewound and draws the values used once more.  Split
+    integers calls draw what one call does, so rng ends where step() would."""
+    path, drawn, x, q = [], [0.0], float(b0), math.log1p(-1.0 / m)
+    while x >= _VECTOR_MIN:
+        path.append(-x)  # ascending, for bisect
+        drawn.append(drawn[-1] + x)  # the recursion's draws up to each count
+        x = -m * math.expm1(x * q)
+    stamp, order = np.empty(m, dtype=np.intp), np.arange(min(b0, m // _SPARSE + 1))
+
+    def size(b: int) -> int:  # the recursion's draws from b balls plus 5%, capped
+        j = min(bisect.bisect_left(path, -b) + 1, len(path))  # its counts above b, and b
+        return min(int(1.05 * (b + drawn[-1] - drawn[j])), 4 * b0)
+
+    def rounds(rng: np.random.Generator, b: int) -> list[int]:
+        state, used, out = rng.bit_generator.state, 0, []
+        block, pos = rng.integers(m, size=size(b)), 0
+        while b >= _VECTOR_MIN:
+            if pos + b > block.size:
+                block, pos = np.concatenate([block[pos:], rng.integers(m, size=size(b))]), 0
+            boxes = block[pos : pos + b]
+            pos, used = pos + b, used + b
+            if b * _SPARSE < m:
+                # each box keeps the position of one ball that hit it, whichever
+                # write wins, so exactly one ball per box reads back its own
+                stamp[boxes] = order[:b]
+                b = int(np.count_nonzero(stamp.take(boxes) == order[:b]))
+            else:
+                b = _distinct(boxes)
+            out.append(b)
+        rng.bit_generator.state = state
+        rng.integers(m, size=used)
+        return out
+
+    return rounds, (-path[-_BLOCK_ROUNDS] if len(path) >= _BLOCK_ROUNDS else math.inf)
 
 
 _jump_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -158,7 +213,7 @@ def step(p: ProbabilityVector, k: int, rng: np.random.Generator) -> int:
     """Throw k balls once and return the number of distinct boxes hit."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _round(p)(rng, k)
+    return _route(p)[0](rng, k)
 
 
 def _holding(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
@@ -225,6 +280,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.replicates > 1 << 32:  # lanes seed indices below 2**32
+            raise ValueError("replicates must be at most 2**32")
         start = self.start_count
         if not 1 <= start <= self.p.n:
             raise ValueError(f"b0={start} outside [1, n={self.p.n}]")
@@ -247,12 +304,14 @@ class RunResult:
 
 def _lanes(config: SimConfig, indices: range) -> list[RunResult]:
     """The replicates of indices, lane i on replicate_rng(seed, i)'s stream:
-    each lane throws its rounds from _VECTOR_MIN balls up as step() does and
-    draws one block of uniforms, two per jump at most; then the jump chains
+    each lane throws its rounds from _VECTOR_MIN balls up as step() does (an
+    equal-box lane its rounds after the first by _block_rounds) and draws one
+    block of uniforms, two per jump at most; then the jump chains
     run in lockstep by row k, and their Geometric(leave) holding times at k
     follow from the counts visited, all at once."""
     p, b0, lanes = config.p, config.start_count, len(indices)
-    throw, (rate, first, cum) = _round(p), _jump_rows(p)
+    (throw, equal), (rate, first, cum) = _route(p), _jump_rows(p)
+    blocks, least = _block_rounds(equal, b0) if equal and b0 >= _VECTOR_MIN else (None, math.inf)
     track = bool(config.passage_thresholds) or config.record_trajectory
     if not hasattr(_local, "rng"):
         _local.rng = np.random.Generator(np.random.PCG64(0))
@@ -264,11 +323,11 @@ def _lanes(config: SimConfig, indices: range) -> list[RunResult]:
         rng.bit_generator.state = state
         ti, bi, changes = 0, b0, [(0, b0)]
         while bi >= _VECTOR_MIN:
-            ti += 1
-            nxt = throw(rng, bi)
-            if nxt < bi:
-                bi = nxt
-                changes += [(ti, bi)] * track
+            for nxt in blocks(rng, bi) if ti and bi >= least else (throw(rng, bi),):
+                ti += 1
+                if nxt < bi:
+                    bi = nxt
+                    changes += [(ti, bi)] * track
         rng.random(out=u[i, : 2 * (bi - 1)])
         t[i], b[i] = ti, bi
         above.append(changes)

@@ -495,6 +495,19 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "limit", "threshold"])
+    def test_replicates_beyond_lane_indices_rejected(self, tmp_path, capsys, command):
+        # replicate i seeds a lane only for i < 2**32: refused before any work
+        if command == "simulate":
+            config = {"distribution": {"family": "uniform", "n": 5}}
+        else:
+            config = {"n_values": [20]}
+        cfg = write_config(tmp_path, "exp.json", config)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "many")]
+        assert main(argv + ["--replicates", "99999999999999999999"]) == 1
+        assert "replicates must be at most 2**32" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize(
         "command, payload",
         [

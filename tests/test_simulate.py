@@ -21,7 +21,7 @@ from coalsim.simulate import (
     SimConfig,
     _distinct,
     _holding,
-    _round,
+    _route,
     _seed_states,
     batch,
     delta_audit,
@@ -418,7 +418,7 @@ def reference_jump_rows(p: ProbabilityVector) -> list:
 
 
 def reference_jumps(p: ProbabilityVector, b: int, rng: np.random.Generator):
-    t, throw = 0, _round(p)
+    t, throw = 0, _route(p)[0]
     yield t, b
     while b >= 64:
         t += 1
@@ -505,9 +505,24 @@ class TestLanes:
             SimConfig(ProbabilityVector([0.5, 0.5, 0.0, 0.0]), 300, master_seed=11),
             # more lanes than one block holds (65536 uniforms, 124 per lane)
             SimConfig(uniform(70), 1100, master_seed=12, passage_thresholds=(64.0, 2.0)),
+            # equal boxes: many rounds from 64 balls up, taken from one block of box indices
+            SimConfig(
+                uniform(1000), 100, master_seed=13, passage_thresholds=(500.0, 100.0, 64.0, 10.0)
+            ),
+            # about 1.1e5 draws per lane, of which 2**32 % 10**4 / 2**32 = 1.7e-6 are
+            # Lemire rejections: lane 18 of this seed meets two
+            SimConfig(uniform(10**4), 20, master_seed=14),
+            SimConfig(uniform(10**4), 40, master_seed=15, b0=64, passage_thresholds=(63.0,)),
+            SimConfig(uniform(10**4), 40, master_seed=16, b0=65),
+            SimConfig(uniform(10**4), 40, master_seed=17, b0=127, passage_thresholds=(100.0, 64.0)),
+            SimConfig(uniform(1000), 100, master_seed=18, b0=127),
+            SimConfig(ProbabilityVector([1.0] * 200 + [0.0] * 300, normalize=True), 200,
+                      master_seed=19),
         ],
         ids=["uniform12", "topheavy40", "dirichlet40", "uniform100", "three_level120",
-             "topheavy300_b150", "uniform50_b20", "two_live_boxes", "uniform70_blocks"],
+             "topheavy300_b150", "uniform50_b20", "two_live_boxes", "uniform70_blocks",
+             "uniform1000", "uniform10000", "uniform10000_b64", "uniform10000_b65",
+             "uniform10000_b127", "uniform1000_b127", "equal200_of_500"],
     )
     def test_equal_reference_loop(self, config):
         want = [reference_run(replace(config, record_trajectory=True), i)
@@ -519,6 +534,21 @@ class TestLanes:
         for r, (_, traj, _) in zip(traced, want):
             assert np.array_equal(r.trajectory, traj)
         assert run(config, config.replicates - 1) == runs(config)[-1]
+
+    @pytest.mark.parametrize("m", [1000, 10**4, 3 * 2**30])
+    def test_split_integer_draws_equal_one_draw(self, m):
+        # equal-box lanes draw their rounds' boxes as one block, then rewind and
+        # draw exactly the values used: both rely on one integers(m, size=.)
+        # call drawing what step's split integers(0, m, .) calls draw, Lemire
+        # rejections included (a quarter of the 32-bit words at m = 3 * 2**30),
+        # and leaving the same state
+        sizes = [1, 63, 3, 127, 999, 5, 10_001]
+        one, split = replicate_rng(20, m), replicate_rng(20, m)
+        want = one.integers(m, size=sum(sizes))
+        got = np.concatenate([split.integers(0, m, size) for size in sizes])
+        assert np.array_equal(got, want)
+        assert split.bit_generator.state == one.bit_generator.state
+        assert split.random() == one.random()
 
     def test_runs_hands_out_each_replicate_through_run(self, monkeypatch):
         # a wrapper of run sees every replicate of a batch, block after block
