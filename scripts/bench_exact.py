@@ -23,7 +23,13 @@ runner is ``scripts/bench_simulate.py``'s ``main``).
   vectors of perfbench's ``exact`` workload (uniform n = 200, topheavy n = 160
   at c2 = 0.05, three-level n = 120 with three heavy boxes), best of 20, and
   for a Dirichlet(1) vector at n = 200, whose all-distinct weights take the
-  box pass, best of 5;
+  box pass, best of 5.  A kernel that builds its rows when it is made is
+  timed by its construction: the same one pass over all rows as a kernel
+  that builds them on request, so entries on both sides compare;
+- ``kernel_expected_s``: ``expected_coalescence_times(TriangularKernel(p))``
+  of uniform vectors at n = 1e3 and 1e4, kernel construction included, best
+  of 3; ``kernel_peak_mb`` is the ``tracemalloc`` peak of one such call in
+  MiB, which counts numpy's buffers, so it shows what a kernel holds;
 - ``jump_rows_s``: ``transition_row(p, 63)`` of a Dirichlet(1) vector at
   n = 2000 and 1e4, which builds rows 1..63 by the box pass: the rows the
   Monte Carlo jump chain reads.  Best of 5.
@@ -35,6 +41,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -61,13 +68,23 @@ def _best(fn, repeats: int) -> float:
     return best
 
 
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _child(src: str) -> dict:
     sys.path.insert(0, src)
     import coalsim as cs
     from coalsim import exact_chain
 
     out: dict = {"expected_time_s": {}, "expected_time": {}, "dropped": {},
-                 "kernel_csv_entries_per_s": {}, "row_pass_s": {}, "jump_rows_s": {}}
+                 "kernel_csv_entries_per_s": {}, "row_pass_s": {}, "jump_rows_s": {},
+                 "kernel_expected_s": {}, "kernel_peak_mb": {}}
     cs.expected_coalescence_times(cs.uniform(50))  # warm-up
     last: dict = {}
     for n in SIZES:
@@ -105,6 +122,11 @@ def _child(src: str) -> dict:
     for n in (2000, 10_000):
         p = _dirichlet(cs, n)
         out["jump_rows_s"][f"dirichlet_n{n}"] = _best(lambda: cs.transition_row(p, 63), 5)
+    for n in (1000, 10_000):
+        p = cs.uniform(n)
+        kernel_times = lambda: cs.expected_coalescence_times(cs.TriangularKernel(p))
+        out["kernel_expected_s"][f"uniform_n{n}"] = _best(kernel_times, 3)
+        out["kernel_peak_mb"][f"uniform_n{n}"] = _peak_mb(kernel_times)
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -378,6 +379,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args does not change it
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="coalsim",

@@ -209,12 +209,6 @@ def _row(k: int, lo: int, band: np.ndarray, dropped: float) -> TransitionRow:
     return TransitionRow(k, probs, lo, lo + band.size, dropped)
 
 
-def _rows(p: ProbabilityVector, k_max: int):
-    """Rows 1..k_max of p, dense, by its one route."""
-    for k, band in enumerate(_bands(p, k_max), start=1):
-        yield _row(k, *band)
-
-
 def transition_row(p: ProbabilityVector, k: int) -> TransitionRow:
     """Exact distribution of the occupied-box count after throwing k balls.
 
@@ -278,34 +272,22 @@ def collision_probability_bound(p: ProbabilityVector, k: int) -> float:
 
 
 class TriangularKernel:
-    """Lower-triangular transition kernel of one vector; rows are cached.
-
-    The kernel carries the row pass of transition_row's route up to n: a
-    request for row k advances it from the last row built and caches every
-    row it passes, so all n rows cost one pass in any request order.
-    Building rows mutates the kernel, so threads must not share one while it
-    is still building.
-    """
+    """Lower-triangular transition kernel of one vector: it holds the (lo,
+    band, dropped) of rows 1..n from one pass of transition_row's route, built
+    when it is made, and row(k) builds a fresh dense TransitionRow of band k."""
 
     def __init__(self, p: ProbabilityVector):
         self.source = p
-        self._rows: dict[int, TransitionRow] = {}
-        self._pass = _rows(p, p.n)
+        self._bands = list(_bands(p, p.n))
 
     @property
     def n(self) -> int:
         return self.source.n
 
     def row(self, k: int) -> TransitionRow:
-        row = self._rows.get(k)
-        if row is not None:
-            return row
         if not 1 <= k <= self.n:
             raise ValueError(f"k={k} outside [1, n={self.n}]")
-        while len(self._rows) < k:  # rows 1..len(self._rows) are built
-            row = next(self._pass)
-            self._rows[row.k] = row
-        return row
+        return _row(k, *self._bands[k - 1])
 
 
 def _leave(m: int, lo: int, band: np.ndarray):
@@ -317,22 +299,19 @@ def _leave(m: int, lo: int, band: np.ndarray):
 
 
 def _back_substitute(source: TriangularKernel | ProbabilityVector, reward: np.ndarray):
-    """First-step analysis down the chain, reading rows in increasing count.
+    """First-step analysis down the chain, reading bands in increasing count.
 
     e[m] = (reward[m] + sum_{j<m} P(m->j) e[j]) / leave(m), e[1] = 0, per reward
     column, summed over the row's band below m only, as _leave gives it.  A
-    kernel serves its cached rows; a vector streams the bands of _bands(p, n)
-    and holds none, in O(n) memory, and costs O(n * w) for bands of width w;
-    the bands are the same, bit for bit.
+    kernel's held bands are read as they are; a vector streams the bands of
+    _bands(p, n) and holds none, in O(n) memory, and costs O(n * w) for bands
+    of width w.  Both are the same bands, bit for bit.
     """
-    if isinstance(source, TriangularKernel):
-        rows = map(source.row, range(1, source.n + 1))
-        bands = ((row.lo, row.probs[row.lo : row.hi]) for row in rows)
-    else:
-        bands = ((lo, band) for lo, band, _ in _bands(source, source.n))
+    kernel = isinstance(source, TriangularKernel)
+    bands = iter(source._bands) if kernel else _bands(source, source.n)
     next(bands)  # row 1 is absorbing: e[1] = 0
     e = np.zeros(reward.shape)
-    for m, (lo, band) in enumerate(bands, start=2):
+    for m, (lo, band, _) in enumerate(bands, start=2):
         start, down, leave = _leave(m, lo, band)
         if not leave > 0.0:
             raise ArithmeticError(f"no way down from state {m}; kernel corrupted")
@@ -344,8 +323,8 @@ def expected_coalescence_times(source: TriangularKernel | ProbabilityVector) -> 
     """Expected rounds to reach one ball from every start count.
 
     Returns an array e with e[m] = expected time from m balls (e[0] unused,
-    e[1] = 0), by back-substitution through the rows of a kernel, or of a
-    vector, whose rows are then streamed and not kept.
+    e[1] = 0), by back-substitution through the bands a kernel holds, or
+    through a vector's, which are then streamed and not kept.
     """
     return _back_substitute(source, np.ones(source.n + 1))
 

@@ -17,7 +17,6 @@ import coalsim
 from coalsim.distributions import ProbabilityVector, from_descriptor, topheavy, uniform
 from coalsim.dynamics import early_threshold, expected_next_count, late_threshold
 from coalsim.exact_chain import (
-    TransitionRow,
     TriangularKernel,
     coalescence_time_cdf,
     collision_probability_bound,
@@ -368,8 +367,7 @@ class TestExpectedTimes:
     def test_row_without_way_down_raises(self):
         for bad in ([0.0, 0.0, 0.0, 1.0], [0.0, math.nan, 0.5, 0.5]):
             kernel = TriangularKernel(uniform(3))
-            kernel.row(3)
-            kernel._rows[3] = TransitionRow(3, np.array(bad))
+            kernel._bands[2] = (0, np.array(bad), 0.0)  # row 3, held at lo = 0
             with pytest.raises(ArithmeticError):
                 expected_coalescence_times(kernel)
 
@@ -458,6 +456,30 @@ class TestExpectedTimes:
         flat, heavy, rss = json.loads(child.stdout)
         assert 1.9989 < flat < 2.0  # still rising toward 2 past n = 4000
         assert heavy > 3.41  # still climbing past n = 4000
+        assert rss < 150 * 1024  # VmHWM is in KiB
+
+    def test_kernel_holds_bands_at_ten_thousand(self):
+        # a kernel holds its rows' bands, a few MB at n = 1e4, not dense rows,
+        # which would take 5e7 floats (400 MB)
+        script = """if True:
+            import json
+            from coalsim import TriangularKernel, expected_coalescence_times, uniform
+            p = uniform(10_000)
+            held = expected_coalescence_times(TriangularKernel(p))
+            streamed = expected_coalescence_times(p)
+            with open("/proc/self/status") as fh:
+                rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            print(json.dumps([held.tobytes() == streamed.tobytes(), held[-1], rss]))
+        """
+        src = str(Path(coalsim.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        same, et, rss = json.loads(child.stdout)
+        assert same  # the held bands are the streamed ones, bit for bit
+        assert 1.9989 < et / 10_000 < 2.0
         assert rss < 150 * 1024  # VmHWM is in KiB
 
 
