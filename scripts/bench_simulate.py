@@ -19,6 +19,8 @@ Every rate is taken with the per-vector caches warm:
 - ``rounds_per_s``: ``simulate.step`` at 64 and at n balls, the round that
   every count of at least 64 balls takes, for the same vectors at n = 1e3
   and 1e4 and for a Dirichlet(1) vector, whose weights are all distinct;
+  and at 64 balls for topheavy at n = 1e5, where a count that scans all n
+  boxes would cost far more than the 64 balls;
 - ``jump_chain_runs_per_s``: whole runs from b0 = 63 balls, which only take
   jump-chain steps;
 - ``run_call_per_s``: lone ``simulate.run`` calls, each a block of one lane,
@@ -51,6 +53,9 @@ REPLICATES = {
     ("three_level_nu3", 1000): 1000, ("three_level_nu3", 10_000): 300,
 }
 ROUND_FAMILIES = ("uniform", "topheavy", "three_level_nu1", "three_level_nu3", "dirichlet")
+# (family, n) -> ball counts of its timed rounds
+ROUNDS = {(f, n): (64, n) for f in ROUND_FAMILIES for n in (1000, 10_000)}
+ROUNDS[("topheavy", 100_000)] = (64,)
 
 
 def _vector(cs, family: str, n: int):
@@ -88,14 +93,14 @@ def _child(src: str) -> dict:
         p = _vector(cs, "dirichlet", n)
         config = cs.SimConfig(p=p, master_seed=1)
         out["setup_s"][f"dirichlet_n{n}"] = _timed(lambda: simulate.runs(config))
-    for family in ROUND_FAMILIES:
-        for n in (1000, 10_000):
-            p = _vector(cs, family, n)
-            rng = np.random.default_rng(3)
-            simulate.step(p, 64, rng)  # builds the vector's round
-            for b, calls in ((64, 10_000), (n, 2000 if n <= 1000 else 400)):
-                secs = _timed(lambda: [simulate.step(p, b, rng) for _ in range(calls)])
-                out["rounds_per_s"][f"{family}_n{n}_b{b}"] = calls / secs
+    for (family, n), balls in ROUNDS.items():
+        p = _vector(cs, family, n)
+        rng = np.random.default_rng(3)
+        simulate.step(p, 64, rng)  # builds the vector's round
+        for b in balls:
+            calls = 10_000 if b == 64 else 2000 if b <= 1000 else 400
+            secs = _timed(lambda: [simulate.step(p, b, rng) for _ in range(calls)])
+            out["rounds_per_s"][f"{family}_n{n}_b{b}"] = calls / secs
     p = cs.uniform(1000)
     config = cs.SimConfig(p=p, replicates=5000, master_seed=4, b0=63)
     simulate.runs(cs.SimConfig(p=p, master_seed=1, b0=63))

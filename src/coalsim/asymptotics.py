@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+_KINGMAN_BLOCK = 1 << 14  # exponentials per block of kingman_limit_samples
+
+
 def ks_two_sample(x, y) -> float:
     """Two-sample Kolmogorov-Smirnov distance sup |F_x - F_y|."""
     x = np.sort(np.asarray(x, dtype=float))
@@ -49,13 +52,21 @@ def kingman_limit_samples(rng, truncation: int, size: int) -> np.ndarray:
     2/K that the dropped tail contributes in expectation (the tail weights
     telescope to exactly 2/K, and their variance is O(K^-3), negligible).
     Exponentials are drawn per k in increasing order, so two generators with
-    the same state and different truncations share their common prefix.
+    the same state and different truncations share their common prefix.  They
+    come in blocks of rows of k, about _KINGMAN_BLOCK values each, whose rows
+    are added in order of k (a cumsum down the block adds in that order too,
+    but numpy runs it as one short loop per column, twice as slow at size 5000).
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     total = np.full(size, 2.0 / truncation)
-    for k in range(2, truncation + 1):
-        total += (2.0 / (k * (k - 1))) * rng.exponential(size=size)
+    rows = max(1, _KINGMAN_BLOCK // max(size, 1))
+    for lo in range(2, truncation + 1, rows):
+        k = np.arange(lo, min(lo + rows, truncation + 1))
+        block = rng.exponential(size=(k.size, size))
+        block *= (2.0 / (k * (k - 1)))[:, None]
+        for term in block:
+            total += term
     return total
 
 

@@ -4,7 +4,8 @@ Replicates run as lanes on replicate_rng(seed, i)'s PCG64 streams: rounds
 from 64 balls up one lane at a time, then the jump chains below in lockstep.
 A lane over equal boxes takes its rounds after the first from one block of
 box indices, then rewinds and redraws the values used; level and alias rounds
-cannot, as their multinomial or double draws sit between the integer draws."""
+cannot, as their binomial, multinomial or double draws sit between the integer
+draws.  Every round counts the boxes it hit with _distinct."""
 
 from __future__ import annotations
 
@@ -49,10 +50,15 @@ _VECTOR_MIN = 64
 _MAX_LEVELS = 3
 # Equal boxes: a lane left with _BLOCK_ROUNDS rounds or more (by the mean
 # recursion) takes them from one block of box indices; blocks from three or
-# two rounds made uniform n = 200 2% or 10% slower.  A round of b balls counts
-# its boxes with a stamp array when b * _SPARSE < m, else by bincount
-# (crossover b ~ 600-1000 at m = 1e4, none at 1e3).
-_BLOCK_ROUNDS, _SPARSE = 4, 16
+# two rounds made uniform n = 200 2% or 10% slower.
+_BLOCK_ROUNDS = 4
+# _distinct counts b balls over m boxes with an O(b) stamp array when
+# b * _SPARSE + _FLAGS < m, else by marking m flags.  The stamp costs about
+# 1 us more per call in numpy overhead and a few ns more per ball; clearing
+# and scanning m flags costs about 0.08 ns per box.  Measured per call
+# (2-vCPU VM), the stamp won from m = 3e4 at b = 64 and up to b = m/50 at
+# m = 1e5 to 3e5; the flags won at every b for m <= 2e4.
+_SPARSE, _FLAGS = 32, 1 << 14
 _LANE_BLOCK = 1 << 16  # jump-chain uniforms per block of lanes, as variational's blocks
 _local = threading.local()  # .rng: this thread's generator, which takes each lane's state
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -92,20 +98,26 @@ class AliasTable:
 
 def _level_round(levels: list[tuple[float, int]]):
     """Round function over the (weight, multiplicity) levels of the positive
-    weights: one multinomial split of the balls among the levels (none for a
-    single level), then the distinct boxes hit inside each level, whose boxes
-    are equally likely.  This is the law of throwing every ball by p, with no
-    table to build."""
+    weights: one split of the balls among the levels (none for a single level,
+    a binomial for two, else a multinomial), then the distinct boxes hit inside
+    each level, whose boxes are equally likely.  This is the law of throwing
+    every ball by p, with no table to build.  numpy's multinomial over two
+    levels draws exactly binomial(b, first mass), which costs less."""
     sizes = [m for _, m in levels]
     # a rounded-up mass fails numpy's pvals <= 1 check; the last is implied
     masses = np.minimum([w * m for w, m in levels], 1.0)
+    first, count = float(masses[0]), len(sizes)
 
     def throw(rng: np.random.Generator, b: int) -> int:
+        if count == 2:
+            c = rng.binomial(b, first)
+            split = (c, b - c)
+        else:
+            split = rng.multinomial(b, masses).tolist() if count > 1 else (b,)
         hit = 0
-        split = rng.multinomial(b, masses).tolist() if len(sizes) > 1 else [b]
         for m, c in zip(sizes, split):
             if c:
-                hit += 1 if m == 1 else _distinct(rng.integers(0, m, c))
+                hit += 1 if m == 1 else _distinct(rng.integers(0, m, c), m)
         return hit
 
     return throw
@@ -127,7 +139,7 @@ def _route(p: ProbabilityVector):
             throw = _level_round(levels)
         else:
             table = AliasTable(p.weights)
-            throw = lambda rng, b: _distinct(table.draw(rng, b))
+            throw = lambda rng, b: _distinct(table.draw(rng, b), table.n)
         equal = levels[0][1] if len(levels) == 1 and levels[0][1] > 1 else 0
         route = _round_cache[p] = (throw, equal)
     return route
@@ -147,7 +159,6 @@ def _block_rounds(m: int, b0: int):
         path.append(-x)  # ascending, for bisect
         drawn.append(drawn[-1] + x)  # the recursion's draws up to each count
         x = -m * math.expm1(x * q)
-    stamp, order = np.empty(m, dtype=np.intp), np.arange(min(b0, m // _SPARSE + 1))
 
     def size(b: int) -> int:  # the recursion's draws from b balls plus 5%, capped
         j = min(bisect.bisect_left(path, -b) + 1, len(path))  # its counts above b, and b
@@ -161,13 +172,7 @@ def _block_rounds(m: int, b0: int):
                 block, pos = np.concatenate([block[pos:], rng.integers(m, size=size(b))]), 0
             boxes = block[pos : pos + b]
             pos, used = pos + b, used + b
-            if b * _SPARSE < m:
-                # each box keeps the position of one ball that hit it, whichever
-                # write wins, so exactly one ball per box reads back its own
-                stamp[boxes] = order[:b]
-                b = int(np.count_nonzero(stamp.take(boxes) == order[:b]))
-            else:
-                b = _distinct(boxes)
+            b = _distinct(boxes, m)
             out.append(b)
         rng.bit_generator.state = state
         rng.integers(m, size=used)
@@ -203,10 +208,18 @@ def _jump_rows(p: ProbabilityVector) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rows
 
 
-def _distinct(boxes: np.ndarray) -> int:
-    """Number of distinct box indices in boxes."""
-    # counting beats np.unique's sort: indices are below n and rounds are short
-    return int(np.count_nonzero(np.bincount(boxes)))
+def _distinct(boxes: np.ndarray, m: int) -> int:
+    """Number of distinct box indices in boxes, each in [0, m): O(b) for a
+    sparse round of b balls, else by marking an array of m flags."""
+    if boxes.size * _SPARSE + _FLAGS < m:
+        # each box keeps the position of one ball that hit it, whichever write
+        # wins, so exactly one ball per box reads back its own
+        stamp, order = np.empty(m, dtype=np.intp), np.arange(boxes.size)
+        stamp[boxes] = order
+        return int(np.count_nonzero(stamp.take(boxes) == order))
+    hit = np.zeros(m, dtype=bool)
+    hit[boxes] = True
+    return int(np.count_nonzero(hit))
 
 
 def step(p: ProbabilityVector, k: int, rng: np.random.Generator) -> int:

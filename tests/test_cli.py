@@ -696,6 +696,62 @@ class TestMalformedDescriptors:
         assert "unknown config key" not in err.getvalue()
 
 
+def _malformed_argv():
+    """argv lists with at least one defect: an unknown or empty command, a
+    missing, unreadable or non-object config, a bad --seed or --replicates,
+    an --out that cannot be written, or a stray argument.  Paths are
+    placeholders that the test fills in: {ok} is a small valid config,
+    {bad} malformed JSON, {list} a JSON list, {dir} a directory and
+    {missing} a file that does not exist."""
+    junk = st.text(alphabet="abxyz019 ._", max_size=6)  # never a flag, so never --help
+    values = {
+        "command": st.one_of(st.just(""), junk.filter(lambda c: c not in cli._KEYS)),
+        "config": st.sampled_from(["{missing}", "{dir}", "{bad}", "{list}", ""]),
+        "seed": st.sampled_from(["-1", "-7", "x", "1.5", "1e3", "", "0x10"]),
+        "replicates": st.sampled_from(["-5", "1e3", "0", "x", "2.5", ""]),
+        "out": st.sampled_from(["{missing}/out", "{ok}/out"]),
+        "stray": st.sampled_from([["--frobnicate"], ["--frobnicate", "1"], ["extra"]]),
+    }
+
+    @st.composite
+    def argvs(draw):
+        defects = draw(st.sets(st.sampled_from(sorted(values)), min_size=1))
+        command = draw(values["command"]) if "command" in defects else draw(
+            st.sampled_from(sorted(cli._KEYS)))
+        pairs = [] if "config" in defects and draw(st.booleans()) else [
+            ["--config", draw(values["config"]) if "config" in defects else "{ok}"]]
+        for flag in ("seed", "replicates", "out"):
+            if flag in defects:
+                pairs.append([f"--{flag}", draw(values[flag])])
+        if "stray" in defects:
+            pairs.append(draw(values["stray"]))
+        pairs.append(["--quiet"])
+        return [command] + [arg for pair in draw(st.permutations(pairs)) for arg in pair]
+
+    return argvs()
+
+
+class TestMalformedArgv:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=_malformed_argv())
+    def test_exit_code_not_exception(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            files = {"ok": root / "ok.json", "bad": root / "bad.json",
+                     "list": root / "list.json", "dir": root / "d", "missing": root / "missing"}
+            files["ok"].write_text(json.dumps({"distribution": {"family": "uniform", "n": 4}}))
+            files["bad"].write_text("{not json")
+            files["list"].write_text("[1, 2]")
+            files["dir"].mkdir()
+            filled = [arg.format(**files) for arg in argv]
+            quiet = contextlib.redirect_stderr(io.StringIO())
+            with quiet, contextlib.redirect_stdout(io.StringIO()):
+                code = main(filled)
+            written = sorted(p.name for p in root.iterdir())
+        assert code in (1, 2), filled
+        assert written == ["bad.json", "d", "list.json", "ok.json"], filled
+
+
 class TestThroughLibrary:
     def test_simulate_outputs_are_the_library_batch(self, tmp_path):
         cfg = write_config(

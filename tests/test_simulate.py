@@ -1,5 +1,7 @@
 import bisect
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -318,8 +320,76 @@ class TestLevelRound:
         table = AliasTable(p.weights)
         for k in (1, 64, 100):
             got = [step(p, k, replicate_rng(9, i)) for i in range(20)]
-            want = [_distinct(table.draw(replicate_rng(9, i), k)) for i in range(20)]
+            want = [_distinct(table.draw(replicate_rng(9, i), k), p.n) for i in range(20)]
             assert got == want
+
+
+class TestDistinct:
+    """One counter serves every round; its draws and counts are unchanged."""
+
+    @pytest.mark.parametrize("m", [10**2, 10**4, 10**5])
+    def test_equals_unique(self, m):
+        rng = np.random.default_rng(m)
+        sizes = [1, 2, 64, 500, m // 50, m // 8, m, 3 * m]
+        for b in sizes:
+            boxes = rng.integers(m, size=b)
+            assert _distinct(boxes, m) == np.unique(boxes).size, b
+        assert _distinct(rng.permutation(m), m) == m
+        assert _distinct(np.full(70, m - 1), m) == 1
+        if m == 10**5:  # both the stamp and the flags count here
+            sparse = {b * simulate._SPARSE + simulate._FLAGS < m for b in sizes}
+            assert sparse == {True, False}
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            topheavy(2000, 0.01),
+            ProbabilityVector([0.3] + [0.0] * 5 + [0.7 / 1994] * 1994, normalize=True),
+            ProbabilityVector([1.0] * 1999 + [0.25], normalize=True),
+        ],
+        ids=["topheavy2000", "two_level_zeros2000", "one_light_box2000"],
+    )
+    def test_two_level_split_equals_multinomial(self, p):
+        levels = [(w, m) for w, m in p.grouped() if w > 0]
+        assert len(levels) == 2 and sum(m > 1 for _, m in levels) == 1
+        masses = np.minimum([w * m for w, m in levels], 1.0)
+        for k in (64, 100, 1000, p.n):
+            for i in range(20):
+                got, want = replicate_rng(30, i), replicate_rng(30, i)
+                hit = 0
+                for (_, m), c in zip(levels, want.multinomial(k, masses).tolist()):
+                    if c:
+                        hit += 1 if m == 1 else np.unique(want.integers(0, m, c)).size
+                assert step(p, k, got) == hit, (k, i)
+                assert got.bit_generator.state == want.bit_generator.state
+
+    def test_sparse_blocks_equal_reference_loop(self):
+        # equal-box lanes over 5e4 boxes count their sparse rounds by stamp
+        config = SimConfig(uniform(5 * 10**4), 4, master_seed=21, passage_thresholds=(2000.0, 64.0))
+        want = [reference_run(config, i) for i in range(config.replicates)]
+        got = runs(config)
+        assert [(r.T, r.passages) for r in got] == [(T, passages) for T, _, passages in want]
+
+
+class TestCachesLetVectorsGo:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: uniform(300),
+            lambda: topheavy(300, 0.05),
+            lambda: ProbabilityVector(np.random.default_rng(3).dirichlet(np.ones(300))),
+        ],
+        ids=["uniform", "topheavy", "dirichlet"],
+    )
+    def test_vector_collected_after_runs(self, make):
+        # a cached round or jump table that held its vector would keep it alive
+        p = make()
+        runs(SimConfig(p, 5, master_seed=1))
+        ref = weakref.ref(p)
+        assert ref in simulate._round_cache.keyrefs() and ref in simulate._jump_cache.keyrefs()
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 class TestRunningStats:
