@@ -75,7 +75,13 @@ def envelope_margin(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
     if np.any(k <= 0):
         raise ValueError("k must be positive")
     gap = 0.5 * (k - _weights(p).size + empty_boxes_proxy(p, k))
-    return gap * gap / k
+    with np.errstate(over="ignore"):
+        margin = gap * gap / k
+    # gap * gap overflows from |gap| ~ 1.3e154, where the margin is still about k / 4
+    big = np.isinf(margin)
+    if np.any(big):
+        margin = np.where(big, gap * (gap / np.where(big, k, 1.0)), margin)[()]
+    return margin
 
 
 def _check_threshold_args(c2: float, n: int, eps: float) -> None:

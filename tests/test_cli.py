@@ -888,3 +888,190 @@ class TestWriteCsv:
         cli._write_csv(path, ["a", "b"], iter(rows))
         want = "a,b\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
         assert path.read_bytes() == want.encode()
+
+
+def _percent_g(table) -> bytes:
+    """The reference bytes: "%.17g" of every value, joined by ',' and '\\n'."""
+    rows = np.asarray(table, dtype=float).tolist()
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
+
+
+def _row_writer_bytes(tmp_path, header, rows) -> bytes:
+    path = tmp_path / "row_writer.csv"
+    cli._write_csv(path, header, iter(rows))
+    return path.read_bytes()
+
+
+def _neighbours(x: float) -> list[float]:
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+# values where a formatter of %.17g most likely goes wrong: zeros, subnormals,
+# the ends of the range the fast path takes, and the powers of ten, whose
+# log10 can land one off and whose neighbours round to nines or to zeros
+_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.99999999999999999e16, 2.0**53,
+    float("inf"), float("-inf"), float("nan"),
+    *_neighbours(1e-280), *_neighbours(1e280),
+    *(v for k in range(-300, 301) for v in _neighbours(10.0**k)),
+]
+
+
+class TestG17:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns_match_percent_g(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        for table in (x.reshape(-1, 1), x.reshape(1, -1)):
+            assert cli._g17(table) == _percent_g(table)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    def test_floats_match_percent_g(self, values):
+        x = np.array(values)
+        for table in (x.reshape(-1, 1), x.reshape(1, -1)):
+            assert cli._g17(table) == _percent_g(table)
+
+    def test_edges_match_percent_g(self):
+        x = np.array(_EDGES + [-v for v in _EDGES])
+        assert cli._g17(x.reshape(-1, 1)) == _percent_g(x.reshape(-1, 1))
+        table = np.append(x, [7.0] * (-x.size % 7)).reshape(-1, 7)
+        assert cli._g17(table) == _percent_g(table)
+        assert cli._g17(np.array([[10.0**226]])) == b"9.9999999999999996e+225\n"
+
+
+class TestArrayTables:
+    def test_blocks_match_row_writer(self, tmp_path):
+        # more rows than one block holds, in one column and in five
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal(12_000) * 10.0 ** rng.integers(-30, 30, 12_000)
+        x[::97] = np.round(x[::97])
+        for table in (x.reshape(-1, 1), x.reshape(-1, 5)):
+            path, header = tmp_path / "table.csv", ["a"] * table.shape[1]
+            cli._write_csv(path, header, table)
+            assert path.read_bytes() == (",".join(header) + "\n").encode() + _percent_g(table)
+            assert path.read_bytes() == _row_writer_bytes(tmp_path, header, table.tolist())
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_row(self, tmp_path, rows):
+        table = np.array([[0.5, -3.0, 1e-7]])[:rows]
+        assert cli._g17(table) == b"0.5,-3,9.9999999999999995e-08\n" * rows
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, ["x", "y", "z"], table)
+        assert path.read_bytes() == b"x,y,z\n" + b"0.5,-3,9.9999999999999995e-08\n" * rows
+
+    def test_empty_k_values_write_the_header(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "dyn.json", {"distribution": {"family": "uniform", "n": 5}, "k_values": []}
+        )
+        out = str(tmp_path / "d")
+        assert main(["dynamics", "--config", str(cfg), "--out", out, "--quiet"]) == 0
+        header = b"k,empty_proxy,occupancy_proxy,envelope,margin\n"
+        assert (tmp_path / "d.csv").read_bytes() == header
+
+
+class TestTablesMatchRowWriter:
+    """Each table a command writes has the bytes that the row writer gives
+    the values the command tabulated before it handed over arrays."""
+
+    def _run(self, tmp_path, command, config, ext=".csv", seed="3"):
+        cfg = write_config(tmp_path, f"{command}_in.json", config)
+        out = tmp_path / command
+        argv = [command, "--config", str(cfg), "--seed", seed, "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        data = Path(str(out) + ext).read_bytes()
+        return data.split(b"\n", 1)[0].decode().split(","), data
+
+    def test_dynamics(self, tmp_path):
+        p = topheavy(300, 0.05)
+        header, data = self._run(
+            tmp_path, "dynamics", {"distribution": {"family": "topheavy", "n": 300, "c2": 0.05}}
+        )
+        ks = np.arange(301.0)
+        margin = np.zeros_like(ks)
+        margin[1:] = cli.envelope_margin(p, ks[1:])
+        columns = (
+            cli.empty_boxes_proxy(p, ks), cli.occupancy_proxy(p, ks), cli.one_step_envelope(p, ks)
+        )
+        rows = np.column_stack((ks, *columns, margin)).tolist()
+        assert data == _row_writer_bytes(tmp_path, header, rows)
+
+    def test_bounds(self, tmp_path):
+        p = coalsim.uniform(40)
+        offsets = np.linspace(-4.0, 4.0, 25).tolist()
+        config = {"distribution": {"family": "uniform", "n": 40}, "k": 20, "b_offsets": offsets}
+        header, data = self._run(tmp_path, "bounds", config)
+        center = cli.tail_bounds.tilt_center(p, 20)
+        grid = [b for b in (center + o for o in offsets) if 0.0 < b <= 20]
+        report = cli.tail_bounds.curvature_report(p, 20, grid)
+        rows = [(pt.b, pt.z, pt.r, pt.h, pt.curvature_fd, pt.hessian_det) for pt in report.points]
+        assert len(rows) * len(header) >= cli._FEW_CELLS
+        assert data == _row_writer_bytes(tmp_path, header, rows)
+
+    def test_exact_expected_times(self, tmp_path):
+        p = topheavy(100, 0.1)
+        config = {"distribution": {"family": "topheavy", "n": 100, "c2": 0.1}}
+        header, data = self._run(tmp_path, "exact", config, ".expected.csv")
+        et = expected_coalescence_times(TriangularKernel(p))
+        assert data == _row_writer_bytes(tmp_path, header, enumerate(et[1:], start=1))
+
+    def test_simulate_with_thresholds(self, tmp_path):
+        config = {
+            "distribution": {"family": "topheavy", "n": 40, "c2": 0.1},
+            "replicates": 200,
+            "thresholds": [20, 7.5, 2],
+        }
+        header, data = self._run(tmp_path, "simulate", config, ".replicates.csv")
+        assert header == ["replicate", "T", "tau_at_20", "tau_at_7.5", "tau_at_2"]
+        sim = SimConfig(topheavy(40, 0.1), 200, master_seed=3, passage_thresholds=(20.0, 7.5, 2.0))
+        rows = ([i, r.T, *r.passages.values()] for i, r in enumerate(cli.simulate.runs(sim)))
+        assert data == _row_writer_bytes(tmp_path, header, rows)
+
+    def test_limit(self, tmp_path):
+        config = {"n_values": [30, 60], "replicates": 150, "K": 50}
+        header, data = self._run(tmp_path, "limit", config)
+        rows = [cli.asymptotics.limit_law_experiment(n, 150, 3, 50) for n in (30, 60)]
+        assert data == _row_writer_bytes(tmp_path, header, map(cli.dataclasses.astuple, rows))
+
+    def test_threshold(self, tmp_path):
+        config = {"n_values": [30, 60], "lambda": "sqrt_ln", "replicates": 40}
+        header, data = self._run(tmp_path, "threshold", config)
+        rows = cli.asymptotics.threshold_experiment([30, 60], "sqrt_ln", 40, 3)
+        assert data == _row_writer_bytes(tmp_path, header, map(cli.dataclasses.astuple, rows))
+
+    @pytest.mark.slow
+    def test_hundred_thousand_rows_in_less_memory(self, tmp_path):
+        # dynamics on topheavy n = 1e5 writes 100 001 rows; a child that hands
+        # the row writer the same table as Python lists is the reference
+        cfg = write_config(
+            tmp_path, "dyn.json", {"distribution": {"family": "topheavy", "n": 100_000, "c2": 0.01}}
+        )
+        script = """if True:
+            import json, sys
+            from coalsim import cli
+            argv = ["dynamics", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]
+            if sys.argv[3] == "rows":
+                args = cli._build_parser().parse_args(argv)
+                _, [(header, table)] = cli._cmd_dynamics(args, cli._load_config(args))
+                cli._write_csv(sys.argv[2] + ".csv", header, iter(table.tolist()))
+            else:
+                assert cli.main(argv) == 0
+            # this process's own peak, not the test runner's that ru_maxrss keeps
+            with open("/proc/self/status") as fh:
+                rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            print(json.dumps(rss))
+        """
+        src = str(Path(coalsim.__file__).resolve().parent.parent)
+        peaks, data = {}, {}
+        for how in ("rows", "array"):
+            out = str(tmp_path / how)
+            child = subprocess.run(
+                [sys.executable, "-c", script, str(cfg), out, how],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=300, check=True,
+            )
+            peaks[how] = json.loads(child.stdout)
+            data[how] = Path(out + ".csv").read_bytes()
+        assert data["array"].count(b"\n") == 1 + 100_001
+        assert data["array"] == data["rows"]
+        assert peaks["array"] <= 1.1 * peaks["rows"]  # VmHWM is in KiB

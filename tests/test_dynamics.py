@@ -140,6 +140,23 @@ class TestEnvelopeMargin:
             vals = [envelope_margin(p, k) for k in range(1, n + 1)]
             assert all(b > a - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_finite_where_the_square_of_the_gap_overflows(self, tmp_path):
+        # gap * gap overflows from |gap| ~ 1.3e154, while the margin is about k / 4
+        p = uniform(10)
+        ks = np.array([0.5, 3.0, 1e100, 1e154, 1e200, 1e308])
+        margin = envelope_margin(p, ks)
+        assert margin[-2:] == pytest.approx(ks[-2:] / 4, rel=1e-15)
+        assert envelope_margin(p, 1e308) == margin[-1]
+        gap = 0.5 * (ks[:4] - 10 + empty_boxes_proxy(p, ks[:4]))
+        assert margin[:4].tolist() == (gap * gap / ks[:4]).tolist()  # bit for bit
+        cfg = tmp_path / "dyn.json"
+        config = {"distribution": {"family": "uniform", "n": 10}, "k_values": [1e308]}
+        cfg.write_text(json.dumps(config))
+        out = str(tmp_path / "d")
+        assert main(["dynamics", "--config", str(cfg), "--out", out, "--quiet"]) == 0
+        row = (tmp_path / "d.csv").read_text().splitlines()[1]
+        assert row == "1e+308,0,10,5.0000000000000001e+307,2.5e+307"
+
     def test_uniform_cubic_floor(self):
         for n in (5, 20, 100):
             p = uniform(n)
