@@ -10,11 +10,11 @@ hit every label alike; the JSON on standard output holds each label's median
 over its runs, with the core count and the Python and numpy versions (the
 runner is ``scripts/bench_simulate.py``'s ``main``).
 
-- ``table_values_per_s``: float64 values per second that ``cli._write_csv``
-  writes for tables of 1e3, 1e4 and 1e5 rows by 5 columns, each value a
-  standard normal times 10**j, j uniform in -5..5.  ``array_*`` hands it the
-  2-D array; ``lists_*`` hands it the table's ``tolist()``, conversion
-  included, which is what the CLI handed it before tables went as arrays;
+- ``table_values_per_s``: float64 values per second that ``cli._write``, the
+  CLI's writer of every output file, writes for a (header, 2-D array) table of
+  1e3, 1e4, 1e5 and 2 rows by 5 columns, each value a standard normal times
+  10**j, j uniform in -5..5.  ``array_2`` is the size of the tables that
+  ``limit`` and ``threshold`` write;
 - ``dynamics_s``: one ``coalsim dynamics`` run (``cli.main``, all rows
   k = 0..n) on topheavy n = 1e4 and 1e5 with c2 = 0.01, as perfbench's
   ``analysis`` job runs it at n = 1e4.
@@ -44,12 +44,10 @@ def _child(src: str) -> dict:
     header = ["a", "b", "c", "d", "e"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        for rows in (1000, 10_000, 100_000):
+        for rows in (1000, 10_000, 100_000, 2):
             table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-5, 6, (rows, 5))
-            secs = _median_secs(lambda: cli._write_csv(path, header, table))
+            secs = _median_secs(lambda: cli._write(path, (header, table)))
             out["table_values_per_s"][f"array_{rows}"] = table.size / secs
-            secs = _median_secs(lambda: cli._write_csv(path, header, table.tolist()))
-            out["table_values_per_s"][f"lists_{rows}"] = table.size / secs
         for n in (10_000, 100_000):
             config = Path(tmp) / f"topheavy_n{n}.json"
             descriptor = {"family": "topheavy", "n": n, "c2": 0.01}

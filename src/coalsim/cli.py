@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, exact_chain, simulate, tail_bounds, variational
+from ._tables import write_csv
 from .distributions import (
     DistributionError,
     SolverError,
@@ -44,151 +45,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-# %.17g of a float64 table in numpy.  Each cell is a slot of six 8-byte words,
-# NUL where it holds nothing, and dropping the NULs leaves the CSV:
-#   word 0     the sign, "0.000" (for -4 <= e < 0), the lead digit and a '.' slot
-#   words 1-4  the other 16 digits, each followed by a '.' slot
-#   word 5     "e+XX" or "e-XXX" in exponential notation, and ',' or '\n' last
-_E_LO, _E_HI = -281, 281  # floor(log10|x|) for 1e-280 <= |x| < 1e280, give or take one
-_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
-_CHUNK_START = np.array([1, 5, 9, 13])  # the first digit of each chunk of words 1-4
-_BLOCK_CELLS = 2048  # cells per block: their temporaries stay under about 0.5 MB
-_FEW_CELLS = 128  # below this a %-format per row beats _g17's fixed ~0.1 ms
-
-
-def _split(a):
-    c = a * _SPLITTER
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _pow10(s: int) -> tuple[float, float]:
-    """10**s as hi + lo: hi correctly rounded, lo the exact rest correctly rounded."""
-    num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
-    hi = num / den
-    hnum, hden = hi.as_integer_ratio()
-    return hi, (num * hden - hnum * den) / (den * hden)
-
-
-def _words(texts) -> np.ndarray:
-    """Each byte string NUL-padded to 8 bytes, as one uint64 word."""
-    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
-
-
-@functools.cache  # on first use: a command that writes no table does not build them
-def _g17_tables() -> tuple:
-    es = range(_E_LO, _E_HI)
-    hi, lo = np.array([_pow10(16 - e) for e in es]).T
-    e = np.arange(_E_LO, _E_HI)
-    fixed = (e >= -4) & (e <= 16)
-    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    quads = np.zeros((10_000, 8), np.uint8)
-    quads[:, ::2] = digits + ord("0")
-    return (
-        hi, *_split(hi), lo,
-        _words(b"\0" + b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in es),
-        _words((b"" if -4 <= x <= 16 else b"e%+03d" % x).ljust(7, b"\0") + b"," for x in es),
-        np.where(fixed, np.where(e >= 0, e, 17), 0),  # the digit a '.' may follow
-        np.where(fixed & (e >= 0), e + 1, 1),  # digits kept even when zero
-        quads.view(np.uint64).ravel(),
-        # a chunk's digits up to its last nonzero one; a chunk of zeros counts for none
-        np.where(digits.any(axis=1), 4 - np.argmax(digits[:, ::-1] > 0, axis=1), -99),
-        _words(b"\0" * 6 + b"%d" % d for d in range(10)),
-        # by chunk and digits kept: the mask of the chunk's digits that print
-        _words(b"\xff\xff" * r for r in range(5))[
-            np.clip(np.arange(18) - _CHUNK_START[:, None], 0, 4)
-        ],
-        _words([b"", b"-"]),
-    )
-
-
-def _g17(block: np.ndarray) -> bytes:
-    """The CSV lines of a 2-D float64 block, byte for byte those of "%.17g".
-
-    For 1e-280 <= |x| < 1e280, e = floor(log10|x|) and the 17 digits are
-    y = |x| * 10**(16 - e) rounded to an integer, with y a double-double from
-    Dekker's product of |x| and 10**(16 - e) = hi + lo.  Its error is below
-    1e-13, so the digits are sure when frac(y) is more than 1e-6 from 1/2,
-    floor(y) >= 10**16 and y rounds below 10**17; that also catches a log10
-    one off.  Zeros print directly; every other value goes through "%.17g"."""
-    hi, hi_h, hi_l, lo, pre, post, dot_after, min_keep, quads, last, lead, masks, sign = (
-        _g17_tables()
-    )
-    cols = block.shape[1]
-    x = block.ravel()
-    a = np.abs(x)
-    ok = (a >= 1e-280) & (a < 1e280)
-    a = np.where(ok, a, 1.0)  # the layout of e = 0, which a zero takes
-    i = np.floor(np.log10(a)).astype(np.intp) - _E_LO
-    p = a * hi[i]
-    ah, al = _split(a)
-    bh, bl = hi_h[i], hi_l[i]
-    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo[i]
-    frac = t - np.floor(t)
-    # p is whole when the digits are sure: p ~ y >= 10**16 > 2**53
-    y = p.astype(np.int64) + np.floor(t).astype(np.int64)
-    d = y + (frac > 0.5)
-    zero = x == 0.0
-    sure = ok & (np.abs(frac - 0.5) > 1e-6) & (y >= 10**16) & (d < 10**17) | zero
-    d[zero | ~sure] = 0  # a zero's digits are 0; the others are printed by %
-    first, rest = np.divmod(d, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    chunks = np.stack([*np.divmod(high, 10**4), *np.divmod(low, 10**4)])
-    nd = np.maximum((last[chunks] + _CHUNK_START[:, None]).max(axis=0), 1)
-    keep = np.maximum(nd, min_keep[i])
-    words = np.empty((x.size, 6), np.uint64)
-    words[:, 0] = pre[i] | lead[first] | sign[np.signbit(x).view(np.uint8)]
-    words[:, 1:5] = (quads[chunks] & np.take(masks, keep, axis=1)).T
-    words[:, 5] = post[i]
-    text = words.view(np.uint8)
-    text[cols - 1 :: cols, 47] = ord("\n")
-    dot = dot_after[i]
-    cell = np.flatnonzero(nd > dot + 1)
-    text.ravel()[cell * 48 + 7 + 2 * dot[cell]] = ord(".")
-    for c in np.flatnonzero(~sure).tolist():
-        s = b"%.17g" % x[c]
-        text[c, :47] = 0
-        text[c, : len(s)] = np.frombuffer(s, np.uint8)
-    return text.tobytes().translate(None, b"\0")  # 5x faster than a != 0 mask
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write a header line, then the rows.  A 2-D float64 array of at least
-    _FEW_CELLS cells is written by _g17, a block at a time.  Other rows go one
-    %-format each, whose fields follow _fmt: %.17g for a float and %s for
-    everything else; the format is built again only when a row's types
-    differ from the row before it."""
-    if isinstance(rows, np.ndarray) and rows.size < _FEW_CELLS:
-        rows = rows.tolist()
-    if isinstance(rows, np.ndarray):
-        step = max(_BLOCK_CELLS // rows.shape[1], 1)
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for start in range(0, len(rows), step):
-                fh.write(_g17(rows[start : start + step]))
-        return
-    kinds = None
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            types = list(map(type, row))
-            if types != kinds:
-                kinds = types
-                fields = ("%.17g" if issubclass(t, float) else "%s" for t in kinds)
-                line = ",".join(fields) + "\n"
-            fh.write(line % row)
-
-
 def _write(path: Path, content) -> None:
-    """Write one output file: a JSON payload (dict), a CSV (header, rows) or
-    a TriangularKernel, whose rows go to write_kernel_csv."""
+    """Write one output file: a JSON payload (dict), a CSV (header, 2-D float64
+    table) or a TriangularKernel, whose rows go to write_kernel_csv."""
     if isinstance(content, exact_chain.TriangularKernel):
         exact_chain.write_kernel_csv(content, path)
     elif isinstance(content, dict):
@@ -196,7 +55,8 @@ def _write(path: Path, content) -> None:
             json.dump(content, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        _write_csv(path, *content)
+        header, table = content
+        write_csv(path, header, [table])
 
 
 def _table(cls, rows) -> tuple[list[str], np.ndarray]:
@@ -372,7 +232,7 @@ def _cmd_simulate(args, cfg: dict) -> tuple[str, list]:
     )
     results = simulate.runs(sim)
     summary = simulate.BatchSummary.from_runs(results, thresholds)
-    header = ["replicate", "T"] + [f"tau_at_{_fmt(t)}" for t in thresholds]
+    header = ["replicate", "T"] + ["tau_at_%.17g" % t for t in thresholds]
     rows = np.column_stack((  # by column: a list of lists converts about 10x slower
         np.arange(len(results), dtype=float),
         [r.T for r in results],
@@ -385,7 +245,7 @@ def _cmd_simulate(args, cfg: dict) -> tuple[str, list]:
         "mean_T": stats.mean,
         "stderr_T": stats.stderr,
         "variance_T": stats.variance,
-        "passages": {_fmt(t): s.mean for t, s in summary.passages.items()},
+        "passages": {"%.17g" % t: s.mean for t, s in summary.passages.items()},
     }
     se = stats.stderr
     return (
@@ -437,7 +297,6 @@ def _cmd_bounds(args, cfg: dict) -> tuple[str, list]:
     center = tail_bounds.tilt_center(p, k)
     if b_values is None:
         b_values = [center + o for o in cfg["b_offsets"]]
-    b_values = [b for b in b_values if 0.0 < b <= k]
     report = tail_bounds.curvature_report(p, k, b_values)
     rows = np.array(
         [(pt.b, pt.z, pt.r, pt.h, pt.curvature_fd, pt.hessian_det) for pt in report.points],

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._tables import _BLOCK_CELLS, write_csv
 from .distributions import ProbabilityVector
 
 __all__ = [
@@ -335,8 +336,8 @@ def coalescence_time_cdf(kernel: TriangularKernel, m: int, t_max: int) -> np.nda
     A dense forward pass: the law of the count after t rounds is the law
     after t - 1 rounds times the (m+1)x(m+1) matrix of rows 1..m.
     """
-    if not 1 <= m <= kernel.n:
-        raise ValueError(f"m={m} outside [1, n={kernel.n}]")
+    if not (1 <= m <= kernel.n and t_max >= 0):
+        raise ValueError(f"need 1 <= m <= n={kernel.n} and t_max >= 0, got m={m}, t_max={t_max}")
     matrix = np.zeros((m + 1, m + 1))
     for k in range(1, m + 1):
         matrix[k, : k + 1] = kernel.row(k).probs
@@ -394,13 +395,25 @@ def phase_decomposition(
 def write_kernel_csv(kernel: TriangularKernel, path) -> None:
     """Dump all rows as k,b,prob lines for external validation.
 
-    Each row is one %-format: the lines of row k are "k" joined onto the
-    ",b,%.17g" tails, so entries outside a row's band are written as 0.
+    Float blocks of (k, b, prob) lines are built from the bands the kernel
+    holds, as many rows as fit in one _g17 call or one row that alone holds
+    more, and go to the one CSV writer: each cell is "%.17g" of its value, so
+    k and b print as whole numbers and entries outside a row's band as 0.
     """
-    tails = [f",{b},%.17g\n" for b in range(kernel.n + 1)]
-    with open(path, "w", newline="") as fh:
-        fh.write("k,b,prob\n")
-        for k in range(1, kernel.n + 1):
-            head = str(k)
-            line = head + head.join(tails[1 : k + 1])
-            fh.write(line % tuple(kernel.row(k).probs[1:].tolist()))
+
+    def blocks():
+        k, n, most = 1, kernel.n, _BLOCK_CELLS // 3
+        while k <= n:
+            ks = np.arange(k, min(k + most, n + 1))
+            ks = ks[: max(np.searchsorted(np.cumsum(ks), most, "right"), 1)]
+            starts = np.cumsum(ks) - ks  # the line of (k, 1)
+            block = np.zeros((starts[-1] + ks[-1], 3))
+            block[:, 0] = np.repeat(ks, ks)
+            block[:, 1] = np.arange(1, len(block) + 1) - np.repeat(starts, ks)
+            for start, (lo, band, _) in zip(starts.tolist(), kernel._bands[k - 1 : ks[-1]]):
+                first = max(lo, 1)  # count 0 is not written
+                block[start + first - 1 : start + lo + band.size - 1, 2] = band[first - lo :]
+            yield block
+            k = ks[-1] + 1
+
+    write_csv(path, ["k", "b", "prob"], blocks())

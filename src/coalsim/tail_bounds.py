@@ -362,4 +362,6 @@ def coalescence_time_lower_bound(c2: float, c3: float, m: int) -> float:
     expected coalescence time from m balls."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if not (0.0 < c2 <= 1.0 and 0.0 <= c3 < math.inf):
+        raise ValueError(f"need 0 < c2 <= 1 and a finite c3 >= 0, got c2={c2}, c3={c3}")
     return 2.0 / c2 * (1.0 - 1.0 / m - (m - 1) * (m - 2) / 12.0 * (c3 / c2))

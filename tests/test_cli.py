@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalsim
-from coalsim import cli
+from coalsim import _tables, cli
 from coalsim.cli import main
 from coalsim.distributions import SolverError, topheavy
 from coalsim.exact_chain import TriangularKernel, expected_coalescence_times
@@ -244,6 +245,22 @@ class TestBoundsCommand:
         assert report["all_ok"] is True
         lines = (tmp_path / "bounds.csv").read_text().splitlines()
         assert lines[0] == "b,z,r,h,h_second_fd,hessian_det"
+
+    def test_every_requested_b_is_solved_or_skipped(self, tmp_path):
+        k, b_values = 20, [-1e308, -1.0, 0.0, 5.0, 20.0, 25.0, 1e308]
+        config = {"distribution": {"family": "uniform", "n": 40}, "k": k, "b_values": b_values}
+        cfg = write_config(tmp_path, "bounds_in.json", config)
+        out = tmp_path / "bounds"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        report = json.loads((tmp_path / "bounds.json").read_text())
+        lines = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
+        solved = [float(line.split(",")[0]) for line in lines]
+        assert solved == [5.0] and report["solved_points"] == 1
+        skipped = {s["b"]: s["reason"] for s in report["skipped"]}
+        assert sorted(skipped) == [b for b in b_values if b != 5.0]
+        assert all(skipped.values())
 
 
 class TestExperimentsCommands:
@@ -872,34 +889,18 @@ class TestDefaultOutputBase:
         assert json.loads((tmp_path / "exp.out.json").read_text())["n"] == 4
 
 
-class TestWriteCsv:
-    def test_bytes_match_per_value_fmt(self, tmp_path):
-        # one %-format per row gives the bytes of formatting each value by _fmt
-        rows = [
-            [1, 2, -3, np.int64(4)],
-            [0.1, 1e-300, -0.0, 2.0 / 3.0, np.float64(1e300), float("inf"), float("nan")],
-            [True, False, np.bool_(True)],
-            [7, 0.25, True, "text", np.float32(0.1), None, np.float64(5e-324)],
-            [],
-            (3, 1.5),
-            [3, 1.5],
-        ]
-        path = tmp_path / "rows.csv"
-        cli._write_csv(path, ["a", "b"], iter(rows))
-        want = "a,b\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
-        assert path.read_bytes() == want.encode()
-
-
 def _percent_g(table) -> bytes:
     """The reference bytes: "%.17g" of every value, joined by ',' and '\\n'."""
     rows = np.asarray(table, dtype=float).tolist()
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
 
 
-def _row_writer_bytes(tmp_path, header, rows) -> bytes:
-    path = tmp_path / "row_writer.csv"
-    cli._write_csv(path, header, iter(rows))
-    return path.read_bytes()
+def _row_writer_bytes(header, rows) -> bytes:
+    """The reference bytes of a table as the commands typed its values: a
+    header line, then each row's values by "%.17g" for a float and str for an int."""
+    lines = [",".join(header)]
+    lines += (",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _neighbours(x: float) -> list[float]:
@@ -923,21 +924,21 @@ class TestG17:
     def test_bit_patterns_match_percent_g(self, bits):
         x = np.array(bits, dtype=np.uint64).view(np.float64)
         for table in (x.reshape(-1, 1), x.reshape(1, -1)):
-            assert cli._g17(table) == _percent_g(table)
+            assert _tables._g17(table) == _percent_g(table)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(values=st.lists(st.floats(), min_size=1, max_size=40))
     def test_floats_match_percent_g(self, values):
         x = np.array(values)
         for table in (x.reshape(-1, 1), x.reshape(1, -1)):
-            assert cli._g17(table) == _percent_g(table)
+            assert _tables._g17(table) == _percent_g(table)
 
     def test_edges_match_percent_g(self):
         x = np.array(_EDGES + [-v for v in _EDGES])
-        assert cli._g17(x.reshape(-1, 1)) == _percent_g(x.reshape(-1, 1))
+        assert _tables._g17(x.reshape(-1, 1)) == _percent_g(x.reshape(-1, 1))
         table = np.append(x, [7.0] * (-x.size % 7)).reshape(-1, 7)
-        assert cli._g17(table) == _percent_g(table)
-        assert cli._g17(np.array([[10.0**226]])) == b"9.9999999999999996e+225\n"
+        assert _tables._g17(table) == _percent_g(table)
+        assert _tables._g17(np.array([[10.0**226]])) == b"9.9999999999999996e+225\n"
 
 
 class TestArrayTables:
@@ -948,16 +949,16 @@ class TestArrayTables:
         x[::97] = np.round(x[::97])
         for table in (x.reshape(-1, 1), x.reshape(-1, 5)):
             path, header = tmp_path / "table.csv", ["a"] * table.shape[1]
-            cli._write_csv(path, header, table)
+            _tables.write_csv(path, header, [table])
             assert path.read_bytes() == (",".join(header) + "\n").encode() + _percent_g(table)
-            assert path.read_bytes() == _row_writer_bytes(tmp_path, header, table.tolist())
+            assert path.read_bytes() == _row_writer_bytes(header, table.tolist())
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_zero_and_one_row(self, tmp_path, rows):
         table = np.array([[0.5, -3.0, 1e-7]])[:rows]
-        assert cli._g17(table) == b"0.5,-3,9.9999999999999995e-08\n" * rows
+        assert _tables._g17(table) == b"0.5,-3,9.9999999999999995e-08\n" * rows
         path = tmp_path / "table.csv"
-        cli._write_csv(path, ["x", "y", "z"], table)
+        _tables.write_csv(path, ["x", "y", "z"], [table])
         assert path.read_bytes() == b"x,y,z\n" + b"0.5,-3,9.9999999999999995e-08\n" * rows
 
     def test_empty_k_values_write_the_header(self, tmp_path):
@@ -971,8 +972,8 @@ class TestArrayTables:
 
 
 class TestTablesMatchRowWriter:
-    """Each table a command writes has the bytes that the row writer gives
-    the values the command tabulated before it handed over arrays."""
+    """Each table a command writes has the bytes of _row_writer_bytes, the
+    reference, of the values the command tabulated before it handed over arrays."""
 
     def _run(self, tmp_path, command, config, ext=".csv", seed="3"):
         cfg = write_config(tmp_path, f"{command}_in.json", config)
@@ -994,7 +995,7 @@ class TestTablesMatchRowWriter:
             cli.empty_boxes_proxy(p, ks), cli.occupancy_proxy(p, ks), cli.one_step_envelope(p, ks)
         )
         rows = np.column_stack((ks, *columns, margin)).tolist()
-        assert data == _row_writer_bytes(tmp_path, header, rows)
+        assert data == _row_writer_bytes(header, rows)
 
     def test_bounds(self, tmp_path):
         p = coalsim.uniform(40)
@@ -1002,18 +1003,17 @@ class TestTablesMatchRowWriter:
         config = {"distribution": {"family": "uniform", "n": 40}, "k": 20, "b_offsets": offsets}
         header, data = self._run(tmp_path, "bounds", config)
         center = cli.tail_bounds.tilt_center(p, 20)
-        grid = [b for b in (center + o for o in offsets) if 0.0 < b <= 20]
-        report = cli.tail_bounds.curvature_report(p, 20, grid)
+        report = cli.tail_bounds.curvature_report(p, 20, [center + o for o in offsets])
         rows = [(pt.b, pt.z, pt.r, pt.h, pt.curvature_fd, pt.hessian_det) for pt in report.points]
-        assert len(rows) * len(header) >= cli._FEW_CELLS
-        assert data == _row_writer_bytes(tmp_path, header, rows)
+        assert len(rows) == len(offsets)
+        assert data == _row_writer_bytes(header, rows)
 
     def test_exact_expected_times(self, tmp_path):
         p = topheavy(100, 0.1)
         config = {"distribution": {"family": "topheavy", "n": 100, "c2": 0.1}}
         header, data = self._run(tmp_path, "exact", config, ".expected.csv")
         et = expected_coalescence_times(TriangularKernel(p))
-        assert data == _row_writer_bytes(tmp_path, header, enumerate(et[1:], start=1))
+        assert data == _row_writer_bytes(header, enumerate(et[1:], start=1))
 
     def test_simulate_with_thresholds(self, tmp_path):
         config = {
@@ -1025,24 +1025,24 @@ class TestTablesMatchRowWriter:
         assert header == ["replicate", "T", "tau_at_20", "tau_at_7.5", "tau_at_2"]
         sim = SimConfig(topheavy(40, 0.1), 200, master_seed=3, passage_thresholds=(20.0, 7.5, 2.0))
         rows = ([i, r.T, *r.passages.values()] for i, r in enumerate(cli.simulate.runs(sim)))
-        assert data == _row_writer_bytes(tmp_path, header, rows)
+        assert data == _row_writer_bytes(header, rows)
 
     def test_limit(self, tmp_path):
         config = {"n_values": [30, 60], "replicates": 150, "K": 50}
         header, data = self._run(tmp_path, "limit", config)
         rows = [cli.asymptotics.limit_law_experiment(n, 150, 3, 50) for n in (30, 60)]
-        assert data == _row_writer_bytes(tmp_path, header, map(cli.dataclasses.astuple, rows))
+        assert data == _row_writer_bytes(header, map(cli.dataclasses.astuple, rows))
 
     def test_threshold(self, tmp_path):
         config = {"n_values": [30, 60], "lambda": "sqrt_ln", "replicates": 40}
         header, data = self._run(tmp_path, "threshold", config)
         rows = cli.asymptotics.threshold_experiment([30, 60], "sqrt_ln", 40, 3)
-        assert data == _row_writer_bytes(tmp_path, header, map(cli.dataclasses.astuple, rows))
+        assert data == _row_writer_bytes(header, map(cli.dataclasses.astuple, rows))
 
     @pytest.mark.slow
     def test_hundred_thousand_rows_in_less_memory(self, tmp_path):
-        # dynamics on topheavy n = 1e5 writes 100 001 rows; a child that hands
-        # the row writer the same table as Python lists is the reference
+        # dynamics on topheavy n = 1e5 writes 100 001 rows; a child that writes
+        # the same table as Python lists, one "%.17g" per value, is the reference
         cfg = write_config(
             tmp_path, "dyn.json", {"distribution": {"family": "topheavy", "n": 100_000, "c2": 0.01}}
         )
@@ -1053,7 +1053,10 @@ class TestTablesMatchRowWriter:
             if sys.argv[3] == "rows":
                 args = cli._build_parser().parse_args(argv)
                 _, [(header, table)] = cli._cmd_dynamics(args, cli._load_config(args))
-                cli._write_csv(sys.argv[2] + ".csv", header, iter(table.tolist()))
+                with open(sys.argv[2] + ".csv", "w") as fh:
+                    fh.write(",".join(header) + "\\n")
+                    for row in table.tolist():
+                        fh.write(",".join("%.17g" % v for v in row) + "\\n")
             else:
                 assert cli.main(argv) == 0
             # this process's own peak, not the test runner's that ru_maxrss keeps
@@ -1075,3 +1078,42 @@ class TestTablesMatchRowWriter:
         assert data["array"].count(b"\n") == 1 + 100_001
         assert data["array"] == data["rows"]
         assert peaks["array"] <= 1.1 * peaks["rows"]  # VmHWM is in KiB
+
+
+class TestKernelDump:
+    @pytest.mark.slow
+    def test_uniform_2000_in_the_memory_of_no_dump(self, tmp_path):
+        # 2 001 000 entries, built a block of rows at a time: the dump costs no
+        # more peak memory than a child that builds the same kernel and E[T]
+        # and writes every other file
+        cfg = write_config(tmp_path, "exact.json", {"distribution": {"family": "uniform", "n": 2000}})
+        script = """if True:
+            import json, sys
+            from coalsim import cli, exact_chain
+            if sys.argv[3] == "no_dump":
+                exact_chain.write_kernel_csv = lambda kernel, path: None
+            argv = ["exact", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]
+            assert cli.main(argv) == 0
+            with open("/proc/self/status") as fh:
+                rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            print(json.dumps(rss))
+        """
+        src = str(Path(coalsim.__file__).resolve().parent.parent)
+        peaks = {}
+        for how in ("no_dump", "dump"):
+            child = subprocess.run(
+                [sys.executable, "-c", script, str(cfg), str(tmp_path / how), how],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=300, check=True,
+            )
+            peaks[how] = json.loads(child.stdout)
+        assert not (tmp_path / "no_dump.kernel.csv").exists()
+        assert peaks["dump"] <= 1.1 * peaks["no_dump"]  # VmHWM is in KiB
+        kernel = TriangularKernel(coalsim.uniform(2000))
+        with open(tmp_path / "dump.kernel.csv", "rb") as fh:
+            assert fh.readline() == b"k,b,prob\n"
+            for k in range(1, 2001):  # one f-string per entry is the reference
+                probs = kernel.row(k).probs
+                want = "".join(f"{k},{b},{probs[b]:.17g}\n" for b in range(1, k + 1)).encode()
+                assert fh.read(len(want)) == want
+            assert fh.read() == b""

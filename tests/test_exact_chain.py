@@ -500,6 +500,15 @@ class TestCdf:
         assert coalescence_time_cdf(kernel, 1, 3)[0] == 1.0
         assert coalescence_time_cdf(kernel, 3, 3)[0] == 0.0
 
+    @pytest.mark.parametrize("t_max", [-1, -5, math.nan])
+    def test_negative_t_max_rejected(self, t_max):
+        with pytest.raises(ValueError, match=f"t_max={t_max}"):
+            coalescence_time_cdf(TriangularKernel(uniform(4)), 3, t_max)
+
+    def test_t_max_zero_is_the_start(self):
+        cdf = coalescence_time_cdf(TriangularKernel(uniform(4)), 3, 0)
+        assert cdf.tolist() == [0.0]
+
     def test_two_boxes_geometric(self):
         kernel = TriangularKernel(uniform(2))
         cdf = coalescence_time_cdf(kernel, 2, 30)

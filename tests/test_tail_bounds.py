@@ -532,6 +532,19 @@ class TestCoalescenceTimeLowerBound:
     def test_pair_floor(self):
         assert coalescence_time_lower_bound(0.1, 0.01, 2) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("c2", [0.0, -0.1, 1.5, math.nan, math.inf])
+    def test_c2_outside_unit_interval_rejected(self, c2):
+        with pytest.raises(ValueError, match="need 0 < c2 <= 1"):
+            coalescence_time_lower_bound(c2, 0.01, 5)
+
+    @pytest.mark.parametrize("c3", [-0.01, math.nan, math.inf])
+    def test_c3_negative_or_not_finite_rejected(self, c3):
+        with pytest.raises(ValueError, match="need 0 < c2 <= 1"):
+            coalescence_time_lower_bound(0.1, c3, 5)
+
+    def test_c2_of_one_box_allowed(self):
+        assert coalescence_time_lower_bound(1.0, 1.0, 1) == 0.0
+
     def test_below_exact_everywhere_small(self):
         rng = np.random.default_rng(62)
         for _ in range(10):
