@@ -14,20 +14,13 @@ from .distributions import (
     uniform,
 )
 from .dynamics import (
-    DeterministicTrajectory,
     early_threshold,
     empty_boxes_proxy,
     envelope_margin,
     expected_next_count,
-    harmonic_envelope_constant,
-    harmonic_envelope_root,
-    iterate_envelope,
     late_threshold,
-    lower_decay_rate,
-    lower_step_curve,
     occupancy_proxy,
     one_step_envelope,
-    topheavy_envelope,
 )
 from .exact_chain import (
     PhaseTimes,

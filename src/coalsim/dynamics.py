@@ -1,17 +1,19 @@
 """Deterministic one-step maps for the expected decline of the ball count,
-the envelopes built from them, and the phase thresholds they induce."""
+the one-step envelope built from them, and the phase thresholds they induce.
+
+expected_next_count and one_step_envelope are checked against exact kernel
+rows: the first against each row's mean, the second against the mass a row
+puts above it."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ProbabilityVector
 
 __all__ = [
-    "DeterministicTrajectory",
     "empty_boxes_proxy",
     "occupancy_proxy",
     "expected_next_count",
@@ -19,12 +21,6 @@ __all__ = [
     "envelope_margin",
     "early_threshold",
     "late_threshold",
-    "iterate_envelope",
-    "topheavy_envelope",
-    "harmonic_envelope_root",
-    "harmonic_envelope_constant",
-    "lower_step_curve",
-    "lower_decay_rate",
 ]
 
 Ks = float | np.ndarray  # a ball count k, or an array of them
@@ -103,103 +99,3 @@ def late_threshold(c2: float, n: int, eps: float) -> float:
     """Ball count below which the process enters its late phase."""
     _check_threshold_args(c2, n, eps)
     return math.log(n) ** (-eps / 4.0) / math.sqrt(c2)
-
-
-@dataclass(frozen=True)
-class DeterministicTrajectory:
-    """States under an iterated map, index = time."""
-
-    values: np.ndarray
-    stop_reason: str  # "reached_threshold" | "max_iterations"
-    hitting_time: int | None
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def iterate_envelope(
-    p: ProbabilityVector | np.ndarray, b0: float, stop_at: float, max_t: int
-) -> DeterministicTrajectory:
-    """Iterate the one-step envelope from b0 until it falls to stop_at.
-
-    The envelope never increases a state in [0, n], which is asserted per
-    step; exhausting max_t is flagged via stop_reason, not raised.
-    """
-    w = _weights(p)
-    n = w.size
-    if not 0.0 < stop_at <= b0 <= n:
-        raise ValueError(f"need 0 < stop_at <= b0 <= n, got ({stop_at}, {b0}, {n})")
-    values = [float(b0)]
-    x = float(b0)
-    reason = "max_iterations"
-    hit: int | None = None
-    if x <= stop_at:
-        return DeterministicTrajectory(np.array(values), "reached_threshold", 0)
-    for t in range(1, max_t + 1):
-        nxt = 0.5 * (x + n - float(np.exp(-x * w).sum()))
-        if nxt > x + 1e-9:
-            raise ArithmeticError(f"envelope increased at step {t}: {x} -> {nxt}")
-        values.append(nxt)
-        x = nxt
-        if x <= stop_at:
-            reason, hit = "reached_threshold", t
-            break
-    return DeterministicTrajectory(np.array(values), reason, hit)
-
-
-def topheavy_envelope(c2: float, n: int, t: int) -> float:
-    """Closed-form cap n(1 - sqrt(c2)/4)^t + 2/sqrt(c2) for heavy collision rates."""
-    if c2 < 2.0 / n:
-        raise ValueError("closed-form cap needs c2 >= 2/n")
-    return n * (1.0 - math.sqrt(c2) / 4.0) ** t + 2.0 / math.sqrt(c2)
-
-
-def _harmonic_roots(t: np.ndarray) -> np.ndarray:
-    """Positive roots of 1 - exp(-x) = x (1 - 2/(t+2)) for each t >= 1, by
-    bisection on the bracket [1e-12, 2(t+2)/t]."""
-    slope = 1.0 - 2.0 / (t + 2.0)
-    lo = np.full_like(t, 1e-12)
-    hi = 2.0 * (t + 2.0) / t
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        pos = 1.0 - np.exp(-mid) - slope * mid > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def harmonic_envelope_root(t: int) -> float:
-    """Positive root of 1 - exp(-x) = x (1 - 2/(t+2)).
-
-    t = 0 makes the right side vanish and the root diverge, so t >= 1 is
-    required.  The root decreases in t and (t+2) times it tends to 4.
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    return float(_harmonic_roots(np.array([t], dtype=float))[0])
-
-
-def harmonic_envelope_constant(t_max: int = 100_000) -> float:
-    """Largest value of (t+1) times the harmonic envelope root over t <= t_max.
-
-    Any constant at least this large (and at least 1) makes A*n/(t+1) an upper
-    envelope for the iterated one-step cap started at n.
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-    t = np.arange(1, t_max + 1, dtype=float)
-    return float(((t + 1.0) * _harmonic_roots(t)).max())
-
-
-def lower_step_curve(x: float) -> float:
-    """1.5(1 - exp(-x)) - x/2: the one-step lower envelope scale for slow runs."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return 1.5 * (1.0 - math.exp(-x)) - 0.5 * x
-
-
-def lower_decay_rate(c: float) -> float:
-    """Per-step retention factor 1 - 2 sqrt(c) used with the lower envelope."""
-    if not 0.0 < c < 0.25:
-        raise ValueError("c must lie in (0, 1/4)")
-    return 1.0 - 2.0 * math.sqrt(c)

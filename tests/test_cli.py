@@ -493,6 +493,15 @@ class TestErrorPaths:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
 
+    def test_exact_beyond_every_route(self, tmp_path, capsys):
+        # all-distinct weights reach neither the occupancy route nor the box pass;
+        # the result base differs from the config's, which exact's JSON would overwrite
+        desc = {"family": "explicit", "weights": list(range(1, 2102)), "normalize": True}
+        cfg = write_config(tmp_path, "exp.json", {"distribution": desc})
+        assert main(["exact", "--config", str(cfg), "--out", str(tmp_path / "wide")]) == 1
+        assert "the box pass builds rows up to k = 2000, not 2101" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize(
         "command, message",
         [

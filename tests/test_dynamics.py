@@ -11,17 +11,11 @@ from coalsim.dynamics import (
     empty_boxes_proxy,
     envelope_margin,
     expected_next_count,
-    harmonic_envelope_constant,
-    harmonic_envelope_root,
-    iterate_envelope,
     late_threshold,
-    lower_decay_rate,
-    lower_step_curve,
     occupancy_proxy,
     one_step_envelope,
-    topheavy_envelope,
 )
-from coalsim.exact_chain import transition_row
+from coalsim.exact_chain import TriangularKernel, transition_row
 
 
 def random_vector(rng, n):
@@ -125,6 +119,16 @@ class TestOneStepEnvelope:
             assert 0.0 <= phi + 1e-12
             assert phi <= psi + 1e-12
             assert psi <= k + 1e-12
+
+    def test_caps_exact_rows_past_early_threshold(self):
+        # first-step analysis on the exact kernel: from every k at or above k*,
+        # no next count above the envelope carries mass
+        n = 1000
+        p = uniform(n)
+        kernel = TriangularKernel(p)
+        for k in range(math.ceil(early_threshold(1.0 / n, n, 0.2)), n + 1):
+            above = kernel.row(k).probs[math.floor(one_step_envelope(p, k)) + 1 :]
+            assert above.sum() <= 1e-12, k
 
 
 class TestEnvelopeMargin:
@@ -234,113 +238,3 @@ class TestThresholds:
             late_threshold(0.0, 16, 0.2)
         with pytest.raises(ValueError):
             early_threshold(0.1, 2, 0.2)
-
-
-class TestIterateEnvelope:
-    def test_start_at_threshold(self):
-        t = iterate_envelope(uniform(10), 5.0, 5.0, 100)
-        assert t.hitting_time == 0
-        assert t.stop_reason == "reached_threshold"
-
-    def test_monotone_from_n(self):
-        p = uniform(50)
-        t = iterate_envelope(p, 50.0, 1.0, 10_000)
-        assert np.all(np.diff(t.values) <= 1e-9)
-        assert t.values.min() >= 0.0
-
-    def test_topheavy_hits_early_threshold_fast(self):
-        # c2 >= 2/n regime: hitting time of the early threshold is at most
-        # 5 ln(n) / sqrt(c2)
-        for n, c2 in ((1000, 0.01), (500, 0.03), (200, 0.02)):
-            p = topheavy(n, c2)
-            k_star = early_threshold(c2, n, 0.2)
-            traj = iterate_envelope(p, float(n), k_star, 10_000)
-            bound = 5.0 * math.log(n) / math.sqrt(c2)
-            assert traj.hitting_time is not None
-            assert traj.hitting_time <= bound
-
-    def test_uniform_harmonic_cap(self):
-        A = max(1.0, harmonic_envelope_constant(100_000))
-        n = 10_000
-        traj = iterate_envelope(uniform(n), float(n), 10.0, 100_000)
-        t = np.arange(traj.values.size)
-        assert np.all(traj.values <= A * n / (t + 1.0) + 1e-9)
-
-    def test_max_iterations_flagged(self):
-        t = iterate_envelope(uniform(100), 100.0, 1.0, 3)
-        assert t.stop_reason == "max_iterations"
-        assert t.hitting_time is None
-
-
-class TestTopheavyEnvelope:
-    def test_t_zero(self):
-        assert topheavy_envelope(0.04, 200, 0) == pytest.approx(200 + 10.0, abs=1e-12)
-
-    def test_monotone_decreasing(self):
-        vals = [topheavy_envelope(0.01, 1000, t) for t in range(200)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_dominates_envelope_iteration(self):
-        n, c2 = 1000, 0.01
-        p = topheavy(n, c2)
-        k_star = early_threshold(c2, n, 0.2)
-        traj = iterate_envelope(p, float(n), k_star, 10_000)
-        for t, value in enumerate(traj.values):
-            assert value <= topheavy_envelope(c2, n, t) + 1e-9
-
-    def test_regime_guard(self):
-        with pytest.raises(ValueError):
-            topheavy_envelope(0.001, 100, 1)
-
-
-class TestHarmonicEnvelopeRoot:
-    def test_t_zero_rejected(self):
-        with pytest.raises(ValueError):
-            harmonic_envelope_root(0)
-
-    def test_product_tends_to_four(self):
-        x = harmonic_envelope_root(1000)
-        assert 3.9 <= 1002 * x <= 4.1
-
-    def test_strictly_decreasing(self):
-        vals = [harmonic_envelope_root(t) for t in range(1, 101)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_root_solves_equation(self):
-        for t in (1, 5, 50, 500):
-            x = harmonic_envelope_root(t)
-            assert 1 - math.exp(-x) == pytest.approx(
-                x * (1 - 2.0 / (t + 2)), abs=1e-10
-            )
-
-    def test_constant_matches_scan(self):
-        a_star = harmonic_envelope_constant(2000)
-        assert a_star == pytest.approx(2 * harmonic_envelope_root(1), rel=1e-9)
-
-
-class TestLowerEnvelope:
-    def test_curve_at_zero(self):
-        assert lower_step_curve(0.0) == 0.0
-
-    def test_increasing_below_ln3(self):
-        xs = np.linspace(0.0, math.log(3.0), 200)
-        vals = [lower_step_curve(float(x)) for x in xs]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_below_one_minus_exp(self):
-        for x in np.linspace(0.0, 10.0, 100):
-            assert lower_step_curve(float(x)) <= 1 - math.exp(-x) + 1e-12
-
-    def test_decay_rate_range(self):
-        assert lower_decay_rate(0.04) == pytest.approx(0.6, abs=1e-12)
-        with pytest.raises(ValueError):
-            lower_decay_rate(0.3)
-
-    def test_iteration_keeps_harmonic_floor(self):
-        # iterating the damped curve stays above (2/3) gamma^t / (t+1)
-        n, c = 100, 0.04
-        gamma = lower_decay_rate(c)
-        x = 1.0 - 1.0 / (n - 1)
-        for t in range(201):
-            assert x >= (2.0 / 3.0) * gamma**t / (t + 1) - 1e-12
-            x = lower_step_curve(gamma * x)

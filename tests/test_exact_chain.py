@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalsim
-from coalsim.distributions import ProbabilityVector, from_descriptor, topheavy, uniform
+from coalsim.distributions import (
+    ProbabilityVector,
+    from_descriptor,
+    three_level,
+    topheavy,
+    uniform,
+)
 from coalsim.dynamics import early_threshold, expected_next_count, late_threshold
 from coalsim.exact_chain import (
     TriangularKernel,
@@ -338,6 +344,14 @@ class TestCollisionBound:
                 if bound >= 0.0:
                     exact = 1.0 - transition_row(p, k).probs[k]
                     assert bound <= exact + 1e-10
+        # and on the banded route, against one kernel per vector
+        for p in (uniform(200), topheavy(200, 0.05), three_level(200, 0.05, 0.0042, 6),
+                  topheavy(500, 0.01)):
+            kernel = TriangularKernel(p)
+            for k in range(2, p.n + 1):
+                bound = collision_probability_bound(p, k)
+                if bound >= 0.0:
+                    assert bound <= 1.0 - kernel.row(k).probs[k] + 1e-10, (p.n, k)
 
 
 class TestExpectedTimes:
