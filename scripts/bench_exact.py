@@ -16,7 +16,10 @@ runner is ``scripts/bench_simulate.py``'s ``main``).
   n = 1e3, 1e4, 3e4 and 1e5.  A size is "not run" when the quadratic
   extrapolation of the family's previous size, t * (n / n_prev)^2, exceeds
   the cap of ``CAP_S`` seconds; ``expected_time`` holds E[T] from n balls and
-  ``dropped`` the mass the banded pass left out, where rows carry it;
+  ``dropped`` the mass the banded pass left out, where rows carry it.  The
+  same three keys hold two-level vectors at c2 = 1/ln^3 n, with 390 heavy
+  boxes at n = 1e4 and 16 at n = 1e5; a tree that raises on a vector records
+  the error text in place of its time;
 - ``kernel_csv_entries_per_s``: ``write_kernel_csv`` of a built kernel at
   n = 200, n (n + 1) / 2 entries, best of 5;
 - ``row_pass_s``: all rows of a new ``TriangularKernel`` for the grouped
@@ -49,10 +52,33 @@ from bench_simulate import main  # the labelled-tree runner the bench scripts sh
 
 SIZES = (1000, 10_000, 30_000, 100_000)
 CAP_S = 30.0
+TWO_LEVEL = ((10_000, 390), (100_000, 16))  # (n, heavy boxes)
 
 
 def _vectors(cs, n: int) -> dict:
     return {"uniform": cs.uniform(n), "topheavy": cs.topheavy(n, 1.0 / math.log(n))}
+
+
+def _two_level(cs, n: int, heavy: int):
+    top, bottom = cs.distributions._two_level(heavy, n - heavy, 1.0, 1.0 / math.log(n) ** 3)
+    return cs.ProbabilityVector([top] * heavy + [bottom] * (n - heavy), normalize=True)
+
+
+def _expected_time(cs, out: dict, key: str, p) -> float | None:
+    """Time one expected_coalescence_times of p into out, with E[T] and the
+    dropped mass; the seconds, or None when the tree raises on p."""
+    t0 = perf_counter()
+    try:
+        e = cs.expected_coalescence_times(p)
+    except ValueError as exc:
+        out["expected_time_s"][key] = f"error: {exc}"
+        return None
+    secs = perf_counter() - t0
+    out["expected_time_s"][key] = secs
+    out["expected_time"][key] = float(e[p.n])
+    if hasattr(cs.TransitionRow, "dropped"):  # rows that carry their dropped mass
+        out["dropped"][key] = cs.transition_row(p, p.n).dropped
+    return secs
 
 
 def _dirichlet(cs, n: int):
@@ -94,14 +120,11 @@ def _child(src: str) -> dict:
             if prev is not None and prev[1] * (n / prev[0]) ** 2 > CAP_S:
                 out["expected_time_s"][key] = f"not run: over the {CAP_S:g} s cap"
                 continue
-            t0 = perf_counter()
-            e = cs.expected_coalescence_times(p)
-            secs = perf_counter() - t0
-            last[family] = (n, secs)
-            out["expected_time_s"][key] = secs
-            out["expected_time"][key] = float(e[n])
-            if hasattr(cs.TransitionRow, "dropped"):  # rows that carry their dropped mass
-                out["dropped"][key] = cs.transition_row(p, n).dropped
+            secs = _expected_time(cs, out, key, p)
+            if secs is not None:
+                last[family] = (n, secs)
+    for n, heavy in TWO_LEVEL:
+        _expected_time(cs, out, f"two_level_h{heavy}_n{n}", _two_level(cs, n, heavy))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "kernel.csv")
         for family, p in _vectors(cs, 200).items():

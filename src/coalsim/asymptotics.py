@@ -1,5 +1,5 @@
 """Desk-scale experiments: the limit law of the normalized coalescence time,
-the slow-distribution threshold sweep, and early-phase passage statistics.
+the slow-distribution threshold sweep, and the exact early-phase passage times.
 
 Acceptance bands used by callers are finite-n proxies for limiting claims and
 are documented as such in the emitted reports.
@@ -15,6 +15,7 @@ import numpy as np
 
 from .distributions import ProbabilityVector, topheavy, uniform
 from .dynamics import early_threshold, late_threshold
+from .exact_chain import phase_decomposition
 from .simulate import SimConfig, replicate_rng, runs
 
 __all__ = [
@@ -170,32 +171,31 @@ class EarlyPhaseResult:
     eps: float
     k_star: float
     k_1: float
-    mean_tau_early: float      # mean first passage to k_star
+    mean_tau_early: float      # expected first passage to k_star
     qs_bound: float            # 5 ln(n) / sqrt(c2)
     early_ratio: float         # mean_tau_early * c2, expected well below 1
-    mean_middle: float         # mean passage gap tau(k_1) - tau(k_star)
+    mean_middle: float         # expected passage gap tau(k_1) - tau(k_star)
     middle_ratio: float        # mean_middle * c2
 
 
-def early_phase_experiment(
-    n: int, eps: float, replicates: int, seed: int
-) -> EarlyPhaseResult:
-    """Passage statistics to the early and late thresholds under equal weights."""
+def early_phase_experiment(n: int, eps: float) -> EarlyPhaseResult:
+    """Exact expected passage times to the early and late thresholds under
+    equal weights.  A passage is the first round at or below a threshold and
+    the count never rises, so the passage to k_star and the gap to k_1 are the
+    rounds spent above k_star and in (k_1, k_star]: the early and middle parts
+    of phase_decomposition on the streamed vector."""
     c2 = 1.0 / n
     k_star = early_threshold(c2, n, eps)
     k_1 = late_threshold(c2, n, eps)
-    config = SimConfig(uniform(n), replicates, master_seed=seed, passage_thresholds=(k_star, k_1))
-    passages = [r.passages for r in runs(config)]
-    mean_star = float(np.array([tau[k_star] for tau in passages], dtype=float).mean())
-    mean_mid = float(np.array([tau[k_1] - tau[k_star] for tau in passages], dtype=float).mean())
+    phases = phase_decomposition(uniform(n), k_star, k_1)
     return EarlyPhaseResult(
         n=n,
         eps=eps,
         k_star=k_star,
         k_1=k_1,
-        mean_tau_early=mean_star,
+        mean_tau_early=phases.early,
         qs_bound=5.0 * math.log(n) / math.sqrt(c2),
-        early_ratio=mean_star * c2,
-        mean_middle=mean_mid,
-        middle_ratio=mean_mid * c2,
+        early_ratio=phases.early * c2,
+        mean_middle=phases.middle,
+        middle_ratio=phases.middle * c2,
     )

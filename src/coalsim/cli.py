@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     except (SolverError, TiltSolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (DistributionError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (DistributionError, ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

@@ -55,7 +55,11 @@ class TransitionRow:
 # The recurrence tracks S = prod(m_g + 1) joint states over the positive
 # weight groups and builds all n rows in O(n * S), where the box pass costs
 # O(n * k^3) for all rows up to k.  S <= n^2 keeps the recurrence the cheaper
-# route; the cap bounds its arrays to a few megabytes.
+# route.  Its arrays hold (side states) x (counts 0..sum m_g) cells, the side
+# states being the joint counts of every group but the largest; _MAX_CELLS
+# bounds each array at 32 MB.  A vector of at most _MAX_STATES joint states
+# also takes the recurrence, at up to 21 * 2^19 cells (twenty single boxes).
+_MAX_CELLS = 1 << 22
 _MAX_STATES = 1 << 20
 # Slices of the joint state lighter than this are dropped at the ends of its
 # window; at n = 1e5 the dropped mass stays near 1e-15.
@@ -67,7 +71,9 @@ def _occupancy_groups(p: ProbabilityVector) -> list[tuple[float, int]] | None:
     recurrence is its cheaper route, else None."""
     groups = [(w, m) for w, m in p.grouped() if w > 0.0]
     states = math.prod(m + 1 for _, m in groups)
-    return groups if states <= min(p.n * p.n, _MAX_STATES) else None
+    cells = states // (max(m for _, m in groups) + 1) * (sum(m for _, m in groups) + 1)
+    held = cells <= _MAX_CELLS or states <= _MAX_STATES
+    return groups if states <= p.n * p.n and held else None
 
 
 def _occupancy_bands(groups: list[tuple[float, int]], k_max: int):

@@ -247,7 +247,7 @@ def test_c10_envelope_event_and_early_phase():
         cs.delta_audit(cs.run(config, i), p, k_star) for i in range(200)
     )
     assert violations == 0
-    res = cs.early_phase_experiment(10_000, 0.2, 100, seed=7)
+    res = cs.early_phase_experiment(10_000, 0.2)
     assert res.early_ratio <= 0.1
     assert res.middle_ratio <= 0.2
     assert res.mean_tau_early <= res.qs_bound

@@ -13,6 +13,9 @@ from coalsim.asymptotics import (
     limit_law_experiment,
     threshold_experiment,
 )
+from coalsim.distributions import uniform
+from coalsim.dynamics import early_threshold, late_threshold
+from coalsim.exact_chain import phase_decomposition
 
 
 class _ZeroRng:
@@ -103,7 +106,7 @@ class TestThresholdExperiment:
 
 class TestEarlyPhaseExperiment:
     def test_moderate_size(self):
-        res = early_phase_experiment(1000, 0.2, 50, seed=23)
+        res = early_phase_experiment(1000, 0.2)
         assert res.mean_tau_early <= res.qs_bound
         assert res.early_ratio <= 0.1
         assert res.middle_ratio <= 0.2
@@ -112,21 +115,21 @@ class TestEarlyPhaseExperiment:
     def test_threshold_ordering_and_nonnegativity(self):
         # the early threshold sits below n and above the late threshold, so
         # both passage means are finite and ordered
-        res = early_phase_experiment(20, 0.01, 10, seed=1)
+        res = early_phase_experiment(20, 0.01)
         assert res.k_1 < res.k_star < 20
         assert 0.0 <= res.mean_tau_early <= res.mean_tau_early + res.mean_middle
 
     def test_deterministic(self):
-        a = early_phase_experiment(200, 0.2, 20, seed=9)
-        b = early_phase_experiment(200, 0.2, 20, seed=9)
-        assert a == b
-
-    @pytest.mark.parametrize("replicates", [0, -1])
-    def test_no_replicates_rejected(self, replicates):
-        # a mean over no replicates is not a result: rejected, as the limit
-        # and threshold experiments reject it, rather than reported as NaN
-        with pytest.raises(ValueError, match="replicates must be at least 1"):
-            early_phase_experiment(50, 0.2, replicates, seed=1)
+        # the expected passage times are the early and middle parts of the
+        # exact phase split at the two thresholds, bit for bit
+        n, eps, c2 = 200, 0.2, 1.0 / 200
+        res = early_phase_experiment(n, eps)
+        k_star, k_1 = early_threshold(c2, n, eps), late_threshold(c2, n, eps)
+        phases = phase_decomposition(uniform(n), k_star, k_1)
+        assert (res.k_star, res.k_1) == (k_star, k_1)
+        assert (res.mean_tau_early, res.mean_middle) == (phases.early, phases.middle)
+        assert (res.early_ratio, res.middle_ratio) == (phases.early * c2, phases.middle * c2)
+        assert res == early_phase_experiment(n, eps)
 
 
 class TestExperimentConfig:

@@ -319,6 +319,21 @@ class TestErrorPaths:
             main(["simulate", "--help"])
         assert "master seed, any integer >= 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["moments", "exact"])
+    def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch, command):
+        # a size too large for memory fails as numpy's allocation would, with
+        # no traceback and no output file
+        def allocate(desc):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(cli, "from_descriptor", allocate)
+        cfg = write_config(tmp_path, "cfg.json", {"distribution": {"family": "uniform", "n": 10**11}})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "big")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate 745. GiB")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 

@@ -10,12 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import coalsim
 from coalsim.distributions import (
     ProbabilityVector,
+    _two_level,
     from_descriptor,
     three_level,
     topheavy,
@@ -93,6 +94,13 @@ class TestTransitionRow:
         row = transition_row(p, 900)
         assert row.probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert row.mean == pytest.approx(expected_next_count(p, 900), rel=1e-9)
+
+    def test_uniform_past_a_million_boxes(self):
+        # one weight group, so one side state: the occupancy route holds it
+        p = uniform(2**20 + 1)
+        assert _occupancy_groups(p) is not None
+        row = transition_row(p, 200)
+        assert row.mean == pytest.approx(expected_next_count(p, 200), rel=1e-9)
 
 
 def three_level_shape(n, heavy, middle, nu):
@@ -173,6 +181,22 @@ class TestOccupancyRecurrence:
         assert [m for _, m in _occupancy_groups(topheavy(500, 0.1))] == [1, 499]
         assert _occupancy_groups(random_vector(rng, 40)) is None
         assert _occupancy_groups(random_vector(rng, 4)) is not None  # 16 states
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=24),
+        zeros=st.integers(min_value=0, max_value=3000),
+    )
+    @example(sizes=[1] * 20, zeros=1004)  # 2^20 joint states in 21 * 2^19 cells
+    @example(sizes=[15] * 5, zeros=949)  # 2^20 joint states in 76 * 2^16 cells
+    def test_route_admits_what_the_state_cap_admitted(self, sizes, zeros):
+        # the route once took a vector only at prod(m_g + 1) <= min(n^2, 2^20)
+        assume(sum(sizes) + zeros >= 2)
+        weights = np.repeat(np.arange(1.0, len(sizes) + 1), sizes)
+        p = ProbabilityVector(np.concatenate((weights, np.zeros(zeros))), normalize=True)
+        assert [m for w, m in p.grouped() if w > 0.0] == sizes[::-1]
+        if math.prod(m + 1 for m in sizes) <= min(p.n * p.n, 1 << 20):
+            assert _occupancy_groups(p) is not None
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -581,6 +605,25 @@ class TestPhaseDecomposition:
         with pytest.raises(ValueError):
             phase_decomposition(kernel, 3.0, 4.0)
 
+    @pytest.mark.slow
+    def test_early_phase_carries_the_threshold_excess(self):
+        # cuts at k* = 4/sqrt(c) and k_1 = 2.  Topheavy at c = 1/ln n lies
+        # above the ln^-2 n threshold: its early part (x c: 1.35, 1.75, 2.13)
+        # climbs with n while the rest stays below Kingman's 2; uniform's
+        # early part (0.014, 0.0047, 0.0016) vanishes
+        early = {"topheavy": [], "uniform": []}
+        for n in (1000, 10_000, 100_000):
+            for family, p in (("topheavy", topheavy(n, 1.0 / math.log(n))), ("uniform", uniform(n))):
+                c = p.moments().c2
+                ph = phase_decomposition(p, 4.0 / math.sqrt(c), 2.0)
+                total = expected_coalescence_times(p)[n]
+                assert ph.early + ph.middle + ph.late == pytest.approx(total, rel=1e-12)
+                early[family].append(ph.early * c)
+                if family == "topheavy":
+                    assert (ph.middle + ph.late) * c < 2.0
+        assert early["topheavy"][0] < early["topheavy"][1] < early["topheavy"][2]
+        assert early["uniform"][0] > early["uniform"][1] > early["uniform"][2]
+
 
 class TestChiSquareConsistency:
     def test_step_frequencies_match_kernel(self):
@@ -846,3 +889,37 @@ class TestBandedPass:
             assert secs < 5.0
             assert dropped <= 1e-12
         assert peak < 60 * 1024  # VmHWM is in KiB
+
+    @pytest.mark.slow
+    def test_two_level_with_many_heavy_boxes(self):
+        # 390 heavy boxes at c2 = 1/ln^3 n: 391 side states, 391 * (10^4 + 1)
+        # cells, past the 2^20 joint states the route once stopped at.  The
+        # reference reruns the pass at a trim of 1e-30, which drops next to no
+        # mass, after the peak is read
+        script = """if True:
+            import json, math
+            from unittest import mock
+            from coalsim import ProbabilityVector, exact_chain
+            from coalsim.distributions import _two_level
+            n, heavy = 10_000, 390
+            top, bottom = _two_level(heavy, n - heavy, 1.0, 1.0 / math.log(n) ** 3)
+            p = ProbabilityVector([top] * heavy + [bottom] * (n - heavy), normalize=True)
+            got = exact_chain.expected_coalescence_times(p)[n]
+            dropped = exact_chain.transition_row(p, n).dropped
+            with open("/proc/self/status") as fh:
+                peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            with mock.patch.object(exact_chain, "_TRIM", 1e-30):
+                want = exact_chain.expected_coalescence_times(p)[n]
+            print(json.dumps([got, dropped, want, peak]))
+        """
+        src = str(Path(coalsim.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        got, dropped, want, peak = json.loads(child.stdout)
+        assert dropped <= 1e-12
+        assert abs(got - want) <= 2.0 * dropped * got * want + 1e-12 * want
+        assert got / math.log(10_000) ** 3 == pytest.approx(2.00012, abs=1e-5)
+        assert peak < 200 * 1024  # VmHWM is in KiB

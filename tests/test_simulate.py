@@ -9,11 +9,12 @@ import pytest
 
 from coalsim import exact_chain, simulate
 from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
-from coalsim.dynamics import early_threshold, one_step_envelope
+from coalsim.dynamics import early_threshold, late_threshold, one_step_envelope
 from coalsim.exact_chain import (
     TriangularKernel,
     coalescence_time_cdf,
     expected_coalescence_times,
+    phase_decomposition,
     transition_row,
 )
 from coalsim.simulate import (
@@ -416,6 +417,28 @@ class TestFirstPassages:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimConfig(p=uniform(5), passage_thresholds=(0.2,))
+
+    @pytest.mark.parametrize(
+        "p, early", [(topheavy(1000, 0.01), True), (uniform(1000), False)],
+        ids=["topheavy1000", "uniform1000"],
+    )
+    def test_means_match_exact_phase_split(self, p, early):
+        # a passage is the first round at or below a threshold and the count
+        # never rises, so E[tau(k*)] is the exact early part and E[tau(k_1)]
+        # the early plus the middle part.  Topheavy's k* = 67.9 lies above the
+        # 64 balls where thrown rounds end; uniform's tau(k*) is one round
+        # almost surely, so only its tau(k_1) is compared
+        n, c2 = p.n, p.moments().c2
+        k_star, k_1 = early_threshold(c2, n, 0.2), late_threshold(c2, n, 0.2)
+        phases = phase_decomposition(p, k_star, k_1)
+        config = SimConfig(p=p, replicates=2000, master_seed=1, passage_thresholds=(k_star, k_1))
+        summary = batch(config)
+        want = {k_1: phases.early + phases.middle}
+        if early:
+            want[k_star] = phases.early
+        for k, exact in want.items():
+            stats = summary.passages[k]
+            assert abs(stats.mean - exact) <= 4.0 * stats.stderr, k
 
 
 class TestDeltaAudit:
