@@ -35,13 +35,20 @@ runner is ``scripts/bench_simulate.py``'s ``main``).
   MiB, which counts numpy's buffers, so it shows what a kernel holds;
 - ``jump_rows_s``: ``transition_row(p, 63)`` of a Dirichlet(1) vector at
   n = 2000 and 1e4, which builds rows 1..63 by the box pass: the rows the
-  Monte Carlo jump chain reads.  Best of 5.
+  Monte Carlo jump chain reads.  Best of 5;
+- ``route_s``: two vectors of 2^20 joint occupancy states whose arrays pass
+  the occupancy route's cell cap, once each: all rows of ``TriangularKernel``
+  for five groups of 15 equal boxes plus 949 zero boxes, and
+  ``transition_row(p, 63)`` for twenty boxes of distinct weights plus 1004
+  zero boxes.  A run still going after ``CAP_S`` seconds is stopped and
+  records "over 30 s" in place of its time.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
 import sys
 import tempfile
 import tracemalloc
@@ -53,6 +60,11 @@ from bench_simulate import main  # the labelled-tree runner the bench scripts sh
 SIZES = (1000, 10_000, 30_000, 100_000)
 CAP_S = 30.0
 TWO_LEVEL = ((10_000, 390), (100_000, 16))  # (n, heavy boxes)
+# key -> (sizes of the equal-weight groups, zero boxes, rows: None for all n)
+ROUTE = {
+    "five_groups_of_15_all_rows": ([15] * 5, 949, None),
+    "twenty_single_boxes_rows_63": ([1] * 20, 1004, 63),
+}
 
 
 def _vectors(cs, n: int) -> dict:
@@ -79,6 +91,30 @@ def _expected_time(cs, out: dict, key: str, p) -> float | None:
     if hasattr(cs.TransitionRow, "dropped"):  # rows that carry their dropped mass
         out["dropped"][key] = cs.transition_row(p, p.n).dropped
     return secs
+
+
+def _grouped(cs, sizes: list, zeros: int):
+    weights = np.repeat(np.arange(1.0, len(sizes) + 1), sizes)
+    return cs.ProbabilityVector(np.concatenate((weights, np.zeros(zeros))), normalize=True)
+
+
+def _capped(fn) -> float | str:
+    """The seconds one fn() takes, or "over CAP_S s" when it is stopped there."""
+
+    def stop(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, CAP_S)
+    t0 = perf_counter()
+    try:
+        fn()
+        return perf_counter() - t0
+    except TimeoutError:
+        return f"over {CAP_S:g} s"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _dirichlet(cs, n: int):
@@ -110,7 +146,7 @@ def _child(src: str) -> dict:
 
     out: dict = {"expected_time_s": {}, "expected_time": {}, "dropped": {},
                  "kernel_csv_entries_per_s": {}, "row_pass_s": {}, "jump_rows_s": {},
-                 "kernel_expected_s": {}, "kernel_peak_mb": {}}
+                 "kernel_expected_s": {}, "kernel_peak_mb": {}, "route_s": {}}
     cs.expected_coalescence_times(cs.uniform(50))  # warm-up
     last: dict = {}
     for n in SIZES:
@@ -145,6 +181,12 @@ def _child(src: str) -> dict:
     for n in (2000, 10_000):
         p = _dirichlet(cs, n)
         out["jump_rows_s"][f"dirichlet_n{n}"] = _best(lambda: cs.transition_row(p, 63), 5)
+    for key, (sizes, zeros, rows) in ROUTE.items():
+        p = _grouped(cs, sizes, zeros)
+        if rows is None:
+            out["route_s"][key] = _capped(lambda: cs.TriangularKernel(p))
+        else:
+            out["route_s"][key] = _capped(lambda: cs.transition_row(p, rows))
     for n in (1000, 10_000):
         p = cs.uniform(n)
         kernel_times = lambda: cs.expected_coalescence_times(cs.TriangularKernel(p))

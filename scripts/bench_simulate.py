@@ -118,8 +118,12 @@ def _child(src: str) -> dict:
 def _median_tree(samples: list):
     if isinstance(samples[0], dict):
         return {k: _median_tree([s[k] for s in samples]) for k in samples[0]}
-    if isinstance(samples[0], str):  # a note such as "not run", the same in every run
-        return samples[0]
+    if any(isinstance(s, str) for s in samples):
+        # a note such as "not run" or "over 30 s" ranks above every time, so a
+        # run stopped at a cap counts as slower than any run that finished
+        times = sorted(s for s in samples if not isinstance(s, str))
+        notes = [s for s in samples if isinstance(s, str)]
+        return (times + notes)[len(samples) // 2]
     return statistics.median(samples)
 
 

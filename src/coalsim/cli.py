@@ -36,13 +36,9 @@ from .tail_bounds import TiltSolveError
 __all__ = ["main"]
 
 
-class _CliError(Exception):
-    """Validation problem: bad flags, config, or distribution parameters."""
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # keep exit codes ours, not argparse's
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _write(path: Path, content) -> None:
@@ -69,14 +65,14 @@ def _descriptor(value, key: str):
     try:
         return from_descriptor(value)
     except KeyError as exc:  # a field the descriptor's family requires
-        raise _CliError(f"distribution descriptor needs {exc.args[0]!r}")
+        raise ValueError(f"distribution descriptor needs {exc.args[0]!r}")
 
 
 def _at_least(least: int, unit: str = ""):
     def parse(value, key: str) -> int:
         whole = _whole(value, key)
         if whole < least:
-            raise _CliError(f"{key!r}={whole} must be at least {least}{unit}")
+            raise ValueError(f"{key!r}={whole} must be at least {least}{unit}")
         return whole
 
     return parse
@@ -85,10 +81,10 @@ def _at_least(least: int, unit: str = ""):
 def _sizes(value, key: str) -> list[int]:
     """The n list of limit and threshold: whole numbers, each at least 2."""
     if not isinstance(value, list):
-        raise _CliError(f"{key!r} must be a list of whole numbers, got {value!r}")
+        raise ValueError(f"{key!r} must be a list of whole numbers, got {value!r}")
     ns = [_whole(v, key) for v in value]
     if not ns or min(ns) < 2:
-        raise _CliError(f"{key!r}={value!r}: give 'n_values' or 'n'; each n must be at least 2")
+        raise ValueError(f"{key!r}={value!r}: give 'n_values' or 'n'; each n must be at least 2")
     return ns
 
 
@@ -96,9 +92,9 @@ def _lambda_rule(value, key: str) -> str | float:
     """A rule name of LAMBDA_RULES, or a fixed collision rate c2: lambda(n) = c2 ln^2 n."""
     if isinstance(value, str) and value not in asymptotics.LAMBDA_RULES:
         rules = ", ".join(asymptotics.LAMBDA_RULES)
-        raise _CliError(f"unknown {key!r} rule {value!r}; choose from {rules}")
+        raise ValueError(f"unknown {key!r} rule {value!r}; choose from {rules}")
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise _CliError(f"{key!r} must be a rule name or a collision rate, got {value!r}")
+        raise ValueError(f"{key!r} must be a rule name or a collision rate, got {value!r}")
     return value if isinstance(value, str) else float(value)
 
 
@@ -157,19 +153,19 @@ def _load_config(args) -> dict:
         with open(args.config) as fh:
             config = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed config {args.config}: {exc}")
+        raise ValueError(f"malformed config {args.config}: {exc}")
     if not isinstance(config, dict):
-        raise _CliError(f"config must be a JSON object: {args.config}")
+        raise ValueError(f"config must be a JSON object: {args.config}")
     table = _KEYS[args.command]
     unknown = sorted(set(config) - set(table))
     if unknown:
-        raise _CliError(f"unknown config key {unknown[0]!r}; expected among {sorted(table)}")
+        raise ValueError(f"unknown config key {unknown[0]!r}; expected among {sorted(table)}")
     config = {k: v for k, v in config.items() if v is not None or table[k][1] is not None}
     parsed = {}
     for key, (parse, default) in table.items():
         partner = _PARTNER.get(key)
         if key in config and partner in config:
-            raise _CliError(f"config gives both {key!r} and {partner!r}; give one")
+            raise ValueError(f"config gives both {key!r} and {partner!r}; give one")
         if key in config:
             parsed[key] = parse(config[key], key)
         elif partner in config:
@@ -177,7 +173,7 @@ def _load_config(args) -> dict:
         elif default is ...:
             need = " or ".join(repr(k) for k in (key, partner) if k in table)
             need = f"a {need} descriptor" if parse is _descriptor else need
-            raise _CliError(f"{args.command} config needs {need}")
+            raise ValueError(f"{args.command} config needs {need}")
         else:
             parsed[key] = default
     if getattr(args, "replicates", None) is not None:  # the flag, parsed like the key
@@ -193,7 +189,7 @@ def _outputs(args, *exts: str) -> list[Path]:
     # plain concatenation: suffix-replacing semantics would eat dotted bases
     paths = [base.parent / (base.name + ext) for ext in exts]
     if config.resolve() in [p.resolve() for p in paths]:
-        raise _CliError(f"--out {args.out} would overwrite the config {args.config}")
+        raise ValueError(f"--out {args.out} would overwrite the config {args.config}")
     return paths
 
 
@@ -293,7 +289,7 @@ def _cmd_variational(args, cfg: dict) -> tuple[str, list]:
 def _cmd_bounds(args, cfg: dict) -> tuple[str, list]:
     p, k, b_values = cfg["distribution"], cfg["k"], cfg["b_values"]
     if not 1 <= k <= p.n:
-        raise _CliError(f"'k'={k} outside [1, n={p.n}]")
+        raise ValueError(f"'k'={k} outside [1, n={p.n}]")
     center = tail_bounds.tilt_center(p, k)
     if b_values is None:
         b_values = [center + o for o in cfg["b_offsets"]]
@@ -381,16 +377,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.seed < 0:  # numpy's SeedSequence takes any non-negative integer
-            raise _CliError(f"--seed must be a non-negative integer, got {args.seed}")
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         handler, *exts = _HANDLERS[args.command]
         cfg = _load_config(args)
         paths = _outputs(args, *exts)  # a colliding --out fails before any work
         summary, contents = handler(args, cfg)
         for path, content in zip(paths, contents, strict=True):
             _write(path, content)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SolverError, TiltSolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -57,22 +57,28 @@ class TransitionRow:
 # O(n * k^3) for all rows up to k.  S <= n^2 keeps the recurrence the cheaper
 # route.  Its arrays hold (side states) x (counts 0..sum m_g) cells, the side
 # states being the joint counts of every group but the largest; _MAX_CELLS
-# bounds each array at 32 MB.  A vector of at most _MAX_STATES joint states
-# also takes the recurrence, at up to 21 * 2^19 cells (twenty single boxes).
+# bounds each array at 32 MB.  Rows past _BOX_K_MAX, which the box pass does
+# not build, also take the recurrence for a vector of at most _MAX_STATES
+# joint states, at up to 21 * 2^19 cells (twenty single boxes): below it, the
+# box pass is at least 10x faster on such vectors.
 _MAX_CELLS = 1 << 22
 _MAX_STATES = 1 << 20
+_BOX_K_MAX = 2000
 # Slices of the joint state lighter than this are dropped at the ends of its
 # window; at n = 1e5 the dropped mass stays near 1e-15.
 _TRIM = 1e-20
 
 
-def _occupancy_groups(p: ProbabilityVector) -> list[tuple[float, int]] | None:
+def _occupancy_groups(
+    p: ProbabilityVector, k_max: int | None = None
+) -> list[tuple[float, int]] | None:
     """Positive (weight, multiplicity) groups of p when the occupancy
-    recurrence is its cheaper route, else None."""
+    recurrence is the cheaper route to rows 1..k_max (None: all n), else None."""
     groups = [(w, m) for w, m in p.grouped() if w > 0.0]
     states = math.prod(m + 1 for _, m in groups)
     cells = states // (max(m for _, m in groups) + 1) * (sum(m for _, m in groups) + 1)
-    held = cells <= _MAX_CELLS or states <= _MAX_STATES
+    past_box = (p.n if k_max is None else k_max) > _BOX_K_MAX
+    held = cells <= _MAX_CELLS or (past_box and states <= _MAX_STATES)
     return groups if states <= p.n * p.n and held else None
 
 
@@ -178,12 +184,12 @@ def _box_rows(weights, k_max: int):
     block of about 2^16 floats come from one cumprod and one gather.  Column
     j's mass is lam^j/j!: lam = (k_max+1)/e keeps it within
     [~1/sqrt(k), e^lam], and lam = 700 from k_max = 1902 on keeps e^lam
-    finite and column k_max's mass above 1e-46 up to k_max = 2000, the
-    largest taken.
+    finite and column k_max's mass above 1e-46 up to k_max = _BOX_K_MAX =
+    2000, the largest taken.
     """
     size = k_max + 1
-    if k_max > 2000:
-        raise ValueError(f"the box pass builds rows up to k = 2000, not {k_max}")
+    if k_max > _BOX_K_MAX:
+        raise ValueError(f"the box pass builds rows up to k = {_BOX_K_MAX}, not {k_max}")
     lam = min(size / math.e, 700.0)
     x = lam / weights.sum() * weights[weights > 0.0]
     law = np.zeros((size, size))
@@ -204,7 +210,7 @@ def _box_rows(weights, k_max: int):
 def _bands(p: ProbabilityVector, k_max: int):
     """(lo, band, dropped) of rows 1..k_max of p by its one route, which
     follows from p.grouped(); box rows are whole, at lo = 0."""
-    groups = _occupancy_groups(p)
+    groups = _occupancy_groups(p, k_max)
     if groups is None:
         return ((0, row.probs, 0.0) for row in _box_rows(p.weights, k_max))
     return _occupancy_bands(groups, k_max)

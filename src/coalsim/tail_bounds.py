@@ -74,7 +74,7 @@ def tilt_exponent(
     """
     if z <= 0.0 or r <= 0.0:
         raise ValueError("z and r must be positive")
-    return float(_tilt_system(_weights(p), k, z, r, b)[5])
+    return float(_tilt_system(*_groups(p), k, z, r, b)[5])
 
 
 def tilt_center(p: ProbabilityVector | np.ndarray, k: int) -> float:
@@ -89,15 +89,22 @@ def _total(x, cnt):
     return (x * cnt).sum(-1)
 
 
-def _tilt_system(w, k: int, z, r, b, cnt=1, n=None):
+def _groups(p: ProbabilityVector | np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct positive weights of p, increasing, the count of boxes
+    that hold each, and n: zero weights add nothing to any tilt sum."""
+    w = _weights(p)
+    w_pos, cnt = np.unique(w[w > 0.0], return_counts=True)
+    return w_pos, cnt, w.size
+
+
+def _tilt_system(w, cnt, n: int, k: int, z, r, b):
     """Gradient and Hessian entries of the exponent in (z, r), and its value,
-    at points z, r, b (broadcast against each other), for every weight w, or
-    for distinct weights w held by cnt boxes each of n.
+    at points z, r, b (broadcast against each other), for weights w held by
+    cnt boxes each of n.
 
     Parametrized through u = exp(-n p_j r) so every ratio stays bounded:
     denominators are u + z(1-u), between min(z, 1) and max(z, 1).
     """
-    n = w.size if n is None else n
     z, r, b = (np.asarray(x, dtype=float) for x in (z, r, b))
     a = n * r[..., None] * w
     u = np.exp(-a)
@@ -180,12 +187,12 @@ def _on_curve(lw: np.ndarray, cnt: np.ndarray, k: int, b: np.ndarray, rho: np.nd
     return _total(m * q, cnt) - k, slope, s
 
 
-def _solve_tilts(w: np.ndarray, k: int, b) -> list:
-    """solve_tilt at every target of b together: per target its TiltPoint, or
-    the ValueError or TiltSolveError that solve_tilt raises there.  The outer
-    roots of all solvable targets are the lanes of one _root."""
-    n, b = w.size, np.asarray(b, dtype=float)
-    w_pos, cnt = np.unique(w[w > 0.0], return_counts=True)
+def _solve_tilts(w_pos: np.ndarray, cnt: np.ndarray, n: int, k: int, b) -> list:
+    """solve_tilt at every target of b together, for the weights _groups
+    gives: per target its TiltPoint, or the ValueError or TiltSolveError that
+    solve_tilt raises there.  The outer roots of all solvable targets are the
+    lanes of one _root."""
+    b = np.asarray(b, dtype=float)
     lw, n_pos = np.log(n * w_pos), cnt.sum()  # ln a_j = lw_j + ln r, increasing
     with np.errstate(divide="ignore", invalid="ignore"):  # b outside (0, k) is refused below
         rho_lo = np.log(k - b) - np.log(b) - lw[-1]
@@ -205,10 +212,11 @@ def _solve_tilts(w: np.ndarray, k: int, b) -> list:
     # the residuals at the solved point where it is in range, else at the
     # centre (1, k/n), where they are always finite
     res = np.empty((2, b.size))
-    res[:, fit] = _tilt_system(w_pos, k, z[fit], r[fit], b[fit], cnt, n)[:2]
+    res[:, fit] = _tilt_system(w_pos, cnt, n, k, z[fit], r[fit], b[fit])[:2]
     if not fit.all():
         with np.errstate(invalid="ignore"):  # the exponent, unread, is NaN at b = +-inf
-            res[:, ~fit] = np.broadcast_arrays(*_tilt_system(w, k, 1.0, k / n, b[~fit])[:2])
+            centre = _tilt_system(w_pos, cnt, n, k, 1.0, k / n, b[~fit])
+            res[:, ~fit] = np.broadcast_arrays(*centre[:2])
     out: list = []
     for bi, zi, ri, res_z, res_r, ok in zip(*np.vstack((b, z, r, res)).tolist(), fit):
         if not math.isfinite(bi):
@@ -241,7 +249,7 @@ def solve_tilt(p: ProbabilityVector | np.ndarray, k: int, b: float) -> TiltPoint
     when z or r would leave the float range, or when the solved point misses
     the rule above.
     """
-    (pt,) = _solve_tilts(_weights(p), k, [b])
+    (pt,) = _solve_tilts(*_groups(p), k, [b])
     if isinstance(pt, Exception):
         raise pt
     return pt
@@ -321,13 +329,13 @@ def curvature_report(p: ProbabilityVector | np.ndarray, k: int, b_grid) -> Curva
     of every other point are solved as one batch, and the exponent and
     Hessian are evaluated over the distinct weights, batched across points.
     """
-    w = _weights(p)
+    w_pos, cnt, n = _groups(p)
     grid = [float(b) for b in b_grid]
     gaps = [min(b, k - b) for b in grid]
     at_end = [0.0 <= gap < _FD_MIN_GAP * k for gap in gaps]
     steps = [min(_FD_STEP * k, _FD_END * gap) for gap in gaps]
     targets = [x for b, h, end in zip(grid, steps, at_end) if not end for x in (b, b - h, b + h)]
-    solved = iter(_solve_tilts(w, k, targets))
+    solved = iter(_solve_tilts(w_pos, cnt, n, k, targets))
     skipped: list[tuple[float, str]] = []
     kept, fd_step = [], []  # the solved points of every kept trio, in order
     for b, h, end in zip(grid, steps, at_end):
@@ -342,9 +350,8 @@ def curvature_report(p: ProbabilityVector | np.ndarray, k: int, b_grid) -> Curva
         kept += trio
         fd_step.append(h)
     z, r, b3 = (np.reshape([getattr(pt, f) for pt in kept], (-1, 3)) for f in "zrb")
-    w_pos, cnt = np.unique(w[w > 0.0], return_counts=True)
     # columns b, b - step and b + step
-    _, _, h_zz, h_rr, h_rz, h = _tilt_system(w_pos, k, z, r, b3, cnt, w.size)
+    _, _, h_zz, h_rr, h_rz, h = _tilt_system(w_pos, cnt, n, k, z, r, b3)
     fd_step = np.array(fd_step)
     slope_fd = (h[:, 2] - h[:, 1]) / (2.0 * fd_step)
     slope_an = -np.log(z[:, 0])

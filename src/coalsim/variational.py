@@ -153,16 +153,14 @@ class OrderingReport:
         return all(a >= b - tol for a, b in zip(chain, chain[1:]))
 
 
-def proxy_ordering(
-    p: ProbabilityVector, k: float, nu_values: range | None = None
-) -> OrderingReport:
+def proxy_ordering(p: ProbabilityVector, k: float) -> OrderingReport:
     """Compare the proxy of p with its moment-matched extremal vectors at k."""
     _check_k(k)
     m = p.moments()
     n = p.n
     f_three: dict[int, float] = {}
     infeasible: dict[int, str] = {}
-    for nu in nu_values if nu_values is not None else range(1, n - 1):
+    for nu in range(1, n - 1):
         try:
             f_three[nu] = empty_boxes_proxy(three_level(n, m.c2, m.c3, nu), k)
         except DistributionError as exc:
@@ -206,7 +204,8 @@ def middle_pair_excess(x1: float, x: float, x4: float) -> float:
     )
 
 
-def level_count(weights: np.ndarray, tol: float = 1e-6) -> int:
-    """Number of distinct weight levels after clustering at tolerance tol."""
+def level_count(weights: np.ndarray) -> int:
+    """Number of distinct weight levels: sorted neighbours more than 1e-6
+    apart start a new level."""
     w = np.sort(np.asarray(weights, dtype=float))
-    return int(1 + (np.diff(w) > tol).sum())
+    return int(1 + (np.diff(w) > 1e-6).sum())

@@ -42,6 +42,20 @@ class TestConstruction:
         with pytest.raises(DistributionError):
             ProbabilityVector([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(DistributionError, match="weights must be finite"):
+            ProbabilityVector([0.5, bad, 0.5])
+
+    def test_uniform_needs_two_boxes(self):
+        with pytest.raises(DistributionError, match="n must be at least 2"):
+            uniform(1)
+
+    def test_repr_lists_up_to_eight_weights(self):
+        assert repr(ProbabilityVector([0.75, 0.25])) == "ProbabilityVector(n=2, [0.75, 0.25])"
+        assert repr(uniform(8)) == "ProbabilityVector(n=8, [" + ", ".join(["0.125"] * 8) + "])"
+        assert repr(uniform(9)) == "ProbabilityVector(n=9, [0.111111, 0.111111, ..., 0.111111])"
+
     def test_sum_tight_after_construction(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -188,6 +202,11 @@ class TestThreeLevel:
         with pytest.raises(DistributionError):
             three_level(5, 0.3, 0.12, 0)
 
+    @pytest.mark.parametrize("c3", [0.3**2 - 1e-3, 0.3**1.5 + 1e-3])
+    def test_c3_outside_moment_range_rejected(self, c3):
+        with pytest.raises(DistributionError, match=r"outside \[c2\^2, c2\^\(3/2\)\]"):
+            three_level(5, 0.3, c3, 1)
+
     @staticmethod
     def assert_three_level(p, n, nu, c2, c3):
         m = p.moments()
@@ -281,6 +300,10 @@ class TestSampleFixedC2:
         rng = np.random.default_rng(0)
         with pytest.raises(DistributionError):
             sample_fixed_c2(4, 1.0, rng)
+
+    def test_one_box_rejected(self):
+        with pytest.raises(DistributionError, match="n must be at least 2"):
+            sample_fixed_c2_batch(1, 1.0, np.random.default_rng(0), 3)
 
 
 class TestDescriptors:

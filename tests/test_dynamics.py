@@ -91,6 +91,11 @@ class TestExpectedNextCount:
             row = transition_row(p, k)
             assert row.mean == pytest.approx(expected_next_count(p, k), abs=1e-10)
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_outside_one_to_n_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"k={k} outside \[1, n=4\]"):
+            expected_next_count(uniform(4), k)
+
 
 class TestOneStepEnvelope:
     def test_zero(self):
@@ -132,6 +137,10 @@ class TestOneStepEnvelope:
 
 
 class TestEnvelopeMargin:
+    def test_zero_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            envelope_margin(uniform(4), 0)
+
     def test_vanishes_at_zero(self):
         p = uniform(6)
         assert envelope_margin(p, 1e-6) <= 1e-9

@@ -190,13 +190,28 @@ class TestOccupancyRecurrence:
     @example(sizes=[1] * 20, zeros=1004)  # 2^20 joint states in 21 * 2^19 cells
     @example(sizes=[15] * 5, zeros=949)  # 2^20 joint states in 76 * 2^16 cells
     def test_route_admits_what_the_state_cap_admitted(self, sizes, zeros):
-        # the route once took a vector only at prod(m_g + 1) <= min(n^2, 2^20)
+        # the route once took a vector only at prod(m_g + 1) <= min(n^2, 2^20);
+        # it still does for rows past the box pass's k = 2000, or when its
+        # arrays of (side states) x (counts) cells fit in the cell cap
         assume(sum(sizes) + zeros >= 2)
         weights = np.repeat(np.arange(1.0, len(sizes) + 1), sizes)
         p = ProbabilityVector(np.concatenate((weights, np.zeros(zeros))), normalize=True)
         assert [m for w, m in p.grouped() if w > 0.0] == sizes[::-1]
-        if math.prod(m + 1 for m in sizes) <= min(p.n * p.n, 1 << 20):
+        states = math.prod(m + 1 for m in sizes)
+        cells = states // (max(sizes) + 1) * (sum(sizes) + 1)
+        if states <= min(p.n * p.n, 1 << 20) and (p.n > 2000 or cells <= 1 << 22):
             assert _occupancy_groups(p) is not None
+
+    @pytest.mark.parametrize("sizes, zeros", [([1] * 20, 1004), ([15] * 5, 949)])
+    def test_state_cap_vectors_take_the_box_pass_below_2000(self, sizes, zeros):
+        # 2^20 joint states in more cells than the cap: the box pass builds
+        # these rows at least 10x faster, for all n rows as for the 63 rows
+        # the Monte Carlo jump chain reads
+        weights = np.repeat(np.arange(1.0, len(sizes) + 1), sizes)
+        p = ProbabilityVector(np.concatenate((weights, np.zeros(zeros))), normalize=True)
+        assert _occupancy_groups(p, p.n) is None
+        assert _occupancy_groups(p, 63) is None
+        assert _occupancy_groups(p, 2001) is not None
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -299,6 +314,15 @@ class TestBruteForceOracle:
 
 
 class TestUniformRowExact:
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_k_outside_one_to_n_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"k={k} outside \[1, n=5\]"):
+            uniform_row_exact(5, k)
+
+    def test_past_300_boxes_rejected(self):
+        with pytest.raises(ValueError, match="kept to n <= 300"):
+            uniform_row_exact(301, 2)
+
     def test_all_distinct_corner(self):
         for n in (2, 5, 8):
             row = uniform_row_exact(n, n)
@@ -320,6 +344,12 @@ class TestUniformRowExact:
 
 
 class TestTails:
+    @pytest.mark.parametrize("b", [0, 5])
+    def test_b_outside_one_to_k_rejected(self, b):
+        row = transition_row(uniform(6), 4)
+        with pytest.raises(ValueError, match=rf"b={b} outside \[1, k=4\]"):
+            row.tail_split(b)
+
     def test_edges(self):
         row = transition_row(uniform(6), 4)
         lo, hi = row.tail_split(1)
@@ -346,6 +376,10 @@ class TestTails:
 
 
 class TestCollisionBound:
+    def test_one_ball_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            collision_probability_bound(uniform(4), 1)
+
     def test_pair_exact(self):
         p = ProbabilityVector([0.7, 0.2, 0.1])
         assert collision_probability_bound(p, 2) == pytest.approx(

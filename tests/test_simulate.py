@@ -401,6 +401,10 @@ class TestRunningStats:
         lo, hi = s.ci95
         assert lo < 2.5 < hi
 
+    def test_mean_of_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            RunningStats().mean
+
 
 class TestFirstPassages:
     def test_threshold_at_start(self):

@@ -21,7 +21,7 @@ from coalsim.tail_bounds import (
     tilt_center,
     tilt_exponent,
 )
-from coalsim.tail_bounds import TiltPoint, _on_curve, _root, _solve_tilts, _tilt_system
+from coalsim.tail_bounds import TiltPoint, _groups, _on_curve, _root, _solve_tilts, _tilt_system
 
 
 def random_vector(rng, n):
@@ -202,7 +202,7 @@ class TestNestedRoots:
         for rho, g_rho, s in zip(rhos, g, ln_z):
             if abs(s) < 30.0:
                 z, r = math.exp(s), math.exp(rho)
-                h_z, h_r = _tilt_system(p.weights, k, z, r, b)[:2]
+                h_z, h_r = _tilt_system(p.weights, 1, n, k, z, r, b)[:2]
                 assert abs(z * h_z) <= 1e-10 * max(b, 1.0)
                 assert r * h_r == pytest.approx(g_rho, rel=1e-10, abs=1e-10 * k)
 
@@ -332,7 +332,7 @@ class TestBatchedSolve:
         k = 1 + round(k_frac * (n - 1))
         top = min(k, int((p.weights > 0.0).sum()))
         grid = [f * top for f in b_fracs]
-        for b, got in zip(grid, _solve_tilts(p.weights, k, grid)):
+        for b, got in zip(grid, _solve_tilts(*_groups(p), k, grid)):
             try:
                 one = solve_tilt(p, k, b)
             except (ValueError, TiltSolveError) as err:
@@ -380,7 +380,7 @@ class TestBatchedSolve:
             (
                 uniform(1000), 500, [1.0, 2.0, 3.0, 50.0], [2.0, 3.0, 50.0],
                 [(1.0, "no stationary point at b=1; last (z, r)=(7.13171e-221, 500), "
-                       "residuals (3.925e+02, -6.821e-13)")],
+                       "residuals (3.925e+02, -4.547e-13)")],
             ),
         ],
     )
@@ -542,6 +542,10 @@ class TestCoalescenceTimeLowerBound:
         with pytest.raises(ValueError, match="need 0 < c2 <= 1"):
             coalescence_time_lower_bound(0.1, c3, 5)
 
+    def test_no_balls_rejected(self):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            coalescence_time_lower_bound(0.1, 0.01, 0)
+
     def test_c2_of_one_box_allowed(self):
         assert coalescence_time_lower_bound(1.0, 1.0, 1) == 0.0
 
@@ -620,8 +624,8 @@ class TestTiltSystemRange:
         # z * z underflows to 0 below z ~ 2e-162; b / z / z does not, and at
         # b = 1e-100 its value 1e300 is representable
         w = uniform(10).weights
-        h = _tilt_system(w, 5, 1e-200, 0.5, 1e-100)
+        h = _tilt_system(w, 1, 10, 5, 1e-200, 0.5, 1e-100)
         assert all(math.isfinite(x) for x in h)
         assert h[2] == pytest.approx(1e300, rel=1e-12)
         # where the true b / z^2 overflows, the entry is +inf, not an exception
-        assert _tilt_system(w, 5, 1e-200, 0.5, 1.0)[2] == math.inf
+        assert _tilt_system(w, 1, 10, 5, 1e-200, 0.5, 1.0)[2] == math.inf

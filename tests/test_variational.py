@@ -334,4 +334,4 @@ class TestLevelCount:
     def test_counts_clusters(self):
         assert level_count(np.array([0.4, 0.4, 0.15, 0.05])) == 3
         assert level_count(uniform(9).weights) == 1
-        assert level_count(np.array([0.5, 0.5 - 1e-9, 1e-9, 0.0]), tol=1e-6) == 2
+        assert level_count(np.array([0.5, 0.5 - 1e-9, 1e-9, 0.0])) == 2
