@@ -61,13 +61,6 @@ def _table(cls, rows) -> tuple[list[str], np.ndarray]:
     return header, np.array([dataclasses.astuple(r) for r in rows], float).reshape(-1, len(header))
 
 
-def _descriptor(value, key: str):
-    try:
-        return from_descriptor(value)
-    except KeyError as exc:  # a field the descriptor's family requires
-        raise ValueError(f"distribution descriptor needs {exc.args[0]!r}")
-
-
 def _at_least(least: int, unit: str = ""):
     def parse(value, key: str) -> int:
         whole = _whole(value, key)
@@ -98,7 +91,7 @@ def _lambda_rule(value, key: str) -> str | float:
     return value if isinstance(value, str) else float(value)
 
 
-_DISTRIBUTION = {"distribution": (_descriptor, ...)}
+_DISTRIBUTION = {"distribution": (lambda value, key: from_descriptor(value), ...)}
 _N_LIST = {"n_values": (_sizes, ...), "n": (_whole, ...)}  # a lone n < 2 fails before it runs
 # Each subcommand's config keys: key -> (parser, default).  A default of ...
 # marks a required key; a key whose default is None reads null as absent.
@@ -172,7 +165,7 @@ def _load_config(args) -> dict:
             parsed[key] = None
         elif default is ...:
             need = " or ".join(repr(k) for k in (key, partner) if k in table)
-            need = f"a {need} descriptor" if parse is _descriptor else need
+            need = f"a {need} descriptor" if key == "distribution" else need
             raise ValueError(f"{args.command} config needs {need}")
         else:
             parsed[key] = default
@@ -281,7 +274,7 @@ def _cmd_variational(args, cfg: dict) -> tuple[str, list]:
         "shapes": n * (n - 1) // 2,  # the (zeros, heavy count) pairs the scan covers
         "f_topheavy": f_top,
         "gap": f_best - f_top,
-        "distinct_levels_at_1e-6": variational.level_count(q_best.weights),
+        "distinct_levels_at_1e-6": variational.level_count(q_best),
     }
     return f"variational: f_best={f_best:.12g} gap={f_best - f_top:.3e}", [payload]
 

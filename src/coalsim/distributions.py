@@ -55,13 +55,13 @@ class Moments:
 class ProbabilityVector:
     """Immutable nonnegative weights of length n >= 2 summing to one.
 
-    Stored order is preserved; use :meth:`sorted_desc` for a nonincreasing copy
-    and :meth:`grouped` for a run-length compression over equal values (it
-    picks the kernel's row algorithm).  Instances are immutable after
-    construction and safe to share across threads.
+    Stored order is preserved; use :meth:`sorted_desc` for a nonincreasing copy.
+    :attr:`levels`, the distinct weights and their box counts, is found once at
+    construction and read by every layer; :meth:`grouped` lists its positive
+    levels.  Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("_w", "__weakref__")
+    __slots__ = ("_w", "_levels", "__weakref__")
 
     def __init__(self, weights: Sequence[float] | np.ndarray, *, normalize: bool = False):
         w = np.array(weights, dtype=float)
@@ -80,8 +80,9 @@ class ProbabilityVector:
                 f"weights sum to {total!r}, not 1; pass normalize=True to rescale"
             )
         w /= total
-        w.setflags(write=False)
-        self._w = w
+        self._w, self._levels = w, np.unique(w, return_counts=True)
+        for array in (w, *self._levels):  # shared by every reader, so read-only
+            array.setflags(write=False)
 
     @property
     def weights(self) -> np.ndarray:
@@ -100,10 +101,15 @@ class ProbabilityVector:
         """Nonincreasing copy of the weights; the stored order is untouched."""
         return np.sort(self._w)[::-1].copy()
 
+    @property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.unique(weights, return_counts=True), read-only: zero comes first when present."""
+        return self._levels
+
     def grouped(self) -> list[tuple[float, int]]:
-        """(value, multiplicity) pairs, largest value first."""
-        values, counts = np.unique(self._w, return_counts=True)
-        return [(float(v), int(c)) for v, c in zip(values[::-1], counts[::-1])]
+        """(value, multiplicity) pairs of the positive levels, largest value first."""
+        values, counts = self._levels
+        return [(float(v), int(c)) for v, c in zip(values[::-1], counts[::-1]) if v > 0.0]
 
     def __repr__(self) -> str:
         w = self._w
@@ -319,27 +325,34 @@ def _bool(value, key: str) -> bool:
     return value
 
 
+# Each family's builder and the keys it reads, with their parsers; every key
+# is required but "normalize", and a descriptor may give no other.
+_FAMILIES = {
+    "uniform": (uniform, {"n": _whole}),
+    "topheavy": (topheavy, {"n": _whole, "c2": _finite}),
+    "three_level": (three_level, {"n": _whole, "c2": _finite, "c3": _finite, "nu": _whole}),
+    "explicit": (ProbabilityVector, {"weights": _finite_numbers, "normalize": _bool}),
+}
+
+
 def from_descriptor(desc: dict) -> ProbabilityVector:
     """Build a vector from a JSON-style descriptor.
 
     Schema: {"family": "uniform"|"topheavy"|"three_level"|"explicit",
     "n": ..., "c2": ..., "c3": ..., "nu": ..., "weights": [...],
-    "normalize": true|false}.
+    "normalize": true|false}; a key its family lacks or does not read is an error.
     """
     try:
         family = desc["family"]
     except (TypeError, KeyError):
         raise DistributionError("descriptor must be a mapping with a 'family' key")
-    if family == "uniform":
-        return uniform(_whole(desc["n"], "n"))
-    if family == "topheavy":
-        return topheavy(_whole(desc["n"], "n"), _finite(desc["c2"], "c2"))
-    if family == "three_level":
-        return three_level(
-            _whole(desc["n"], "n"), _finite(desc["c2"], "c2"), _finite(desc["c3"], "c3"),
-            _whole(desc["nu"], "nu"),
-        )
-    if family == "explicit":
-        normalize = _bool(desc.get("normalize", False), "normalize")
-        return ProbabilityVector(_finite_numbers(desc["weights"], "weights"), normalize=normalize)
-    raise DistributionError(f"unknown distribution family {family!r}")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise DistributionError(f"unknown distribution family {family!r}")
+    build, keys = _FAMILIES[family]
+    for key in desc:
+        if key != "family" and key not in keys:
+            raise DistributionError(f"unknown key {key!r} for family {family!r}; expected {[*keys]}")
+    missing = [key for key in keys if key not in desc and key != "normalize"]
+    if missing:
+        raise DistributionError(f"distribution descriptor needs {missing[0]!r}")
+    return build(**{key: parse(desc[key], key) for key, parse in keys.items() if key in desc})

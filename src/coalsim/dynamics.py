@@ -26,20 +26,15 @@ __all__ = [
 Ks = float | np.ndarray  # a ball count k, or an array of them
 
 
-def _weights(p: ProbabilityVector | np.ndarray) -> np.ndarray:
-    w = getattr(p, "weights", None)
-    return w if w is not None else np.asarray(p, dtype=float)
-
-
-def empty_boxes_proxy(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
+def empty_boxes_proxy(p: ProbabilityVector, k: Ks) -> Ks:
     """Sum of exp(-k * p_j): the smoothed count of boxes a k-ball round misses.
 
     k is a scalar (a float is returned) or an array (an array of its shape),
-    and the sum runs over the distinct weights: one exp per (k, level)."""
+    and the sum runs over p.levels: one exp per (k, level)."""
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("k must be nonnegative")
-    levels, counts = np.unique(_weights(p), return_counts=True)
+    levels, counts = p.levels
     flat, out = k.ravel(), np.empty(k.size)
     step = max((1 << 18) // levels.size, 1)  # k per block: bounded for distinct weights
     for i in range(0, flat.size, step):
@@ -47,30 +42,29 @@ def empty_boxes_proxy(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
-def occupancy_proxy(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
+def occupancy_proxy(p: ProbabilityVector, k: Ks) -> Ks:
     """Smoothed predictor of the next ball count: n minus the empty-box proxy."""
-    return _weights(p).size - empty_boxes_proxy(p, k)
+    return p.n - empty_boxes_proxy(p, k)
 
 
-def expected_next_count(p: ProbabilityVector | np.ndarray, k: int) -> float:
+def expected_next_count(p: ProbabilityVector, k: int) -> float:
     """Exact conditional mean of the next ball count given k balls now."""
-    w = _weights(p)
-    if not 1 <= k <= w.size:
-        raise ValueError(f"k={k} outside [1, n={w.size}]")
-    return float((1.0 - (1.0 - w) ** k).sum())
+    if not 1 <= k <= p.n:
+        raise ValueError(f"k={k} outside [1, n={p.n}]")
+    return float((1.0 - (1.0 - p.weights) ** k).sum())
 
 
-def one_step_envelope(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
+def one_step_envelope(p: ProbabilityVector, k: Ks) -> Ks:
     """Midpoint of k and the occupancy proxy: the high-probability one-step cap."""
     return 0.5 * (k + occupancy_proxy(p, k))
 
 
-def envelope_margin(p: ProbabilityVector | np.ndarray, k: Ks) -> Ks:
+def envelope_margin(p: ProbabilityVector, k: Ks) -> Ks:
     """Squared gap between envelope and proxy, scaled by 1/k; increasing in k."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise ValueError("k must be positive")
-    gap = 0.5 * (k - _weights(p).size + empty_boxes_proxy(p, k))
+    gap = 0.5 * (k - p.n + empty_boxes_proxy(p, k))
     with np.errstate(over="ignore"):
         margin = gap * gap / k
     # gap * gap overflows from |gap| ~ 1.3e154, where the margin is still about k / 4

@@ -74,7 +74,7 @@ def _occupancy_groups(
 ) -> list[tuple[float, int]] | None:
     """Positive (weight, multiplicity) groups of p when the occupancy
     recurrence is the cheaper route to rows 1..k_max (None: all n), else None."""
-    groups = [(w, m) for w, m in p.grouped() if w > 0.0]
+    groups = p.grouped()
     states = math.prod(m + 1 for _, m in groups)
     cells = states // (max(m for _, m in groups) + 1) * (sum(m for _, m in groups) + 1)
     past_box = (p.n if k_max is None else k_max) > _BOX_K_MAX

@@ -134,7 +134,7 @@ def _route(p: ProbabilityVector):
     m > 1 equal boxes, else 0."""
     route = _round_cache.get(p)
     if route is None:
-        levels = [(w, m) for w, m in p.grouped() if w > 0.0]
+        levels = p.grouped()
         if len(levels) <= _MAX_LEVELS and sum(m > 1 for _, m in levels) <= 1:
             throw = _level_round(levels)
         else:
@@ -298,7 +298,7 @@ class SimConfig:
         start = self.start_count
         if not 1 <= start <= self.p.n:
             raise ValueError(f"b0={start} outside [1, n={self.p.n}]")
-        if any(th < 1.0 for th in self.passage_thresholds):
+        if any(not th >= 1.0 for th in self.passage_thresholds):  # NaN fails too
             raise ValueError("passage thresholds must be at least 1")
 
     @property

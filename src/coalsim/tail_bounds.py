@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ProbabilityVector
-from .dynamics import _weights, occupancy_proxy
+from .dynamics import occupancy_proxy
 
 __all__ = [
     "TiltPoint",
@@ -63,9 +63,7 @@ class TiltPoint:
     residual_r: float
 
 
-def tilt_exponent(
-    p: ProbabilityVector | np.ndarray, k: int, z: float, r: float, b: float
-) -> float:
+def tilt_exponent(p: ProbabilityVector, k: int, z: float, r: float, b: float) -> float:
     """Value of the tilted exponent k ln(k/(rne)) - b ln z + sum ln(1 + z(e^{np_j r}-1)).
 
     Each product term is evaluated as a + ln(e^{-a} + z(1 - e^{-a})), a = np_j r:
@@ -74,10 +72,10 @@ def tilt_exponent(
     """
     if z <= 0.0 or r <= 0.0:
         raise ValueError("z and r must be positive")
-    return float(_tilt_system(*_groups(p), k, z, r, b)[5])
+    return float(_tilt_system(*_groups(p, k), k, z, r, b)[5])
 
 
-def tilt_center(p: ProbabilityVector | np.ndarray, k: int) -> float:
+def tilt_center(p: ProbabilityVector, k: int) -> float:
     """The next-count value at which the stationary system is solved by (1, k/n)."""
     return occupancy_proxy(p, k)
 
@@ -89,12 +87,14 @@ def _total(x, cnt):
     return (x * cnt).sum(-1)
 
 
-def _groups(p: ProbabilityVector | np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The distinct positive weights of p, increasing, the count of boxes
-    that hold each, and n: zero weights add nothing to any tilt sum."""
-    w = _weights(p)
-    w_pos, cnt = np.unique(w[w > 0.0], return_counts=True)
-    return w_pos, cnt, w.size
+def _groups(p: ProbabilityVector, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The positive levels of p, increasing, their box counts and n (zero weights add
+    nothing to any tilt sum), for a ball count k >= 1: else ValueError."""
+    if not k >= 1:  # a NaN k fails too
+        raise ValueError(f"need a ball count k >= 1, got k={k}")
+    w, cnt = p.levels
+    pos = int(w[0] == 0.0)  # zero is the least level when present
+    return w[pos:], cnt[pos:], p.n
 
 
 def _tilt_system(w, cnt, n: int, k: int, z, r, b):
@@ -230,7 +230,7 @@ def _solve_tilts(w_pos: np.ndarray, cnt: np.ndarray, n: int, k: int, b) -> list:
     return out
 
 
-def solve_tilt(p: ProbabilityVector | np.ndarray, k: int, b: float) -> TiltPoint:
+def solve_tilt(p: ProbabilityVector, k: int, b: float) -> TiltPoint:
     """Solve the stationary system at next-count b as two nested 1-D roots.
 
     Only the n+ positive weights take part.  With a_j = n p_j r and
@@ -244,12 +244,12 @@ def solve_tilt(p: ProbabilityVector | np.ndarray, k: int, b: float) -> TiltPoint
     back to bisection.  A solve stands when |z h_z| <= 1e-12 max(b, 1) and
     |r h_r| <= 1e-12 k.
 
-    Raises ValueError for b <= 0 or a non-finite b, and TiltSolveError (with
-    finite residuals) when b >= min(k, n+), where no stationary point exists,
-    when z or r would leave the float range, or when the solved point misses
-    the rule above.
+    Raises ValueError for k < 1, b <= 0 or a non-finite b, and TiltSolveError
+    (with finite residuals) when b >= min(k, n+), where no stationary point
+    exists, when z or r would leave the float range, or when the solved point
+    misses the rule above.
     """
-    (pt,) = _solve_tilts(*_groups(p), k, [b])
+    (pt,) = _solve_tilts(*_groups(p, k), k, [b])
     if isinstance(pt, Exception):
         raise pt
     return pt
@@ -314,22 +314,22 @@ class CurvatureReport:
         )
 
 
-def curvature_report(p: ProbabilityVector | np.ndarray, k: int, b_grid) -> CurvatureReport:
+def curvature_report(p: ProbabilityVector, k: int, b_grid) -> CurvatureReport:
     """Check the exponent's slope, concavity, and Hessian sign on a b grid.
 
     At each solvable grid point: (i) the central difference of the solved
     exponent matches -ln z to 1e-4 relative to max(|ln z|, 0.01); (ii) the
     second central difference is at most -1/k + 1e-6; (iii) the Hessian
     determinant in (z, r) is positive.  Unsolvable points are skipped and
-    reported, not fatal.  The difference step is 0.0002*k, cut to
-    0.004*min(b, k - b) near the ends, where the exponent bends faster:
-    small enough that truncation stays inside the slope tolerance at every
-    scale tested.  Points within 1e-9*k of an end are skipped, since a step
-    that short is below the solver's precision.  The targets b and b +- step
-    of every other point are solved as one batch, and the exponent and
-    Hessian are evaluated over the distinct weights, batched across points.
+    reported, not fatal; a k below 1 raises ValueError.  The difference
+    step is 0.0002*k, cut to 0.004*min(b, k - b) near the ends, where the
+    exponent bends faster: small enough that truncation stays inside the
+    slope tolerance at every scale tested.  Points within 1e-9*k of an end
+    are skipped, since a step that short is below the solver's precision.
+    The targets b and b +- step of every other point are solved as one
+    batch, as are the exponent and Hessian over the positive levels.
     """
-    w_pos, cnt, n = _groups(p)
+    w_pos, cnt, n = _groups(p, k)
     grid = [float(b) for b in b_grid]
     gaps = [min(b, k - b) for b in grid]
     at_end = [0.0 <= gap < _FD_MIN_GAP * k for gap in gaps]

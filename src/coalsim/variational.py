@@ -107,7 +107,7 @@ def minimize_proxy_fixed_c2(n: int, c2: float, k: float) -> tuple[ProbabilityVec
 
 def minimize_proxy_fixed_c2_c3(
     n: int, c2: float, c3: float, k: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[ProbabilityVector, float]:
     """The smallest decline proxy at k on the fixed-(c2, c3) slice, and a vector there.
 
     Scans three_level(n - z, c2, c3, nu) padded with z zeros over every pair
@@ -119,13 +119,14 @@ def minimize_proxy_fixed_c2_c3(
     for z in range(n - 2):
         for nu in range(1, n - z - 1):
             try:
-                w = three_level(n - z, c2, c3, nu).weights
+                q = three_level(n - z, c2, c3, nu)
             except DistributionError:
                 continue
-            w = np.concatenate((w, np.zeros(z)))
-            f = float(empty_boxes_proxy(w, k))  # as proxy_ordering sums it
+            if z:  # padding rescales; q unpadded is proxy_ordering's vector bit for bit
+                q = ProbabilityVector(np.concatenate((q.weights, np.zeros(z))))
+            f = float(empty_boxes_proxy(q, k))  # as proxy_ordering sums it
             if f < best_f:
-                best, best_f = w, f
+                best, best_f = q, f
     if best is None:
         raise DistributionError(f"no feasible three-level shape for n={n}, c2={c2}, c3={c3}")
     return best, best_f
@@ -204,8 +205,6 @@ def middle_pair_excess(x1: float, x: float, x4: float) -> float:
     )
 
 
-def level_count(weights: np.ndarray) -> int:
-    """Number of distinct weight levels: sorted neighbours more than 1e-6
-    apart start a new level."""
-    w = np.sort(np.asarray(weights, dtype=float))
-    return int(1 + (np.diff(w) > 1e-6).sum())
+def level_count(p: ProbabilityVector) -> int:
+    """Number of levels of p at resolution 1e-6: distinct weights more than 1e-6 apart."""
+    return int(1 + (np.diff(p.levels[0]) > 1e-6).sum())

@@ -263,6 +263,28 @@ class TestBoundsCommand:
         assert all(skipped.values())
 
 
+class TestLevelsFoundOnce:
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("dynamics", {"distribution": {"family": "topheavy", "n": 10_000, "c2": 0.01}}),
+            ("bounds", {"distribution": {"family": "topheavy", "n": 1000, "c2": 0.02}, "k": 300}),
+        ],
+    )
+    def test_one_unique_per_job(self, tmp_path, monkeypatch, command, config):
+        # every layer reads the vector's one levels table
+        calls, unique = [], np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(len(args))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        cfg = write_config(tmp_path, "job.json", config)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert len(calls) == 1
+
+
 class TestExperimentsCommands:
     def test_limit_small(self, tmp_path):
         cfg = write_config(

@@ -14,6 +14,18 @@ from coalsim.distributions import (
     topheavy,
     uniform,
 )
+from coalsim.dynamics import empty_boxes_proxy
+from coalsim.tail_bounds import _groups
+
+# zeros, ties, a weight of 1e-300 and subnormals, among ordinary weights
+_ODD_WEIGHTS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 0.125, 0.5]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=2,
+    max_size=40,
+).filter(lambda ws: sum(ws) > 0.0)
 
 
 class TestConstruction:
@@ -77,6 +89,44 @@ class TestConstruction:
         p = topheavy(6, 0.3)
         groups = p.grouped()
         assert [c for _, c in groups] == [1, 5]
+
+    def test_grouped_leaves_out_zeros(self):
+        p = ProbabilityVector([0.5, 0.0, 0.25, 0.25, 0.0])
+        assert p.grouped() == [(0.5, 1), (0.25, 2)]
+
+
+class TestLevels:
+    @settings(max_examples=200, deadline=None)
+    @given(_ODD_WEIGHTS)
+    def test_table_and_its_readers_match_fresh_unique(self, ws):
+        p = ProbabilityVector(ws, normalize=True)
+        values, counts = np.unique(p.weights, return_counts=True)
+        got_values, got_counts = p.levels
+        assert got_values.tobytes() == values.tobytes()
+        assert np.array_equal(got_counts, counts) and got_counts.dtype == counts.dtype
+        assert not got_values.flags.writeable and not got_counts.flags.writeable
+        assert p.levels is p.levels
+        # each reader against the formula it used on the raw weights
+        assert p.grouped() == [
+            (float(v), int(c)) for v, c in zip(values[::-1], counts[::-1]) if v > 0.0
+        ]
+        w = p.weights
+        w_pos, cnt = np.unique(w[w > 0.0], return_counts=True)
+        g_pos, g_cnt, n = _groups(p, 1)
+        assert g_pos.tobytes() == w_pos.tobytes() and np.array_equal(g_cnt, cnt) and n == p.n
+        ks = np.array([0.0, 0.5, 3.0, 1e3, 1e300])
+        want = np.exp(-np.multiply.outer(ks, values)) @ counts
+        assert empty_boxes_proxy(p, ks).tobytes() == want.tobytes()
+        one = np.exp(-np.multiply.outer(ks[2:3], values)) @ counts  # a scalar k is one row
+        assert empty_boxes_proxy(p, 3.0) == one[0]
+
+    def test_table_is_read_only(self):
+        values, counts = ProbabilityVector([0.5, 0.25, 0.25, 0.0]).levels
+        assert values.tolist() == [0.0, 0.25, 0.5] and counts.tolist() == [1, 2, 1]
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        with pytest.raises(ValueError):
+            counts[0] = 2
 
 
 class TestMoments:
@@ -340,3 +390,18 @@ class TestDescriptors:
     def test_missing_family_rejected(self):
         with pytest.raises(DistributionError):
             from_descriptor({"n": 3})
+
+    @pytest.mark.parametrize(
+        "desc, key",
+        [
+            ({"family": "uniform", "n": 5, "c2": 0.2}, "c2"),
+            ({"family": "topheavy", "n": 100, "c2": 0.05, "c3": 0.004}, "c3"),
+            ({"family": "three_level", "n": 4, "c2": 0.4, "c3": 0.1, "nu": 2, "weights": []},
+             "weights"),
+            ({"family": "explicit", "weights": [2, 2], "normalise": True}, "normalise"),
+        ],
+    )
+    def test_key_the_family_does_not_read_rejected(self, desc, key):
+        family = desc["family"]
+        with pytest.raises(DistributionError, match=f"unknown key '{key}' for family '{family}'"):
+            from_descriptor(desc)

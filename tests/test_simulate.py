@@ -422,6 +422,11 @@ class TestFirstPassages:
         with pytest.raises(ValueError):
             SimConfig(p=uniform(5), passage_thresholds=(0.2,))
 
+    def test_nan_threshold_rejected(self):
+        # NaN < 1 is False, so a range check written as th < 1 lets NaN through
+        with pytest.raises(ValueError, match="at least 1"):
+            SimConfig(p=uniform(20), replicates=3, passage_thresholds=(math.nan,))
+
     @pytest.mark.parametrize(
         "p, early", [(topheavy(1000, 0.01), True), (uniform(1000), False)],
         ids=["topheavy1000", "uniform1000"],

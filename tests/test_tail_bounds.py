@@ -64,6 +64,11 @@ class TestTiltExponent:
         with pytest.raises(ValueError):
             tilt_exponent(uniform(3), 2, 0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("k", [0, -3, math.nan])
+    def test_ball_count_validation(self, k):
+        with pytest.raises(ValueError, match="ball count k >= 1"):
+            tilt_exponent(uniform(20), k, 1.0, 1.0, 1.0)
+
 
 class TestSolveTilt:
     def test_center_is_closed_form(self):
@@ -147,6 +152,12 @@ class TestSolveTilt:
         for b in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 solve_tilt(uniform(20), 10, b)
+
+    @pytest.mark.parametrize("k", [0, -3, math.nan])
+    def test_ball_count_validation(self, k):
+        # k = 0 once reached math.log(k) and raised "math domain error"
+        with pytest.raises(ValueError, match="ball count k >= 1"):
+            solve_tilt(uniform(20), k, 1.0)
 
     def test_nonfinite_target_rejected(self):
         # +inf once reached the solver and raised TiltSolveError with an
@@ -332,7 +343,7 @@ class TestBatchedSolve:
         k = 1 + round(k_frac * (n - 1))
         top = min(k, int((p.weights > 0.0).sum()))
         grid = [f * top for f in b_fracs]
-        for b, got in zip(grid, _solve_tilts(*_groups(p), k, grid)):
+        for b, got in zip(grid, _solve_tilts(*_groups(p, k), k, grid)):
             try:
                 one = solve_tilt(p, k, b)
             except (ValueError, TiltSolveError) as err:
@@ -523,6 +534,11 @@ class TestCurvatureReport:
         report = curvature_report(p, k, [tilt_center(p, k), 40.0])
         assert len(report.points) == 1
         assert len(report.skipped) == 1
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_ball_count_validation(self, k):
+        with pytest.raises(ValueError, match="ball count k >= 1"):
+            curvature_report(uniform(20), k, [1.0])
 
 
 class TestCoalescenceTimeLowerBound:

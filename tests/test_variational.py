@@ -184,7 +184,7 @@ class TestMinimizeFixedC2:
         f_top = empty_boxes_proxy(topheavy(n, c2), float(n))
         assert abs(f - f_top) <= 1e-12 * f_top
         assert f == pytest.approx(expected, rel=1e-8)
-        assert level_count(q.weights) == 2
+        assert level_count(q) == 2
 
 
 class TestSearchInternals:
@@ -248,7 +248,8 @@ class TestMinimizeFixedC2C3:
     def test_walker_stays_on_slice(self):
         base = ProbabilityVector([0.35, 0.25, 0.2, 0.12, 0.08])
         m = base.moments()
-        w, _ = minimize_proxy_fixed_c2_c3(5, m.c2, m.c3, 4.0)
+        q, _ = minimize_proxy_fixed_c2_c3(5, m.c2, m.c3, 4.0)
+        w = q.weights
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
         assert (w**2).sum() == pytest.approx(m.c2, abs=1e-10)
         assert (w**3).sum() == pytest.approx(m.c3, abs=1e-10)
@@ -260,8 +261,8 @@ class TestMinimizeFixedC2C3:
             for _ in range(5):
                 p = ProbabilityVector(rng.dirichlet(np.full(n, 0.7)), normalize=True)
                 m = p.moments()
-                w, f = minimize_proxy_fixed_c2_c3(n, m.c2, m.c3, 5.0)
-                assert f == empty_boxes_proxy(w, 5.0)
+                q, f = minimize_proxy_fixed_c2_c3(n, m.c2, m.c3, 5.0)
+                assert f == empty_boxes_proxy(q, 5.0)
                 rep = proxy_ordering(p, 5.0)
                 assert rep.f_three
                 assert all(f <= v for v in rep.f_three.values())
@@ -283,14 +284,15 @@ class TestMinimizeFixedC2C3:
         q, f = minimize_proxy_fixed_c2_c3(w.size, c2, c3, k)
         assert f <= walk * (1.0 + 1e-14)
         assert f >= _best_three_level(w.size, c2, c3, k) * (1.0 - 1e-12)
-        assert abs(q @ q - c2) <= 1e-12 * c2
-        assert abs((q**3).sum() - c3) <= 1e-12 * c3
+        v = q.weights
+        assert abs(v @ v - c2) <= 1e-12 * c2
+        assert abs((v**3).sum() - c3) <= 1e-12 * c3
 
     def test_three_boxes_return_their_one_shape(self):
         w = np.array([0.5, 0.3, 0.2])
         c2, c3 = float(w @ w), float((w**3).sum())
         q, f = minimize_proxy_fixed_c2_c3(3, c2, c3, 4.0)
-        assert q == pytest.approx(w, abs=1e-12)
+        assert q.weights == pytest.approx(w, abs=1e-12)
         assert f == empty_boxes_proxy(q, 4.0)
 
     def test_no_feasible_shape_raises(self):
@@ -332,6 +334,6 @@ class TestProxyOrdering:
 
 class TestLevelCount:
     def test_counts_clusters(self):
-        assert level_count(np.array([0.4, 0.4, 0.15, 0.05])) == 3
-        assert level_count(uniform(9).weights) == 1
-        assert level_count(np.array([0.5, 0.5 - 1e-9, 1e-9, 0.0])) == 2
+        assert level_count(ProbabilityVector([0.4, 0.4, 0.15, 0.05])) == 3
+        assert level_count(uniform(9)) == 1
+        assert level_count(ProbabilityVector([0.5, 0.5 - 1e-9, 1e-9, 0.0])) == 2
