@@ -20,8 +20,11 @@ runner is ``scripts/bench_simulate.py``'s ``main``).
   same three keys hold two-level vectors at c2 = 1/ln^3 n, with 390 heavy
   boxes at n = 1e4 and 16 at n = 1e5; a tree that raises on a vector records
   the error text in place of its time;
-- ``kernel_csv_entries_per_s``: ``write_kernel_csv`` of a built kernel at
-  n = 200, n (n + 1) / 2 entries, best of 5;
+- ``kernel_csv_entries_per_s``: ``write_kernel_csv`` of a built kernel,
+  n (n + 1) / 2 entries, best of 5: uniform and topheavy at n = 200, uniform
+  at n = 1000, where most entries lie outside their row's band, and a
+  Dirichlet(1) vector at n = 200, whose box-pass rows are whole, so no entry
+  is an out-of-band zero;
 - ``row_pass_s``: all rows of a new ``TriangularKernel`` for the grouped
   vectors of perfbench's ``exact`` workload (uniform n = 200, topheavy n = 160
   at c2 = 0.05, three-level n = 120 with three heavy boxes), best of 20, and
@@ -163,11 +166,13 @@ def _child(src: str) -> dict:
         _expected_time(cs, out, f"two_level_h{heavy}_n{n}", _two_level(cs, n, heavy))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "kernel.csv")
-        for family, p in _vectors(cs, 200).items():
+        dumps = {f"{family}_n200": p for family, p in _vectors(cs, 200).items()}
+        dumps.update(uniform_n1000=cs.uniform(1000), dirichlet_n200=_dirichlet(cs, 200))
+        for key, p in dumps.items():
             kernel = cs.TriangularKernel(p)
             kernel.row(p.n)
             secs = _best(lambda: exact_chain.write_kernel_csv(kernel, path), 5)
-            out["kernel_csv_entries_per_s"][f"{family}_n200"] = 200 * 201 / 2 / secs
+            out["kernel_csv_entries_per_s"][key] = p.n * (p.n + 1) / 2 / secs
     heavy = [0.08 / 3] * 3 + [0.02]
     jobs = {
         "uniform_n200": cs.uniform(200),

@@ -1,5 +1,7 @@
 """The one CSV format of coalsim's output: a header line, then lines of
-float64 values, each cell byte for byte Python's "%.17g" of its value."""
+float64 values, each cell byte for byte Python's "%.17g" of its value.  The
+kernel dump's lines print their counts and exact zeros from constant words
+and send only the other values down _slots's 17-digit path."""
 
 import functools
 
@@ -14,7 +16,7 @@ import numpy as np
 _E_LO, _E_HI = -281, 281  # floor(log10|x|) for 1e-280 <= |x| < 1e280, give or take one
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
 _CHUNK_START = np.array([1, 5, 9, 13])  # the first digit of each chunk of words 1-4
-_BLOCK_CELLS = 2048  # cells per block: their temporaries stay under about 0.5 MB
+_BLOCK_CELLS = 2048  # cells per _slots call (under 0.5 MB); dump rows group by start line // it
 
 
 def _split(a):
@@ -63,8 +65,8 @@ def _g17_tables() -> tuple:
     )
 
 
-def _g17(block: np.ndarray) -> bytes:
-    """The CSV lines of a 2-D float64 block, byte for byte those of "%.17g".
+def _slots(x: np.ndarray) -> np.ndarray:
+    """The six words of each value's slot in a 1-D float64 array, ',' last.
 
     For 1e-280 <= |x| < 1e280, e = floor(log10|x|) and the 17 digits are
     y = |x| * 10**(16 - e) rounded to an integer, with y a double-double from
@@ -75,8 +77,6 @@ def _g17(block: np.ndarray) -> bytes:
     hi, hi_h, hi_l, lo, pre, post, dot_after, min_keep, quads, last, lead, masks, sign = (
         _g17_tables()
     )
-    cols = block.shape[1]
-    x = block.ravel()
     a = np.abs(x)
     ok = (a >= 1e-280) & (a < 1e280)
     a = np.where(ok, a, 1.0)  # the layout of e = 0, which a zero takes
@@ -102,7 +102,6 @@ def _g17(block: np.ndarray) -> bytes:
     words[:, 1:5] = (quads[chunks] & np.take(masks, keep, axis=1)).T
     words[:, 5] = post[i]
     text = words.view(np.uint8)
-    text[cols - 1 :: cols, 47] = ord("\n")
     dot = dot_after[i]
     cell = np.flatnonzero(nd > dot + 1)
     text.ravel()[cell * 48 + 7 + 2 * dot[cell]] = ord(".")
@@ -110,7 +109,19 @@ def _g17(block: np.ndarray) -> bytes:
         s = b"%.17g" % x[c]
         text[c, :47] = 0
         text[c, : len(s)] = np.frombuffer(s, np.uint8)
+    return words
+
+
+def _g17(block: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D float64 block, byte for byte those of "%.17g"."""
+    cols = block.shape[1]
+    text = _slots(block.ravel()).view(np.uint8)
+    text[cols - 1 :: cols, 47] = ord("\n")
     return text.tobytes().translate(None, b"\0")  # 5x faster than a != 0 mask
+
+
+# the word of "%d," for 0..size-1, which is "%.17g" of a whole float: counts below 10**7
+_count_words = functools.cache(lambda size: _words(b"%d," % c for c in range(size)))
 
 
 def write_csv(path, header: list[str], blocks) -> None:
@@ -122,3 +133,30 @@ def write_csv(path, header: list[str], blocks) -> None:
             step = max(_BLOCK_CELLS // block.shape[1], 1)
             for start in range(0, len(block), step):
                 fh.write(_g17(block[start : start + step]))
+
+
+def write_triangle(path, header: list[str], bands) -> None:
+    """Write a header line, then the lines "k,b,v" of b = 1..k for k = 1..n,
+    where row k's band in the list bands is (lo, band): v = band[b - lo] inside
+    it, 0 outside.  Rows go in groups, by the _BLOCK_CELLS lines they start in,
+    of eight words a line: those of k and b, then "0\n" and five NULs for an
+    exact 0.0 or v's slot, so only nonzero band values take _slots's path."""
+    counts = _count_words(1 << len(bands).bit_length())
+    k = np.arange(1, len(bands) + 1)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for ks in np.split(k, np.flatnonzero(np.diff(k * (k - 1) // 2 // _BLOCK_CELLS)) + 1):
+            starts = np.cumsum(ks) - ks
+            lines = np.zeros((starts[-1] + ks[-1], 8), np.uint64)
+            lines[:, 0] = np.repeat(counts[ks], ks)
+            lines[:, 1] = counts[np.arange(1, len(lines) + 1) - np.repeat(starts, ks)]
+            lines[:, 2] = _words([b"0\n"])[0]
+            column = np.zeros(len(lines))
+            for start, (lo, band) in zip(starts.tolist(), bands[ks[0] - 1 : ks[-1]]):
+                first = max(lo, 1)  # count 0 is not written
+                column[start + first - 1 : start + lo + band.size - 1] = band[first - lo :]
+            at = np.flatnonzero(column.view(np.uint64))  # all but +0.0: -0.0 prints as -0
+            for j in range(0, at.size, _BLOCK_CELLS):
+                lines[at[j : j + _BLOCK_CELLS], 2:] = _slots(column[at[j : j + _BLOCK_CELLS]])
+            lines.view(np.uint8)[at, 63] = ord("\n")
+            fh.write(lines.tobytes().translate(None, b"\0"))

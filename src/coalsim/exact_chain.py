@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._tables import _BLOCK_CELLS, write_csv
+from ._tables import write_triangle
 from .distributions import ProbabilityVector
 
 __all__ = [
@@ -405,27 +405,7 @@ def phase_decomposition(
 
 
 def write_kernel_csv(kernel: TriangularKernel, path) -> None:
-    """Dump all rows as k,b,prob lines for external validation.
-
-    Float blocks of (k, b, prob) lines are built from the bands the kernel
-    holds, as many rows as fit in one _g17 call or one row that alone holds
-    more, and go to the one CSV writer: each cell is "%.17g" of its value, so
-    k and b print as whole numbers and entries outside a row's band as 0.
-    """
-
-    def blocks():
-        k, n, most = 1, kernel.n, _BLOCK_CELLS // 3
-        while k <= n:
-            ks = np.arange(k, min(k + most, n + 1))
-            ks = ks[: max(np.searchsorted(np.cumsum(ks), most, "right"), 1)]
-            starts = np.cumsum(ks) - ks  # the line of (k, 1)
-            block = np.zeros((starts[-1] + ks[-1], 3))
-            block[:, 0] = np.repeat(ks, ks)
-            block[:, 1] = np.arange(1, len(block) + 1) - np.repeat(starts, ks)
-            for start, (lo, band, _) in zip(starts.tolist(), kernel._bands[k - 1 : ks[-1]]):
-                first = max(lo, 1)  # count 0 is not written
-                block[start + first - 1 : start + lo + band.size - 1, 2] = band[first - lo :]
-            yield block
-            k = ks[-1] + 1
-
-    write_csv(path, ["k", "b", "prob"], blocks())
+    """Dump all rows as k,b,prob lines for external validation, by the one dump
+    writer from the bands the kernel holds: each cell is "%.17g" of its value,
+    and k, b and the 0 of entries outside a row's band print from fixed words."""
+    write_triangle(path, ["k", "b", "prob"], [(lo, band) for lo, band, _ in kernel._bands])

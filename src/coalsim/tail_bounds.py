@@ -256,6 +256,8 @@ def solve_tilt(p: ProbabilityVector, k: int, b: float) -> TiltPoint:
 
 
 def _chernoff_exponent(p, k: int, b: float, upper: bool) -> float:
+    if not k >= 1:  # a NaN k fails too
+        raise ValueError(f"need a ball count k >= 1, got k={k}")
     center = tilt_center(p, k)
     gap = (b - center) if upper else (center - b)
     if gap < -1e-9:

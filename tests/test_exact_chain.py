@@ -33,7 +33,7 @@ from coalsim.exact_chain import (
     uniform_row_exact,
     write_kernel_csv,
 )
-from coalsim import exact_chain
+from coalsim import _tables, exact_chain
 from coalsim.exact_chain import _box_rows, _occupancy_groups
 
 # 99.9% quantiles of the chi-square distribution by degrees of freedom
@@ -677,6 +677,15 @@ class TestChiSquareConsistency:
         assert stat < CHI2_999[k - 1]
 
 
+def one_format_per_entry(kernel) -> bytes:
+    """The reference kernel dump: one "%d,%d,%.17g" line per entry of each dense row."""
+    lines = [b"k,b,prob\n"]
+    for k in range(1, kernel.n + 1):
+        probs = kernel.row(k).probs
+        lines += [b"%d,%d,%.17g\n" % (k, b, probs[b]) for b in range(1, k + 1)]
+    return b"".join(lines)
+
+
 class TestKernelCsv:
     def test_export_roundtrip(self, tmp_path):
         kernel = TriangularKernel(uniform(4))
@@ -690,17 +699,44 @@ class TestKernelCsv:
         assert float(prob) == 1.0
 
     def test_rows_written_as_formatted_entries(self, tmp_path):
-        # the bytes of one f-string per entry, on both routes
+        # the bytes of one format per entry, on both routes
         rng = np.random.default_rng(40)
-        for p in (topheavy(30, 0.1), three_level_shape(25, 0.1, 0.03, 2), random_vector(rng, 12)):
+        for p in (
+            topheavy(30, 0.1),
+            three_level_shape(25, 0.1, 0.03, 2),
+            random_vector(rng, 12),
+            *(uniform(n) for n in (2, 9, 10, 11, 99, 100, 101, 1000)),  # every digit-count edge
+            topheavy(60, 0.999),  # narrow bands
+            three_level_shape(40, 0.1, 0.03, 3),
+            ProbabilityVector([0.5, 0.5, 0.0, 0.0]),  # zero weights
+            random_vector(rng, 40),  # the box route: whole bands
+        ):
             kernel = TriangularKernel(p)
             path = tmp_path / "kernel.csv"
             write_kernel_csv(kernel, path)
-            want = ["k,b,prob\n"]
-            for k in range(1, p.n + 1):
-                probs = kernel.row(k).probs
-                want += [f"{k},{b},{probs[b]:.17g}\n" for b in range(1, k + 1)]
-            assert path.read_bytes() == "".join(want).encode()
+            assert path.read_bytes() == one_format_per_entry(kernel)
+
+    @pytest.mark.parametrize("cells", [1, 5, 64])
+    def test_bytes_match_across_many_groups(self, tmp_path, cells):
+        # groups of a few lines, each row in a group of its own, and more band
+        # values in a group than one 17-digit batch holds
+        kernel = TriangularKernel(topheavy(50, 0.1))
+        path = tmp_path / "kernel.csv"
+        with mock.patch.object(_tables, "_BLOCK_CELLS", cells):
+            write_kernel_csv(kernel, path)
+        assert path.read_bytes() == one_format_per_entry(kernel)
+
+    def test_negative_zero_and_non_finite_band_values(self, tmp_path):
+        # only +0.0 is the fixed "0" word: -0.0 and the values that % prints
+        # take the 17-digit path, and count 0 of a band at lo = 0 is not written
+        bands = [
+            (1, np.array([1.0])),
+            (1, np.array([-0.0, 0.0])),
+            (0, np.array([7.0, math.nan, -math.inf, 0.0])),
+        ]
+        path = tmp_path / "triangle.csv"
+        _tables.write_triangle(path, ["k", "b", "v"], bands)
+        assert path.read_bytes() == b"k,b,v\n1,1,1\n2,1,-0\n2,2,0\n3,1,nan\n3,2,-inf\n3,3,0\n"
 
     def test_entries_outside_the_band_are_zero(self, tmp_path):
         n = 200

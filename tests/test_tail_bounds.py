@@ -433,6 +433,15 @@ class TestChernoffBounds:
         with pytest.raises(ValueError):
             chernoff_upper_tail(p, 5, center - 1.0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "cap",
+        [chernoff_lower_tail, chernoff_lower_tail_log, chernoff_upper_tail, chernoff_upper_tail_log],
+    )
+    def test_ball_count_validation(self, cap, k):
+        with pytest.raises(ValueError, match="ball count k >= 1"):
+            cap(uniform(20), k, 1.0)
+
     def test_dominates_exact_tails_small_instances(self):
         rng = np.random.default_rng(61)
         vectors = [uniform(8), topheavy(8, 0.25)] + [
