@@ -3,13 +3,14 @@
 Run from the repository root, naming the two directories that hold a
 ``coalsim`` package::
 
-    python3 scripts/compare_outputs.py /path/to/parent/src src --seed 1
+    python3 scripts/compare_outputs.py /path/to/parent/src src --seed 1 --seed 2
 
-Every job of every workload in ``perfbench/workloads.py``, built at ``--seed``
-(default 1), runs through each tree's ``cli.main`` in a child process that
-imports ``coalsim`` from that tree only.  The script prints every output file
-whose sha256 differs (or that one tree alone wrote) and every job whose exit
-code differs, then exits 1 if there is any such difference and 0 otherwise.
+Every job of every workload in ``perfbench/workloads.py``, built at each
+``--seed`` (repeat it for several; default 1 and 2), runs through each tree's
+``cli.main`` in a child process that imports ``coalsim`` from that tree only.
+The script prints every output file whose sha256 differs (or that one tree
+alone wrote) and every job whose exit code differs, each under its seed, then
+exits 1 if there is any such difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -64,36 +65,44 @@ def _digests(out: Path) -> dict[str, str]:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent_src", type=Path, help="directory holding the parent's coalsim")
-    parser.add_argument("change_src", type=Path, help="directory holding the change's coalsim")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed")
-    args = parser.parse_args(argv)
-    for src in (args.parent_src, args.change_src):
-        if not (src / "coalsim" / "__init__.py").is_file():
-            parser.error(f"{src} holds no coalsim package")
+def _compare(parent: Path, change: Path, seed: int) -> int:
+    """Print each difference between the two trees' outputs at seed, and a
+    summary line; return the number of differences."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         jobs = {}
         for workload in workloads.WORKLOADS:
-            job_list = workloads.build(workload, args.seed)
+            job_list = workloads.build(workload, seed)
             jobs[workload] = (workloads.write_configs(job_list, work / "configs" / workload), job_list)
         codes, digests = [], []
-        for label, src in (("parent", args.parent_src), ("change", args.change_src)):
+        for label, src in (("parent", parent), ("change", change)):
             codes.append(_run_tree(src, jobs, work / label))
             digests.append(_digests(work / label))
     differ = 0
     for key, code in codes[0].items():
         if code != codes[1][key]:
-            print(f"exit code differs: {'/'.join(key)}: parent {code}, change {codes[1][key]}")
+            print(f"seed {seed}: exit code differs: {'/'.join(key)}: parent {code}, change {codes[1][key]}")
             differ += 1
     for name in sorted(set(digests[0]) | set(digests[1])):
         if digests[0].get(name) != digests[1].get(name):
-            print(f"sha256 differs: {name}")
+            print(f"seed {seed}: sha256 differs: {name}")
             differ += 1
     failed = sum(code != 0 for code in codes[1].values())
-    print(f"{len(digests[1])} output files, {failed} failed jobs, {differ} differences")
+    print(f"seed {seed}: {len(digests[1])} output files, {failed} failed jobs, {differ} differences")
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path, help="directory holding the parent's coalsim")
+    parser.add_argument("change_src", type=Path, help="directory holding the change's coalsim")
+    parser.add_argument("--seed", type=int, action="append",
+                        help="workload seed; repeat for several (default: 1 and 2)")
+    args = parser.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (src / "coalsim" / "__init__.py").is_file():
+            parser.error(f"{src} holds no coalsim package")
+    differ = sum(_compare(args.parent_src, args.change_src, seed) for seed in args.seed or (1, 2))
     return 1 if differ else 0
 
 

@@ -1,5 +1,5 @@
 """Desk-scale experiments: the limit law of the normalized coalescence time,
-the slow-distribution threshold sweep, and the exact early-phase passage times.
+the slow-distribution threshold sweep, and exact early-phase passages and breaches.
 
 Acceptance bands used by callers are finite-n proxies for limiting claims and
 are documented as such in the emitted reports.
@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import ProbabilityVector, topheavy, uniform
-from .dynamics import early_threshold, late_threshold
-from .exact_chain import phase_decomposition
+from .dynamics import early_threshold, late_threshold, one_step_envelope
+from .exact_chain import _back_substitute, _bands, phase_decomposition
 from .simulate import SimConfig, replicate_rng, runs
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "threshold_experiment",
     "EarlyPhaseResult",
     "early_phase_experiment",
+    "expected_envelope_violations",
     "LAMBDA_RULES",
 ]
 
@@ -199,3 +200,17 @@ def early_phase_experiment(n: int, eps: float) -> EarlyPhaseResult:
         mean_middle=phases.middle,
         middle_ratio=phases.middle * c2,
     )
+
+
+def expected_envelope_violations(p: ProbabilityVector, eps: float) -> tuple[float, float]:
+    """Expected rounds from n balls that start at k >= early_threshold(c2, n, eps) and
+    end strictly above one_step_envelope(p, k), by first-step analysis (Norris) with
+    row k's mass above it, a stay included, as the reward per round; and the mass the
+    banded rows dropped, which bounds how far each row's mass above it falls short."""
+    n = p.n
+    k_star, cap = early_threshold(p.moments().c2, n, eps), one_step_envelope(p, np.arange(n + 1.0))
+    r = np.zeros(n + 1)
+    for k, (lo, band, dropped) in enumerate(_bands(p, n), start=1):
+        if k >= k_star:  # counts from floor(cap) + 1 up lie strictly above it
+            r[k] = band[max(math.floor(cap[k]) + 1 - lo, 0) :].sum()
+    return float(_back_substitute(p, r[:, None])[n, 0]), dropped

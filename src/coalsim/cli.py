@@ -381,7 +381,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (DistributionError, ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy raises some MemoryErrors with no message: name the error then
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     if not args.quiet:
         print(summary)

@@ -244,15 +244,18 @@ def sample_fixed_c2_batch(
     toward the uniform vector (when its sum of squares is too high) or toward
     the point mass at its own largest coordinate (too low); the sum of squares
     is monotone along both segments, so the matching blend solves a scalar
-    quadratic per row.
+    quadratic per row.  Within 1e-12 of an end, c2 gives that end's one point
+    and draws nothing: the uniform vector at 1/n, the first box's point mass at 1.
     """
     if n < 2:
         raise DistributionError("n must be at least 2")
     lo = 1.0 / n
-    if c2 < lo * (1.0 - 1e-12) or c2 >= 1.0:
-        raise DistributionError(f"c2={c2!r} outside [1/n, 1) for n={n}")
+    if not lo * (1.0 - 1e-12) <= c2 <= 1.0 + 1e-12:  # topheavy's range; a NaN c2 fails too
+        raise DistributionError(f"c2={c2!r} outside [1/n, 1] for n={n}")
     if c2 <= lo * (1.0 + 1e-12):
         return np.full((size, n), lo)
+    if c2 >= 1.0 - 1e-12:
+        return np.eye(1, n).repeat(size, axis=0)
 
     q = rng.standard_exponential((size, n))
     q /= q.sum(axis=1, keepdims=True)

@@ -30,7 +30,8 @@ def empty_boxes_proxy(p: ProbabilityVector, k: Ks) -> Ks:
     """Sum of exp(-k * p_j): the smoothed count of boxes a k-ball round misses.
 
     k is a scalar (a float is returned) or an array (an array of its shape),
-    and the sum runs over p.levels: one exp per (k, level)."""
+    and the sum runs over p.levels: one exp per (k, level), each k's row summed
+    on its own, so that a value does not depend on how many k share the call."""
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("k must be nonnegative")
@@ -38,7 +39,7 @@ def empty_boxes_proxy(p: ProbabilityVector, k: Ks) -> Ks:
     flat, out = k.ravel(), np.empty(k.size)
     step = max((1 << 18) // levels.size, 1)  # k per block: bounded for distinct weights
     for i in range(0, flat.size, step):
-        out[i : i + step] = np.exp(-np.multiply.outer(flat[i : i + step], levels)) @ counts
+        out[i : i + step] = (np.exp(-np.multiply.outer(flat[i : i + step], levels)) * counts).sum(1)
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 

@@ -1,5 +1,5 @@
 """Seeded Monte Carlo engine for the coalescing allocation process: single
-rounds, trajectories with their first passages, and exact batch statistics.
+rounds, runs with their first passages, and exact batch statistics.
 Replicates run as lanes on replicate_rng(seed, i)'s PCG64 streams: rounds
 from 64 balls up one lane at a time, then the jump chains below in lockstep.
 A lane over equal boxes takes its rounds after the first from one block of
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import exact_chain
 from .distributions import ProbabilityVector
-from .dynamics import one_step_envelope
 
 __all__ = [
     "AliasTable",
@@ -31,7 +30,6 @@ __all__ = [
     "run",
     "runs",
     "batch",
-    "delta_audit",
     "replicate_rng",
 ]
 
@@ -287,7 +285,6 @@ class SimConfig:
     replicates: int = 1
     master_seed: int = 0
     b0: int | None = None  # defaults to n
-    record_trajectory: bool = False
     passage_thresholds: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -308,10 +305,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One trajectory: coalescence time, optional ball counts, first passages."""
+    """Coalescence time and first passages: count(t) <= c exactly when passage(c) <= t."""
 
     T: int
-    trajectory: np.ndarray | None
     passages: dict[float, int]
 
 
@@ -325,7 +321,7 @@ def _lanes(config: SimConfig, indices: range) -> list[RunResult]:
     p, b0, lanes = config.p, config.start_count, len(indices)
     (throw, equal), (rate, first, cum) = _route(p), _jump_rows(p)
     blocks, least = _block_rounds(equal, b0) if equal and b0 >= _VECTOR_MIN else (None, math.inf)
-    track = bool(config.passage_thresholds) or config.record_trajectory
+    track = bool(config.passage_thresholds)
     if not hasattr(_local, "rng"):
         _local.rng = np.random.Generator(np.random.PCG64(0))
     rng, jumps = _local.rng, min(b0, _VECTOR_MIN - 1) - 1
@@ -351,27 +347,23 @@ def _lanes(config: SimConfig, indices: range) -> list[RunResult]:
         ks[:, col] = b
         b = (cum[b, : top - 1] <= u[:, 2 * col + 1, None]).sum(1) + first[b]  # row 1 keeps 1
     hold = np.where(ks[:, :-1] > 1, _holding(u[:, 0::2], rate[ks[:, :-1]]), 0)
+    times = (t + hold.sum(1)).tolist()
     if not track:
-        return [RunResult(T, None, {}) for T in (t + hold.sum(1)).tolist()]
+        return [RunResult(T, {}) for T in times]
     width = max(map(len, above))  # each lane's (t, b) history, its start repeated ahead
     seq = np.array([c[:1] * (width - len(c)) + c for c in above])
     reached = np.cumsum(np.c_[t, hold], axis=1)  # when each count of ks is reached
     seq = np.concatenate([seq, np.stack([reached, ks], axis=2)], axis=1)
     ths = sorted(set(config.passage_thresholds), reverse=True)
     at = [seq[np.arange(lanes), (seq[..., 1] <= th).argmax(1), 0].tolist() for th in ths]
-    return [
-        RunResult(T, np.repeat(seq[i, :, 1], np.diff(seq[i, :, 0], append=T + 1))
-                  if config.record_trajectory else None, {th: a[i] for th, a in zip(ths, at)})
-        for i, T in enumerate(seq[:, -1, 0].tolist())
-    ]
+    return [RunResult(T, {th: a[i] for th, a in zip(ths, at)}) for i, T in enumerate(times)]
 
 
 def run(config: SimConfig, replicate_index: int, *, _batch=None) -> RunResult:
-    """Simulate one replicate to absorption at a single ball; a recorded
-    trajectory repeats the count through each holding segment.  runs()
-    passes its iterator over the batch's lanes as _batch, so each replicate
-    still comes out of one run call, as a wrapper of run expects; the call
-    that reaches a new block of lanes simulates the whole block."""
+    """Simulate one replicate to absorption at a single ball.  runs() passes
+    its iterator over the batch's lanes as _batch, so each replicate still
+    comes out of one run call, as a wrapper of run expects; the call that
+    reaches a new block of lanes simulates the whole block."""
     if _batch is not None:
         return next(_batch)
     return _lanes(config, range(replicate_index, replicate_index + 1))[0]
@@ -462,16 +454,3 @@ def batch(config: SimConfig) -> BatchSummary:
     order does not change it.
     """
     return BatchSummary.from_runs(runs(config), config.passage_thresholds)
-
-
-def delta_audit(result: RunResult, p: ProbabilityVector, k_star: float) -> int:
-    """Count envelope violations above the early threshold.
-
-    A violation is a step from a recorded state at or above k_star that lands
-    strictly above the one-step envelope of that state.
-    """
-    if result.trajectory is None:
-        raise ValueError("trajectory was not recorded")
-    b, nxt = result.trajectory[:-1], result.trajectory[1:]
-    early = b >= k_star
-    return int(np.count_nonzero(nxt[early] > one_step_envelope(p, b[early])))

@@ -3,19 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalsim import asymptotics, cli
 from coalsim.asymptotics import (
     LimitLawResult,
     early_phase_experiment,
+    expected_envelope_violations,
     kingman_limit_samples,
     ks_two_sample,
     limit_law_experiment,
     threshold_experiment,
 )
-from coalsim.distributions import uniform
-from coalsim.dynamics import early_threshold, late_threshold
-from coalsim.exact_chain import phase_decomposition
+from coalsim.distributions import ProbabilityVector, topheavy, uniform
+from coalsim.dynamics import early_threshold, late_threshold, one_step_envelope
+from coalsim.exact_chain import TriangularKernel, phase_decomposition
+from coalsim.simulate import replicate_rng, step
 
 
 class _ZeroRng:
@@ -130,6 +134,74 @@ class TestEarlyPhaseExperiment:
         assert (res.mean_tau_early, res.mean_middle) == (phases.early, phases.middle)
         assert (res.early_ratio, res.middle_ratio) == (phases.early * c2, phases.middle * c2)
         assert res == early_phase_experiment(n, eps)
+
+
+class TestEnvelopeBreaches:
+    """The expected count of rounds from k >= k* that end above the one-step
+    envelope of k, by one reward column of the back-substitution."""
+
+    def test_uniform_within_dropped_mass(self):
+        # every mass above the envelope lies in entries the banded rows trim
+        count, dropped = expected_envelope_violations(uniform(1000), 0.2)
+        assert count <= dropped < 1e-15
+
+    def test_uniform_three_by_hand(self):
+        # k* = 3 ln(3)^-0.2 = 2.94, so only rounds from 3 balls count; the
+        # envelope of 3 is 3 - 1.5/e = 2.45, so a round breaches when all three
+        # balls stay apart, with chance 2/9, and the rounds at 3 before the
+        # first fall number (2/9) / (7/9) = 2/7 in expectation
+        count, dropped = expected_envelope_violations(uniform(3), 0.2)
+        assert count == pytest.approx(2.0 / 7.0, rel=1e-14)
+        assert dropped == 0.0
+
+    def test_point_mass_never_breaches(self):
+        # one round takes every ball to the one box, below the envelope of n
+        p = ProbabilityVector([1.0] + [0.0] * 9)
+        assert expected_envelope_violations(p, 0.2) == (0.0, 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        levels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(0.01, 0.24),
+    )
+    def test_equals_dense_solve(self, n, levels, seed, eps):
+        # (I - P) v = r over the states 2..n, with the dense exact rows and
+        # r[k] the mass each row puts strictly above the envelope from k* up;
+        # few levels take the banded rows, many the box pass
+        rng = np.random.default_rng(seed)
+        p = ProbabilityVector(rng.choice(rng.random(levels), n), normalize=True)
+        kernel = TriangularKernel(p)
+        matrix = np.zeros((n + 1, n + 1))
+        for k in range(1, n + 1):
+            matrix[k, : k + 1] = kernel.row(k).probs
+        k_star = early_threshold(p.moments().c2, n, eps)
+        r = np.array([
+            matrix[k, np.arange(n + 1) > one_step_envelope(p, k)].sum() if k >= k_star else 0.0
+            for k in range(n + 1)
+        ])
+        want = np.linalg.solve(np.eye(n - 1) - matrix[2:, 2:], r[2:])[-1]
+        count, dropped = expected_envelope_violations(p, eps)
+        assert count == pytest.approx(want, rel=1e-9, abs=1e-12 + dropped)
+
+    def test_topheavy_matches_step_draws(self):
+        # plain rounds of step, no kernel rows: each run counts its rounds
+        # from k >= k* that end above the envelope of k, until it falls below k*
+        p, eps = topheavy(1000, 0.02), 0.2
+        k_star = early_threshold(p.moments().c2, p.n, eps)
+        breaches = []
+        for i in range(400):
+            rng, b, count = replicate_rng(31, i), p.n, 0
+            while b >= k_star:
+                nxt = step(p, b, rng)
+                count += nxt > one_step_envelope(p, b)
+                b = nxt
+            breaches.append(count)
+        mean, se = np.mean(breaches), np.std(breaches, ddof=1) / math.sqrt(len(breaches))
+        exact, dropped = expected_envelope_violations(p, eps)
+        assert dropped < 1e-15 and 0.5 < exact < 0.6
+        assert abs(mean - exact) <= 3.0 * se
 
 
 class TestExperimentConfig:

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -201,6 +202,16 @@ class TestVariationalCommand:
         assert a["f_sampled"] == 14.656741947043445
         assert b["f_sampled"] != a["f_sampled"]
 
+    @pytest.mark.parametrize("c2", [1.0, 1.0 - 1e-13])
+    def test_point_mass_slice(self, tmp_path, c2):
+        # at c2 = 1 the slice holds only point masses: the scan and the samples
+        # both find one box with all the mass
+        cfg = write_config(tmp_path, "var.json", {"n": 10, "c2": c2, "k": 3})
+        assert main(["variational", "--config", str(cfg), "--out", str(tmp_path / "v"), "--quiet"]) == 0
+        report = json.loads((tmp_path / "v.json").read_text())
+        assert report["f_sampled"] >= report["f_best"] - 1e-12 * report["f_best"]
+        assert report["f_best"] == pytest.approx(9.0 + math.exp(-3.0), rel=1e-12)
+
     def test_budget_below_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "var.json", {"n": 30, "c2": 0.1, "k": 30, "budget": 0})
         assert main(["variational", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
@@ -354,6 +365,20 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: Unable to allocate 745. GiB")
         assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_error_without_message_names_its_type(self, tmp_path, capsys, monkeypatch):
+        # numpy raises a bare MemoryError for some sizes, such as the dynamics
+        # table at k_max = 10**15; the handler here raises one and allocates nothing
+        def allocate(args, cfg):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._HANDLERS, "dynamics", (allocate, ".csv"))
+        cfg = write_config(tmp_path, "cfg.json", {"distribution": {"family": "uniform", "n": 5},
+                                                  "k_max": 10**15})
+        assert main(["dynamics", "--config", str(cfg), "--out", str(tmp_path / "big")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: MemoryError\n" and captured.out == ""
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_subcommand(self):

@@ -115,10 +115,9 @@ class TestLevels:
         g_pos, g_cnt, n = _groups(p, 1)
         assert g_pos.tobytes() == w_pos.tobytes() and np.array_equal(g_cnt, cnt) and n == p.n
         ks = np.array([0.0, 0.5, 3.0, 1e3, 1e300])
-        want = np.exp(-np.multiply.outer(ks, values)) @ counts
+        want = (np.exp(-np.multiply.outer(ks, values)) * counts).sum(axis=-1)
         assert empty_boxes_proxy(p, ks).tobytes() == want.tobytes()
-        one = np.exp(-np.multiply.outer(ks[2:3], values)) @ counts  # a scalar k is one row
-        assert empty_boxes_proxy(p, 3.0) == one[0]
+        assert empty_boxes_proxy(p, 3.0) == want[2]  # a scalar k sums as its row does
 
     def test_table_is_read_only(self):
         values, counts = ProbabilityVector([0.5, 0.25, 0.25, 0.0]).levels
@@ -348,8 +347,17 @@ class TestSampleFixedC2:
 
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(DistributionError):
-            sample_fixed_c2(4, 1.0, rng)
+        for c2 in (0.2, 1.0 + 1e-9, 1.5):  # the slice is c2 in [1/n, 1]
+            with pytest.raises(DistributionError, match=r"outside \[1/n, 1\]"):
+                sample_fixed_c2(4, c2, rng)
+
+    @pytest.mark.parametrize("c2", [1.0, 1.0 - 1e-12])
+    def test_point_masses_at_one(self, c2):
+        # c2 = 1 holds only point masses, as c2 = 1/n holds only the uniform vector
+        rng = np.random.default_rng(0)
+        q = sample_fixed_c2_batch(5, c2, rng, 4)
+        assert q.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]] * 4
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
     def test_one_box_rejected(self):
         with pytest.raises(DistributionError, match="n must be at least 2"):

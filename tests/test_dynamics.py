@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalsim.cli import main
 from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
@@ -206,6 +208,27 @@ class TestDynamicsTable:
         assert np.allclose(rows[:, 1], direct, rtol=1e-12, atol=0.0)
         assert np.allclose(rows[:, 2], p.n - direct, rtol=1e-12, atol=0.0)
         assert np.all(np.diff(rows[:, 4]) >= 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.integers(0, 5),
+    )
+    def test_one_array_call_equals_scalar_calls(self, n, seed, zeros):
+        # the value at each k does not depend on how many k share the call
+        w = np.random.default_rng(seed).dirichlet(np.ones(n))
+        p = ProbabilityVector(np.concatenate((w, np.zeros(zeros))), normalize=True)
+        ks = np.arange(p.n + 1.0)
+        assert empty_boxes_proxy(p, ks).tolist() == [empty_boxes_proxy(p, k) for k in ks]
+
+    @pytest.mark.parametrize(
+        "p", [topheavy(1000, 0.02), ProbabilityVector(np.random.default_rng(4).dirichlet(np.ones(40)))],
+        ids=["topheavy1000", "dirichlet40"],
+    )
+    def test_array_call_over_all_k_equals_scalar_calls(self, p):
+        ks = np.arange(p.n + 1.0)
+        assert empty_boxes_proxy(p, ks).tolist() == [empty_boxes_proxy(p, k) for k in ks]
 
     def test_array_k_matches_scalar_calls(self):
         p = topheavy(40, 0.1)

@@ -9,7 +9,7 @@ import pytest
 
 from coalsim import exact_chain, simulate
 from coalsim.distributions import ProbabilityVector, three_level, topheavy, uniform
-from coalsim.dynamics import early_threshold, late_threshold, one_step_envelope
+from coalsim.dynamics import early_threshold, late_threshold
 from coalsim.exact_chain import (
     TriangularKernel,
     coalescence_time_cdf,
@@ -27,7 +27,6 @@ from coalsim.simulate import (
     _route,
     _seed_states,
     batch,
-    delta_audit,
     replicate_rng,
     run,
     runs,
@@ -35,6 +34,14 @@ from coalsim.simulate import (
 )
 
 CHI2_999_DF2 = 13.815510557964274
+
+
+def every_count(config: SimConfig) -> SimConfig:
+    """config with a passage threshold at every integer count below its start,
+    besides its own: the count never rises, so count(t) <= c exactly when
+    passage(c) <= t, and these passages are the whole path."""
+    counts = map(float, range(1, config.start_count))
+    return replace(config, passage_thresholds=tuple(sorted({*config.passage_thresholds, *counts})))
 
 
 class TestAliasTable:
@@ -96,35 +103,28 @@ class TestRun:
         assert run(cfg, 0).T == 1
 
     def test_trajectory_shape(self):
-        cfg = SimConfig(p=uniform(30), master_seed=5, record_trajectory=True)
-        res = run(cfg, 0)
-        traj = res.trajectory
-        assert traj[0] == 30
-        assert traj[-1] == 1
-        assert np.all(np.diff(traj) <= 0)
-        assert np.all(traj[:-1] > 1)
-        assert res.T == traj.size - 1
+        # the path from 30 balls, as its passages below every count
+        cfg = SimConfig(p=uniform(30), master_seed=5)
+        res = run(every_count(cfg), 0)
+        tau = [res.passages[float(c)] for c in range(29, 0, -1)]
+        assert 1 <= tau[0] and tau[-1] == res.T == run(cfg, 0).T
+        assert tau == sorted(tau)  # the count never rises
 
     def test_passages_consistent_with_trajectory(self):
         cfg = SimConfig(
             p=uniform(40),
             master_seed=8,
-            record_trajectory=True,
             passage_thresholds=(40.0, 20.0, 5.0, 1.0),
         )
-        res = run(cfg, 2)
+        res, path = run(cfg, 2), run(every_count(cfg), 2)
         assert res.passages[40.0] == 0
-        assert res.passages[1.0] == res.T
+        assert res.passages[1.0] == res.T == path.T
         for th, tau in res.passages.items():
-            assert res.trajectory[tau] <= th
-            assert np.all(res.trajectory[:tau] > th)
+            assert path.passages[th] == tau
 
     def test_deterministic_per_index(self):
-        cfg = SimConfig(p=uniform(20), master_seed=12, record_trajectory=True)
-        a = run(cfg, 7)
-        b = run(cfg, 7)
-        assert a.T == b.T
-        assert np.array_equal(a.trajectory, b.trajectory)
+        cfg = every_count(SimConfig(p=uniform(20), master_seed=12))
+        assert run(cfg, 7) == run(cfg, 7)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -199,9 +199,9 @@ class TestJumpChain:
     def test_row_without_self_loop(self):
         # four balls on two live boxes always collide: row 4 has no self-loop
         p = ProbabilityVector([0.5, 0.5, 0.0, 0.0])
-        cfg = SimConfig(p=p, b0=4, replicates=4000, master_seed=6, record_trajectory=True)
+        cfg = SimConfig(p=p, b0=4, replicates=4000, master_seed=6, passage_thresholds=(3.0,))
         results = runs(cfg)
-        assert all(r.trajectory[1] < 4 for r in results)
+        assert all(r.passages[3.0] == 1 for r in results)
         stats = RunningStats.from_samples(r.T for r in results)
         exact = expected_coalescence_times(TriangularKernel(p))[4]
         assert exact == pytest.approx(2.75)
@@ -211,18 +211,16 @@ class TestJumpChain:
         cfg = SimConfig(
             p=uniform(100),
             master_seed=8,
-            record_trajectory=True,
             passage_thresholds=(80.0, 64.0, 30.0, 1.0),
         )
         for i in range(5):
-            res = run(cfg, i)
-            traj = res.trajectory
-            assert (traj[0], traj[-1], traj.size) == (100, 1, res.T + 1)
-            assert np.all(np.diff(traj) <= 0)
-            assert np.any(np.diff(traj) == 0)  # a holding segment, expanded
-            for th, tau in res.passages.items():
-                assert traj[tau] <= th
-                assert np.all(traj[:tau] > th)
+            res, path = run(cfg, i), run(every_count(cfg), i)
+            tau = [path.passages[float(c)] for c in range(99, 0, -1)]
+            assert tau == sorted(tau) and tau[-1] == res.T == path.T
+            # the count falls in fewer rounds than it takes: a holding segment
+            assert len(set(tau)) < res.T
+            for th, t in res.passages.items():
+                assert path.passages[th] == t
 
     @pytest.mark.parametrize(
         "p",
@@ -232,14 +230,14 @@ class TestJumpChain:
     def test_run_passages_equal_first_index_at_or_below(self, p):
         # thresholds straddle the 64-ball cutoff between throwing every ball
         # and the jump chain
+        # and a count is at or below th exactly when it is at or below floor(th)
         thresholds = (150.0, 64.0, 63.5, 40.0, 2.0)
-        cfg = SimConfig(
-            p=p, master_seed=11, record_trajectory=True, passage_thresholds=thresholds
-        )
+        cfg = SimConfig(p=p, master_seed=11, passage_thresholds=thresholds)
+        path = every_count(SimConfig(p=p, master_seed=11))
         for i in range(20):
-            res = run(cfg, i)
-            assert res.passages == {
-                th: int(np.argmax(res.trajectory <= th)) for th in thresholds
+            full = run(path, i)
+            assert run(cfg, i).passages == {
+                th: full.passages[float(math.floor(th))] for th in thresholds
             }
 
     def test_step_loop_matches_first_passage_above_cutoff(self):
@@ -369,7 +367,7 @@ class TestDistinct:
         config = SimConfig(uniform(5 * 10**4), 4, master_seed=21, passage_thresholds=(2000.0, 64.0))
         want = [reference_run(config, i) for i in range(config.replicates)]
         got = runs(config)
-        assert [(r.T, r.passages) for r in got] == [(T, passages) for T, _, passages in want]
+        assert [(r.T, r.passages) for r in got] == want
 
 
 class TestCachesLetVectorsGo:
@@ -449,32 +447,6 @@ class TestFirstPassages:
             stats = summary.passages[k]
             assert abs(stats.mean - exact) <= 4.0 * stats.stderr, k
 
-
-class TestDeltaAudit:
-    def test_vacuous_above_n(self):
-        cfg = SimConfig(p=uniform(8), master_seed=1, record_trajectory=True)
-        res = run(cfg, 0)
-        assert delta_audit(res, cfg.p, k_star=9.0) == 0
-
-    def test_smoke_tiny_instance(self):
-        cfg = SimConfig(p=uniform(2), master_seed=1, record_trajectory=True)
-        res = run(cfg, 0)
-        assert delta_audit(res, cfg.p, k_star=1.0) >= 0
-
-    def test_requires_trajectory(self):
-        cfg = SimConfig(p=uniform(8), master_seed=1)
-        res = run(cfg, 0)
-        with pytest.raises(ValueError):
-            delta_audit(res, cfg.p, 2.0)
-
-    def test_no_violations_at_moderate_size(self):
-        n = 1000
-        p = uniform(n)
-        k_star = early_threshold(1.0 / n, n, 0.2)
-        cfg = SimConfig(p=p, master_seed=9, record_trajectory=True)
-        for i in range(20):
-            assert delta_audit(run(cfg, i), p, k_star) == 0
-
     def test_early_passage_within_bound(self):
         # nearly every replicate reaches the early threshold within
         # 5 ln(n) / sqrt(c2) rounds
@@ -487,20 +459,6 @@ class TestDeltaAudit:
         for i in range(trials):
             hits += run(cfg, i).passages[k_star] <= bound
         assert hits >= 0.99 * trials
-
-    def test_violation_rule_matches_ceiling_convention(self):
-        # an integer next state exceeds the real envelope exactly when it
-        # reaches the envelope's ceiling
-        p = topheavy(12, 0.25)
-        cfg = SimConfig(p=p, master_seed=21, record_trajectory=True)
-        for i in range(30):
-            traj = run(cfg, i).trajectory
-            for t in range(traj.size - 1):
-                cap = one_step_envelope(p, int(traj[t]))
-                direct = traj[t + 1] > cap
-                via_ceiling = traj[t + 1] >= math.ceil(cap) and cap != math.floor(cap)
-                if cap != math.floor(cap):  # non-integer envelope
-                    assert direct == via_ceiling
 
 
 # The per-replicate loop that the lanes replaced, kept as their reference:
@@ -541,13 +499,10 @@ def reference_run(config: SimConfig, replicate_index: int):
     rng = replicate_rng(config.master_seed, replicate_index)
     pending = sorted(set(config.passage_thresholds), reverse=True)
     passages: dict[float, int] = {}
-    traj: list[int] = []
     for t, b in reference_jumps(config.p, config.start_count, rng):
-        if config.record_trajectory:
-            traj += traj[-1:] * (t - len(traj)) + [b]
-        while pending and b <= pending[0]:
-            passages[pending.pop(0)] = t
-    return t, np.array(traj, dtype=np.int64), passages
+        while len(passages) < len(pending) and b <= pending[len(passages)]:
+            passages[pending[len(passages)]] = t
+    return t, passages
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**64 - 1, 2**200]
@@ -627,14 +582,11 @@ class TestLanes:
              "uniform10000_b127", "uniform1000_b127", "equal200_of_500"],
     )
     def test_equal_reference_loop(self, config):
-        want = [reference_run(replace(config, record_trajectory=True), i)
-                for i in range(config.replicates)]
-        traced = runs(replace(config, record_trajectory=True))
-        assert [r.T for r in runs(config)] == [T for T, _, _ in want]
-        assert [r.T for r in traced] == [T for T, _, _ in want]
-        assert [r.passages for r in traced] == [passages for _, _, passages in want]
-        for r, (_, traj, _) in zip(traced, want):
-            assert np.array_equal(r.trajectory, traj)
+        # T and the passages below every count, which give the whole path
+        path = every_count(config)
+        want = [reference_run(path, i) for i in range(config.replicates)]
+        assert [r.T for r in runs(config)] == [T for T, _ in want]
+        assert [(r.T, r.passages) for r in runs(path)] == want
         assert run(config, config.replicates - 1) == runs(config)[-1]
 
     @pytest.mark.parametrize("m", [1000, 10**4, 3 * 2**30])
